@@ -206,31 +206,15 @@ def sanitizer_for_report(report, strict: bool = False
 def instrument_runtime(runtime, sanitizer: LockOrderSanitizer) -> None:
     """Swap a ServeRuntime's locks for sanitized wrappers, in place.
 
-    Must run before the runtime starts its workers.  Covers the
-    runtime tallies, the outcome map, the scheduler condition, the
-    tracer, the registry, and every metric the registry hands out
-    (metric locks are created lazily, so the registry's factory
-    methods are shadowed to wrap them at creation).
+    Covers the arrival inbox producers share and every metric the
+    registry hands out (metric locks are created lazily, so the
+    registry's factory methods are shadowed to wrap them at creation).
     """
     prefix = "repro.serve"
     runtime._arrival_lock = sanitizer.wrap(
         f"{prefix}.runtime.ServeRuntime._arrival_lock",
         runtime._arrival_lock,
     )
-    runtime._outcome_lock = sanitizer.wrap(
-        f"{prefix}.runtime.ServeRuntime._outcome_lock",
-        runtime._outcome_lock,
-    )
-    queue = getattr(runtime, "queue", None)
-    if queue is not None and hasattr(queue, "_cv"):
-        queue._cv = sanitizer.condition(
-            f"{prefix}.scheduler.BoundedRequestQueue._cv"
-        )
-    tracer = getattr(runtime, "tracer", None)
-    if tracer is not None and hasattr(tracer, "_lock"):
-        tracer._lock = sanitizer.wrap(
-            f"{prefix}.tracing.TraceCollector._lock", tracer._lock
-        )
     registry = getattr(runtime, "metrics", None)
     if registry is not None and hasattr(registry, "_lock"):
         registry._lock = sanitizer.wrap(
@@ -299,32 +283,14 @@ def _wrap_metric_locks(registry, sanitizer, prefix) -> None:
 
 
 def instrument_cluster(cluster, sanitizer: LockOrderSanitizer) -> None:
-    """Swap a Cluster's control-plane locks for sanitized wrappers.
+    """Swap a Cluster's locks for sanitized wrappers, in place.
 
-    Must run before :meth:`Cluster.start`: fleet construction is
-    deferred to ``start()`` precisely so that the sanitizer attached
-    here reaches every fleet — each fleet wraps its condition variable
-    at birth and runs :func:`instrument_runtime` over every runtime
-    generation it ever builds, including green generations created by
-    rolling deploys and fleets added by the autoscaler mid-run.
+    Covers the arrival inbox producers share and the model registry;
+    everything else in a cluster runs on its single-threaded event loop.
     """
-    if getattr(cluster, "_started", False):
-        raise RuntimeError(
-            "instrument_cluster must be called before Cluster.start()"
-        )
-    prefix = "repro.cluster"
-    cluster._sanitizer = sanitizer
-    cluster._lock = sanitizer.wrap(
-        f"{prefix}.cluster.Cluster._lock", cluster._lock
+    cluster._arrival_lock = sanitizer.wrap(
+        "repro.cluster.cluster.Cluster._arrival_lock", cluster._arrival_lock
     )
-    cluster._submit_lock = sanitizer.wrap(
-        f"{prefix}.cluster.Cluster._submit_lock", cluster._submit_lock
-    )
-    router = getattr(cluster, "router", None)
-    if router is not None and hasattr(router, "_lock"):
-        router._lock = sanitizer.wrap(
-            f"{prefix}.router.Router._lock", router._lock
-        )
     registry = getattr(cluster, "registry", None)
     if registry is not None and hasattr(registry, "_lock") and \
             not isinstance(registry._lock, SanitizedLock):

@@ -288,18 +288,7 @@ def _cmd_serve_bench(args) -> int:
         if args.trace_request is not None:
             print(report.trace.timeline(args.trace_request))
     if args.json_out:
-        payload = {
-            "model_id": artifact.model_id,
-            "engine": report.engine,
-            "offered": report.offered,
-            "completed": report.completed,
-            "rejected": report.rejected,
-            "failed": report.failed,
-            "makespan_ms": report.makespan_ms,
-            "throughput_rps": report.throughput_rps,
-            "device_utilization": report.device_utilization,
-            "metrics": report.metrics,
-        }
+        payload = {"model_id": artifact.model_id, **report.to_dict()}
         with open(args.json_out, "w") as handle:
             json.dump(payload, handle, indent=1)
         print(f"wrote metrics JSON to {args.json_out}")

@@ -3,11 +3,10 @@
 Pure decision logic — the :class:`Autoscaler` reads windowed
 :class:`~repro.cluster.fleet.FleetSignals` each control tick and emits
 at most one :class:`ScaleDecision`; the :class:`~repro.cluster.cluster.
-Cluster` executes it (spins up a fleet, or marks one draining and
-retires it).  Keeping decide/execute split makes the policy unit-
-testable with synthetic signals and keeps the autoscaler free of any
-threading concerns: it runs only on the cluster's control thread and
-holds no locks.
+Cluster` executes it (spins up a fleet, or retires one).  Keeping
+decide/execute split makes the policy unit-testable with synthetic
+signals; the cluster calls it once per control tick on the simulated
+clock.
 
 Hysteresis, three ways, because a single-threshold scaler flaps:
 

@@ -9,31 +9,29 @@ shards from live windowed signals, and at most one active
 :class:`~repro.cluster.deploy.Deployer` rolling a new model version
 across shards with zero lost requests.
 
-Control plane vs data plane:
+Everything runs on one single-threaded discrete-event loop
+(:class:`~repro.serve.events.EventLoop`) shared by every fleet:
 
-* the **data plane** (:meth:`submit`) may be called from many producer
-  threads; it routes, offers to the chosen fleet, and — when a fleet
-  quiesced between routing and offering — re-routes, so a submit never
-  silently vanishes.  Every submitted request id is recorded, which is
+* the **data plane** is an arrival event per request: route, then offer
+  to the chosen fleet's live generation at the request's arrival time.
+  Producers on any thread hand requests in through :meth:`submit`, a
+  locked inbox the loop drains; every submitted id is recorded, which is
   what lets :func:`~repro.cluster.invariants.verify_cluster_invariants`
   prove none were lost.
-* the **control plane** (:meth:`tick`) runs on one thread (the caller's
-  replay loop or the soak driver's main thread) on the *simulated*
-  clock: sample fleet signals, advance any rolling deploy, then let the
-  autoscaler act.  Deploys freeze the autoscaler — resizing the fleet
-  set mid-rollout would make "which fleets run the new model" moot.
+* the **control plane** is a periodic tick event (:meth:`tick`, every
+  ``tick_ms`` of simulated time): sample fleet signals, advance any
+  rolling deploy, then let the autoscaler act.  Deploys freeze the
+  autoscaler — resizing the fleet set mid-rollout would make "which
+  fleets run the new model" moot.
 
-Lock discipline: ``_lock`` guards fleet membership, ``_submit_lock``
-guards the submitted-id ledger; both are leaf-level (never held across
-fleet or runtime calls), as are the router's and fleets' locks — the
-strict :class:`~repro.analysis.concurrency.LockOrderSanitizer` verifies
-zero lock nesting across the entire cluster in the soak harness.
+Routing, scaling and deploy decisions therefore depend on simulated
+time only, and a cluster report is a pure function of (trace, config,
+artifacts).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -43,12 +41,13 @@ from repro.cluster.autoscaler import (
     AutoscalerConfig,
 )
 from repro.cluster.deploy import DONE, Deployer, DeployEvent, SLOPolicy
-from repro.cluster.fleet import ACTIVE, DRAINING, Fleet, FleetSignals
+from repro.cluster.fleet import ACTIVE, Fleet, FleetSignals
 from repro.cluster.router import ROUTER_POLICIES, Router
 from repro.errors import ConfigurationError, ServeError
+from repro.serve.events import EventLoop
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import COMPLETED, InferenceRequest
-from repro.serve.runtime import ServeConfig, ServeReport
+from repro.serve.runtime import ServeConfig, ServeReport, arrival_order
 from repro.serve.tracing import merged_chrome_trace
 
 
@@ -189,33 +188,33 @@ class Cluster:
             self._artifacts = tuple(artifact)
             if not self._artifacts:
                 raise ServeError("cluster needs at least one artifact")
-        self._lock = threading.Lock()
-        self._fleets: list[Fleet] = []          # guarded_by: _lock
-        self._retired_fleets: list[Fleet] = []  # guarded_by: _lock
-        self._next_fleet_id = 0                 # guarded_by: _lock
-        self._submit_lock = threading.Lock()
-        self._submitted_ids: list[int] = []     # guarded_by: _submit_lock
-        self._deployer: Deployer | None = None  # control thread only
+        self.loop = EventLoop()
+        self._fleets: list[Fleet] = []
+        self._retired_fleets: list[Fleet] = []
+        self._next_fleet_id = 0
+        # The inbox and the submission ledger are the cluster's only
+        # cross-thread state: `submit()` may be called from many
+        # producer threads.
+        self._arrival_lock = threading.Lock()
+        self._inbox: list[InferenceRequest] = []  # guarded_by: _arrival_lock
+        self._submitted_ids: list[int] = []       # guarded_by: _arrival_lock
+        self._started = False                     # guarded_by: _arrival_lock
+        self._deployer: Deployer | None = None
         self._deploy_history: list[Deployer] = []
         self._pending_deploys: list[
             tuple[float, ModelArtifact, SLOPolicy | None]
-        ] = []                                   # control thread only
-        self._last_tick_ms = 0.0                 # control thread only
-        self._sanitizer = None       # set by instrument_cluster pre-start
-        self._started = False
+        ] = []
+        self._next_tick_ms = self.config.tick_ms
+        self._ticking = False
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Build and start the initial fleets.
-
-        Deferred out of ``__init__`` so a sanitizer can be attached
-        first (``instrument_cluster``) and every lock in every fleet is
-        wrapped from birth.
-        """
-        if self._started:
-            raise ServeError("cluster already started")
-        self._started = True
+        """Build the initial fleets."""
+        with self._arrival_lock:
+            if self._started:
+                raise ServeError("cluster already started")
+            self._started = True
         for _ in range(self.config.n_fleets):
             self._add_fleet()
 
@@ -227,101 +226,99 @@ class Cluster:
         self.drain()
 
     def _add_fleet(self) -> Fleet:
-        with self._lock:
-            fleet_id = self._next_fleet_id
-            self._next_fleet_id += 1
+        fleet_id = self._next_fleet_id
+        self._next_fleet_id += 1
         fleet = Fleet(
             fleet_id,
             self._artifacts[fleet_id % len(self._artifacts)],
             self.config.serve,
+            loop=self.loop,
             registry=self.registry,
-            sanitizer=self._sanitizer,
             signal_window_ms=self.config.signal_window_ms,
         )
-        with self._lock:
-            self._fleets.append(fleet)
+        self._fleets.append(fleet)
         return fleet
 
     def _remove_fleet(self, fleet: Fleet) -> None:
-        """Scale-down: stop routing to the fleet, then drain it."""
-        fleet.state = DRAINING       # router skips it from here on
-        fleet.shutdown()             # quiesce + drain backlog, outside locks
-        with self._lock:
-            self._fleets.remove(fleet)
-            self._retired_fleets.append(fleet)
+        """Scale-down: stop routing to the fleet; its backlog drains on
+        the loop."""
+        fleet.shutdown()
+        self._fleets.remove(fleet)
+        self._retired_fleets.append(fleet)
+
+    def run(self) -> None:
+        """Simulate every submitted request to a terminal outcome.
+
+        The control loop ticks while anything is left to simulate, and
+        until every scheduled deploy has fired and finished.
+        """
+        with self._arrival_lock:
+            arrivals, self._inbox = self._inbox, []
+        for request in sorted(arrivals, key=arrival_order):
+            self.loop.at(request.arrival_ms, self._arrive, request)
+        if not self._ticking and (self.loop.pending or self._deploying):
+            self._ticking = True
+            self.loop.at(self._next_tick_ms, self._on_tick)
+        self.loop.run()
 
     def drain(self) -> None:
-        """Finish any rolling deploy, then retire every fleet."""
-        self._finish_deploys()
-        while True:
-            with self._lock:
-                fleet = self._fleets[0] if self._fleets else None
-            if fleet is None:
-                break
-            self._remove_fleet(fleet)
+        """Simulate everything submitted, finish any rolling deploy, then
+        retire every fleet."""
+        self.run()
+        while self._fleets:
+            self._remove_fleet(self._fleets[0])
 
     # -- introspection ---------------------------------------------------
 
     @property
     def fleets(self) -> list[Fleet]:
-        """Live fleet membership (racy snapshot; fine for routing)."""
-        with self._lock:
-            return list(self._fleets)
+        """Live fleet membership."""
+        return list(self._fleets)
 
     @property
     def n_fleets(self) -> int:
-        with self._lock:
-            return len(self._fleets)
-
-    def clock_ms(self) -> float:
-        """Furthest simulated time any live fleet has reached."""
-        return max((f.clock_ms() for f in self.fleets), default=0.0)
-
-    @property
-    def control_ms(self) -> float:
-        """Simulated time of the latest control tick (racy read).
-
-        External paced producers gate on this rather than the device
-        clock: devices can burn through a whole backlog between two
-        wall-clock slices of the control thread, but control time only
-        advances tick by tick, so pacing against it keeps traffic
-        flowing *while* the control loop (deploy probes, autoscaler)
-        observes it.
-        """
-        return self._last_tick_ms
+        return len(self._fleets)
 
     def signals(self) -> list[FleetSignals]:
-        return [f.signals() for f in self.fleets]
+        return [f.signals() for f in self._fleets]
 
     # -- data plane ------------------------------------------------------
 
-    def submit(self, request: InferenceRequest) -> bool:
-        """Route and offer one request; True admitted, False shed.
+    def submit(self, request: InferenceRequest) -> None:
+        """Hand one request in from any thread.
 
-        A fleet that quiesced between routing and offering returns
-        ``None`` from :meth:`Fleet.submit`; the request was not offered
-        anywhere yet, so we simply route again.  With at least one
-        ACTIVE fleet this terminates: a fleet only refuses while its
-        generation pointer is None, which for ACTIVE fleets is the
-        instants around a cutover swap.
+        It is routed when it arrives, at ``request.arrival_ms`` on the
+        simulated clock, once :meth:`run` (or :meth:`drain`) runs the
+        loop — in arrival order, whatever the order of the submit calls.
         """
-        if not self._started:
-            raise ServeError("cluster not started; call start()")
-        while True:
-            fleet = self.router.route(request, self.fleets)
-            verdict = fleet.submit(request)
-            if verdict is not None:
-                with self._submit_lock:
-                    self._submitted_ids.append(request.request_id)
-                return verdict
-            time.sleep(0.0005)       # cutover in progress; re-route
+        with self._arrival_lock:
+            if not self._started:
+                raise ServeError("cluster not started; call start()")
+            self._inbox.append(request)
+            self._submitted_ids.append(request.request_id)
 
-    # -- control plane (single control thread) ---------------------------
+    def _arrive(self, request: InferenceRequest) -> None:
+        self.router.route(request, self._fleets).submit(request)
+
+    # -- control plane ---------------------------------------------------
+
+    @property
+    def _deploying(self) -> bool:
+        return bool(self._pending_deploys) or (
+            self._deployer is not None and self._deployer.active
+        )
+
+    def _on_tick(self) -> None:
+        self.tick(self.loop.now_ms)
+        self._next_tick_ms += self.config.tick_ms
+        if self.loop.pending or self._deploying:
+            self.loop.at(self._next_tick_ms, self._on_tick)
+        else:
+            self._ticking = False
 
     def tick(self, now_ms: float) -> None:
         """One control-loop step at simulated time ``now_ms``."""
-        self._last_tick_ms = max(self._last_tick_ms, now_ms)
-        fleets = self.fleets
+        fleets = list(self._fleets)
         for fleet in fleets:
             fleet.sample(now_ms)
         self._maybe_start_deploy(now_ms)
@@ -371,23 +368,6 @@ class Cluster:
         self._deployer = Deployer(self.fleets, artifact, slo=slo)
         self._deploy_history.append(self._deployer)
 
-    def _finish_deploys(self) -> None:
-        """Drive any in-flight/pending deploy to a terminal state."""
-        guard = 10_000
-        while guard > 0 and (
-            self._pending_deploys
-            or (self._deployer is not None and self._deployer.active)
-        ):
-            guard -= 1
-            self._last_tick_ms += self.config.tick_ms
-            self.tick(max(self._last_tick_ms, self.clock_ms()))
-            # Give worker threads wall-clock time to serve any probe
-            # backlog; simulated time advances tick-by-tick regardless,
-            # so a genuinely goodput-free probe still times out.
-            time.sleep(0.0005)
-        if guard == 0:
-            raise ServeError("deploy failed to converge during drain")
-
     # -- replay ----------------------------------------------------------
 
     def replay(
@@ -395,46 +375,19 @@ class Cluster:
     ) -> ClusterReport:
         """Drive an open-loop trace through the cluster, then drain.
 
-        Single-threaded and deterministic: requests are routed in
-        arrival order, the control loop ticks whenever the trace clock
-        crosses a tick boundary, and (with ``pace=True``) submission
-        waits for the routed fleet's backlog to clear up to each
-        request's arrival time, approximating open-loop arrivals on the
-        simulated clock.
+        Every request arrives at its trace time on the simulated clock,
+        so ``pace`` has no effect.
         """
-        next_tick = self.config.tick_ms
         for request in trace:
-            while request.arrival_ms >= next_tick:
-                self.tick(next_tick)
-                next_tick += self.config.tick_ms
-            if pace:
-                deadline = time.monotonic() + 30.0
-                while True:
-                    fleet = self.router.route(request, self.fleets)
-                    if (
-                        fleet.queue_depth() == 0
-                        or fleet.clock_ms() >= request.arrival_ms
-                    ):
-                        break
-                    if time.monotonic() > deadline:
-                        raise ServeError(
-                            "paced replay stalled waiting for fleet "
-                            f"{fleet.name}"
-                        )
-                    time.sleep(0.0002)
             self.submit(request)
         self.drain()
         return self.report()
 
     # -- reporting -------------------------------------------------------
 
-    def _all_fleets(self) -> list[Fleet]:
-        with self._lock:
-            return list(self._fleets) + list(self._retired_fleets)
-
     def generation_reports(self) -> list[GenerationReport]:
         reports = []
-        for fleet in self._all_fleets():
+        for fleet in self._fleets + self._retired_fleets:
             for index, model_id, report in fleet.generation_reports():
                 reports.append(GenerationReport(
                     fleet=fleet.name, generation=index,
@@ -444,7 +397,7 @@ class Cluster:
 
     @property
     def submitted_ids(self) -> list[int]:
-        with self._submit_lock:
+        with self._arrival_lock:
             return list(self._submitted_ids)
 
     def deploy_events(self) -> list[DeployEvent]:

@@ -2,10 +2,11 @@
 
 The :class:`Deployer` walks the cluster one fleet at a time: warm a
 green generation for the target model (registry lookup by content
-hash), cut the fleet over with the quiesce barrier
+hash), cut the fleet over
 (:meth:`~repro.cluster.fleet.Fleet.begin_generation` — no request is
-ever lost or shed by the swap), drain the blue generation, then *probe*
-the green generation under live traffic before touching the next fleet.
+ever lost or shed by the swap), retire the blue generation (it drains
+its backlog on the event loop), then *probe* the green generation under
+live traffic before touching the next fleet.
 
 The probe's SLO discriminator is deliberately **relative and
 deterministic**: mean device cycles per completed request on green,
@@ -19,13 +20,13 @@ would be useless here: at 10x overload blue and green both shed most
 arrivals, and a shed threshold either never fires or always fires.
 
 On a breach the deployer rolls back: every fleet already cut over gets
-*another* generation swap back to the blue artifact (the same quiesce
-barrier — rollback is zero-downtime too), green refs are released so
-the registry evicts the bad model and frees its compiled-kernel cache
-entries, and the deploy records a terminal ``rolled_back`` event.
+*another* generation swap back to the blue artifact (rollback is
+zero-downtime too), green refs are released so the registry evicts the
+bad model and frees its compiled-kernel cache entries, and the deploy
+records a terminal ``rolled_back`` event.
 
-The deployer is a control-thread state machine driven by
-:meth:`tick` on the simulated clock; it holds no locks.
+The deployer is a state machine driven by the cluster's control ticks
+(:meth:`tick`) on the simulated clock.
 """
 
 from __future__ import annotations

@@ -1,52 +1,34 @@
 """One fleet of the cluster: a chain of runtime generations.
 
 A :class:`Fleet` is one shard of the cluster — a
-:class:`~repro.serve.runtime.ServeRuntime` (device pool + queue +
-workers) behind a stable identity (``fleet-0``).  The runtime itself is
-replaceable: a blue/green deploy swaps in a freshly warmed *generation*
-while the old one quiesces and drains, so the fleet's identity (and its
-place in the router's hash ring) outlives any single model version.
+:class:`~repro.serve.runtime.ServeRuntime` (device pool + queue) behind
+a stable identity (``fleet-0``).  The runtime itself is replaceable: a
+blue/green deploy swaps in a fresh *generation* while the old one serves
+out its backlog, so the fleet's identity (and its place in the router's
+hash ring) outlives any single model version.
 
-Zero-downtime cutover protocol (:meth:`begin_generation`):
-
-1. build + start the green runtime (replicas flashed from the registry
-   artifact, translations already warm — no producer ever waits on
-   codegen);
-2. atomically swap the fleet's generation pointer — new submits land on
-   green;
-3. quiesce: wait until every :meth:`submit` that grabbed the blue
-   pointer before the swap has finished offering (an in-flight counter
-   per generation, condition-variable signalled);
-4. the caller then drains blue (:meth:`retire_generation`): its queued
-   backlog is served to completion, workers join, and the terminal
-   report is archived on the fleet.
-
-No window exists in which a request can be submitted to a closed queue,
-so a rolling deploy sheds nothing and loses nothing — the cluster
-invariants assert exactly that.
-
-Concurrency: ``submit()`` may race from many producer threads; the
-generation pointer and in-flight counters are guarded by the fleet's
-condition variable, which is held only around pointer/counter flips —
-never across runtime calls — so every fleet lock stays leaf-level.
-Control-plane methods (``begin_generation``, ``retire_generation``,
-``shutdown``, ``sample``, ``signals``) are called from the cluster's
-single control thread.
+Cutover (:meth:`begin_generation`) builds the green runtime on the
+fleet's event loop — replicas flashed from the registry artifact,
+translations already warm — and repoints the fleet at it inside one
+event: every later arrival lands on green, every earlier one was
+already admitted (or shed) by blue.  :meth:`retire_generation` then
+archives blue, which keeps serving its queued backlog on the same
+simulated clock.  The whole cluster runs on one single-threaded loop,
+so no arrival can fall between two generations: a rolling deploy sheds
+nothing and loses nothing — the cluster invariants assert exactly that.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 
+from repro.serve.events import EventLoop
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import InferenceRequest
 from repro.serve.runtime import ServeConfig, ServeReport, ServeRuntime
 
-#: Fleet lifecycle states.  ``state`` is written only by the control
-#: thread; routers read it racily, which is benign — a stale ACTIVE
-#: read targets a fleet whose quiescence barrier still accounts the
-#: request correctly.
+#: Fleet lifecycle states.  Routers and the autoscaler act on ACTIVE
+#: fleets only.
 ACTIVE = "active"
 DRAINING = "draining"
 RETIRED = "retired"
@@ -75,12 +57,7 @@ class FleetSignals:
 
 
 class FleetGeneration:
-    """One runtime generation (blue or green) of a fleet.
-
-    Signal state (busy-time window) is touched only by the control
-    thread; ``inflight`` is guarded by the owning fleet's condition
-    variable.
-    """
+    """One runtime generation (blue or green) of a fleet."""
 
     def __init__(
         self,
@@ -92,7 +69,6 @@ class FleetGeneration:
         self.index = index
         self.artifact = artifact
         self.runtime = runtime
-        self.inflight = 0            # guarded by the fleet's _cv
         self.offered_rate = runtime.metrics.rate_view(
             "requests.offered", window_ms
         )
@@ -103,7 +79,7 @@ class FleetGeneration:
             "requests.completed", window_ms
         )
         self._window_ms = window_ms
-        self._busy_samples: list[tuple[float, float]] = []  # control thread
+        self._busy_samples: list[tuple[float, float]] = []
         #: Per-request service estimate for queue-wait scoring.
         self.service_ms = artifact.deployment.latency_ms
 
@@ -112,8 +88,6 @@ class FleetGeneration:
         self.offered_rate.sample(now_ms)
         self.rejected_rate.sample(now_ms)
         self.completed_rate.sample(now_ms)
-        # Racy float reads of per-device busy clocks are fine here: the
-        # signal feeds scaling heuristics, never accounting.
         busy = sum(d.busy_ms for d in self.runtime.devices)
         samples = self._busy_samples
         samples.append((now_ms, busy))
@@ -140,15 +114,13 @@ class FleetGeneration:
         n = max(1, len(self.runtime.devices))
         return self.queue_depth() * self.service_ms / n
 
-    def clock_ms(self) -> float:
-        """How far this generation has simulated (furthest device)."""
-        return max(
-            (d.clock_ms for d in self.runtime.devices), default=0.0
-        )
-
 
 class Fleet:
-    """One sharded fleet: generations of a serve runtime behind one id."""
+    """One sharded fleet: generations of a serve runtime behind one id.
+
+    ``loop`` is the cluster's event loop; a fleet built on its own gets
+    a private one.
+    """
 
     def __init__(
         self,
@@ -156,29 +128,24 @@ class Fleet:
         artifact: ModelArtifact,
         config: ServeConfig,
         *,
+        loop: EventLoop | None = None,
         registry=None,
-        sanitizer=None,
         signal_window_ms: float = 250.0,
     ) -> None:
         self.fleet_id = fleet_id
         self.name = f"fleet-{fleet_id}"
         self.config = config
         self.signal_window_ms = signal_window_ms
-        self.state = ACTIVE          # control-thread writes, racy reads ok
+        self.state = ACTIVE
+        self.loop = loop or EventLoop()
         self._registry = registry
-        self._sanitizer = sanitizer
-        if sanitizer is not None:
-            self._cv = sanitizer.condition(
-                "repro.cluster.fleet.Fleet._cv"
-            )
-        else:
-            self._cv = threading.Condition()
-        self._gen: FleetGeneration | None = None  # guarded_by: _cv
-        self._gen_count = 0          # control thread only
-        self._retired: list[tuple[int, str, ServeReport]] = []  # guarded_by: _cv
-        self._gen = self._build_generation(artifact)
+        self._gen_count = 0
+        self._retired: list[FleetGeneration] = []
+        self._gen: FleetGeneration | None = self._build_generation(
+            artifact
+        )
 
-    # -- generation lifecycle (control thread) ---------------------------
+    # -- generation lifecycle --------------------------------------------
 
     def _build_generation(self, artifact: ModelArtifact) -> FleetGeneration:
         index = self._gen_count
@@ -189,14 +156,9 @@ class Fleet:
         config = dataclasses.replace(
             self.config, trace_namespace=namespace
         )
-        runtime = ServeRuntime(artifact, config)
-        if self._sanitizer is not None:
-            from repro.analysis.concurrency import instrument_runtime
-
-            instrument_runtime(runtime, self._sanitizer)
+        runtime = ServeRuntime(artifact, config, loop=self.loop)
         if self._registry is not None:
             self._registry.acquire(artifact.model_id)
-        runtime.start()
         return FleetGeneration(
             index, artifact, runtime, self.signal_window_ms
         )
@@ -204,91 +166,63 @@ class Fleet:
     def begin_generation(
         self, artifact: ModelArtifact
     ) -> FleetGeneration | None:
-        """Cut over to a warm runtime for ``artifact``; return the old.
+        """Cut over to a fresh runtime for ``artifact``; return the old.
 
-        Swaps atomically (new submits land on the new generation), then
-        waits for in-flight submits against the old pointer to finish.
-        The caller owns draining the returned generation via
-        :meth:`retire_generation`.
+        Every arrival from here on lands on the new generation.  The
+        caller retires the returned one via :meth:`retire_generation`.
         """
-        new = self._build_generation(artifact)
-        with self._cv:
-            old = self._gen
-            self._gen = new
-            while old is not None and old.inflight > 0:
-                self._cv.wait(0.05)
+        old = self._gen
+        self._gen = self._build_generation(artifact)
         return old
 
-    def retire_generation(self, gen: FleetGeneration) -> ServeReport:
-        """Drain a swapped-out generation; archive and return its report."""
+    def retire_generation(self, gen: FleetGeneration) -> None:
+        """Archive a swapped-out generation; it drains its backlog on the
+        event loop, and its report is read once the loop has run."""
         gen.runtime.drain()
-        report = gen.runtime.report()
-        with self._cv:
-            self._retired.append(
-                (gen.index, gen.artifact.model_id, report)
-            )
+        self._retired.append(gen)
         if self._registry is not None:
             self._registry.release(gen.artifact.model_id)
-        return report
 
     def shutdown(self) -> None:
         """Retire the live generation (scale-down / cluster drain)."""
-        with self._cv:
-            old = self._gen
-            self._gen = None
-            while old is not None and old.inflight > 0:
-                self._cv.wait(0.05)
+        old, self._gen = self._gen, None
         if old is not None:
             self.retire_generation(old)
         self.state = RETIRED
 
-    # -- data plane (any producer thread) --------------------------------
+    # -- data plane --------------------------------------------------------
 
     def submit(self, request: InferenceRequest) -> bool | None:
-        """Offer one request to the live generation.
+        """The arrival of one request, at the loop's current time.
 
-        Returns the runtime's admission verdict (``True`` admitted,
-        ``False`` shed at the door), or ``None`` when the fleet has no
-        live generation — the request was *not* offered anywhere and the
-        cluster re-routes it.
+        Returns the live generation's admission verdict (``True``
+        admitted, ``False`` shed at the door), or ``None`` when the
+        fleet has no live generation.
         """
-        with self._cv:
-            gen = self._gen
-            if gen is None:
-                return None
-            gen.inflight += 1
-        try:
-            return gen.runtime.submit(request)
-        finally:
-            with self._cv:
-                gen.inflight -= 1
-                if gen.inflight == 0:
-                    self._cv.notify_all()
+        if self._gen is None:
+            return None
+        return self._gen.runtime.admit(request)
 
-    # -- signals (control thread; racy reads from routers are benign) ----
+    # -- signals -----------------------------------------------------------
 
     def _current(self) -> FleetGeneration | None:
-        with self._cv:
-            return self._gen
+        return self._gen
 
     @property
     def generation(self) -> int | None:
         """Index of the live generation (None once shut down)."""
-        gen = self._current()
-        return gen.index if gen is not None else None
+        return self._gen.index if self._gen is not None else None
 
     @property
     def model_id(self) -> str | None:
-        gen = self._current()
-        return gen.artifact.model_id if gen is not None else None
+        return self._gen.artifact.model_id if self._gen is not None else None
 
     def sample(self, now_ms: float) -> None:
-        gen = self._current()
-        if gen is not None:
-            gen.sample(now_ms)
+        if self._gen is not None:
+            self._gen.sample(now_ms)
 
     def signals(self) -> FleetSignals:
-        gen = self._current()
+        gen = self._gen
         if gen is None:
             return FleetSignals(
                 fleet=self.name, state=self.state, offered_per_s=0.0,
@@ -310,16 +244,11 @@ class Fleet:
 
     def est_queue_wait_ms(self) -> float:
         """Live routing score: estimated wait for a new arrival."""
-        gen = self._current()
+        gen = self._gen
         return gen.est_queue_wait_ms() if gen is not None else float("inf")
 
     def queue_depth(self) -> int:
-        gen = self._current()
-        return gen.queue_depth() if gen is not None else 0
-
-    def clock_ms(self) -> float:
-        gen = self._current()
-        return gen.clock_ms() if gen is not None else 0.0
+        return self._gen.queue_depth() if self._gen is not None else 0
 
     # -- reporting -------------------------------------------------------
 
@@ -329,5 +258,7 @@ class Fleet:
         The live generation (if any) is not included — drain the fleet
         first; the cluster's ``report()`` does.
         """
-        with self._cv:
-            return list(self._retired)
+        return [
+            (gen.index, gen.artifact.model_id, gen.runtime.report())
+            for gen in self._retired
+        ]

@@ -28,10 +28,8 @@ live :class:`~repro.cluster.fleet.FleetSignals`:
     "power of two choices" result — and the deadline filter steers
     latency-critical requests away from fleets that would expire them.
 
-All policies route only to ``ACTIVE`` fleets: a fleet marked draining
-by the autoscaler or mid-retirement never receives new work (the
-property tests pin this).  The router's lock guards only its RNG and
-ring cache — leaf-level, never held across fleet calls.
+All policies route only to ``ACTIVE`` fleets: a fleet that is draining
+or retired never receives new work (the property tests pin this).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import random
-import threading
 
 from repro.cluster.fleet import ACTIVE, Fleet
 from repro.errors import ConfigurationError
@@ -82,12 +79,11 @@ class Router:
             raise ConfigurationError("vnodes must be >= 1")
         self.policy = policy
         self.vnodes = vnodes
-        self._lock = threading.Lock()
-        self._rng = random.Random(seed)  # guarded_by: _lock
+        self._rng = random.Random(seed)
         # Ring cache keyed by the tuple of member fleet names, so the
         # ring is rebuilt only when membership actually changes.
-        self._ring_key: tuple[str, ...] | None = None  # guarded_by: _lock
-        self._ring: list[tuple[int, int]] = []         # guarded_by: _lock
+        self._ring_key: tuple[str, ...] | None = None
+        self._ring: list[tuple[int, int]] = []
 
     # -- policy implementations -----------------------------------------
 
@@ -95,19 +91,16 @@ class Router:
         self, fleets: list[Fleet]
     ) -> list[tuple[int, int]]:
         key = tuple(f.name for f in fleets)
-        with self._lock:
-            if key == self._ring_key:
-                return self._ring
-        ring = []
-        for fleet in fleets:
-            for v in range(self.vnodes):
-                point = _stable_hash(f"fleet:{fleet.name}:vnode:{v}")
-                ring.append((point, fleet.fleet_id))
-        ring.sort()
-        with self._lock:
+        if key != self._ring_key:
+            ring = []
+            for fleet in fleets:
+                for v in range(self.vnodes):
+                    point = _stable_hash(f"fleet:{fleet.name}:vnode:{v}")
+                    ring.append((point, fleet.fleet_id))
+            ring.sort()
             self._ring_key = key
             self._ring = ring
-        return ring
+        return self._ring
 
     def _route_hash(
         self, request: InferenceRequest, fleets: list[Fleet]
@@ -132,8 +125,7 @@ class Router:
     ) -> Fleet:
         if len(fleets) == 1:
             return fleets[0]
-        with self._lock:
-            a, b = self._rng.sample(range(len(fleets)), 2)
+        a, b = self._rng.sample(range(len(fleets)), 2)
         candidates = [fleets[a], fleets[b]]
         scored = [
             (f.est_queue_wait_ms(), f.queue_depth(), f.fleet_id, f)

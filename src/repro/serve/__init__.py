@@ -2,14 +2,15 @@
 
 The subsystem turns single-shot ``DeployedModel.infer()`` calls into a
 serving stack: content-addressed model registry with a compiled-kernel
-cache (`registry`), a pool of replica boards with simulated clocks
-(`pool`), bounded policy-ordered scheduling with admission control and
-batching (`scheduler`), fault injection plus retry-with-backoff
-(`faults`, `runtime`), fleet metrics (`metrics`), and open-loop
-synthetic traces (`trace`).  See ``docs/serving.md`` for the
-architecture walk-through.
+cache (`registry`), a pool of replica boards (`pool`), bounded
+policy-ordered scheduling with admission control and batching
+(`scheduler`), fault injection plus retry-with-backoff (`faults`,
+`runtime`), fleet metrics (`metrics`), and open-loop synthetic traces
+(`trace`), all driven by one discrete-event loop on the simulated clock
+(`events`).  See ``docs/serving.md`` for the architecture walk-through.
 """
 
+from repro.serve.events import EventLoop
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.metrics import (
     Counter,
@@ -59,6 +60,7 @@ __all__ = [
     "DEVICE_BUSY_KINDS",
     "DISPATCH_OVERHEAD_CYCLES",
     "DeviceExecution",
+    "EventLoop",
     "FAILED",
     "FaultInjector",
     "FaultPlan",

@@ -4,8 +4,8 @@ Two fault modes, composable per device:
 
 - **Probabilistic brown-outs** — each request on a faulty device loses
   power mid-inference with probability ``brownout_rate`` (seeded
-  per-device generators keep runs reproducible and thread-safe: each
-  device's worker thread draws only from its own stream).
+  per-device generators keep runs reproducible: each device draws only
+  from its own stream).
 - **Intermittent power supply** — a device is given a
   :class:`~repro.mcu.intermittent.PowerBudget`; inference then runs
   through the JIT-checkpointing scheme of :mod:`repro.mcu.intermittent`,

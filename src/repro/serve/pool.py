@@ -8,8 +8,8 @@ the interpreter charges, converted at the board's frequency, so latency
 and utilization are reported in the same simulated-time domain as every
 other number in this repository.
 
-A device is driven by exactly one worker thread, so its mutable state
-needs no locking; cross-device coordination happens in the scheduler.
+Devices are driven by the runtime's single-threaded event loop, so
+their mutable state needs no locking.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ class SimulatedDevice:
             IntermittentDeployment(self.deployed, self.board)
             if power_budget is not None else None
         )
-        # -- simulated-time accounting (single-writer: this device's
-        #    worker thread) --------------------------------------------
+        # -- simulated-time accounting: ``clock_ms`` is when the device
+        #    finishes the work dispatched to it so far ------------------
         self.clock_ms = 0.0
         self.busy_ms = 0.0
         self.completed = 0

@@ -23,7 +23,8 @@ class InferenceRequest:
     best-effort requests).  The mutable scheduling fields (``attempts``,
     ``avoid_device``, ``backoff_ms``) are owned by the runtime: retries
     increment ``attempts``, name the device that browned out so the next
-    attempt lands elsewhere, and accumulate simulated backoff delay.
+    attempt lands elsewhere, and set ``backoff_ms`` to the delay from
+    arrival until the retry may start (its backoff after the brown-out).
     """
 
     request_id: int
@@ -39,7 +40,7 @@ class InferenceRequest:
 
     @property
     def earliest_start_ms(self) -> float:
-        """Simulated time before which the request may not run (backoff)."""
+        """Simulated time before which the current attempt may not run."""
         return self.arrival_ms + self.backoff_ms
 
 

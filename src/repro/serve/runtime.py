@@ -2,32 +2,37 @@
 
 :class:`ServeRuntime` wires the subsystem together: a verified
 :class:`~repro.serve.registry.ModelArtifact` is replicated onto
-``n_devices`` simulated boards, each driven by its own worker thread;
-requests enter through admission control into one shared policy-ordered
-queue; workers take batches, execute them cycle-exactly (on the fastpath
-translating engine by default — ``ServeConfig.engine`` selects the
-reference interpreter, or ``"fastpath-v2"``, which serves each admitted
-batch in one content-specialized fused call with unchanged per-request
-accounting), and retry brown-outs on healthy devices
-with capped exponential backoff.  Every offered request ends in exactly one terminal
-outcome — completed, rejected, or failed — so the conservation law
+``n_devices`` simulated boards; requests enter through admission control
+into one policy-ordered queue; idle devices take batches, execute them
+cycle-exactly (on the fastpath translating engine by default —
+``ServeConfig.engine`` selects the reference interpreter, or
+``"fastpath-v2"``, which serves each admitted batch in one
+content-specialized fused call with unchanged per-request accounting),
+and retry brown-outs on healthy devices with capped exponential backoff.
+Every offered request ends in exactly one terminal outcome — completed,
+rejected, or failed — so the conservation law
 
     completed + rejected + failed == offered
 
 holds under any fault plan; tests assert it.
 
-Concurrency model: real threads execute simulated devices concurrently
-(the interpreter is pure Python, so device workers interleave on the
-GIL but block only in the queue).  All *reported times are simulated
-milliseconds*: each device advances its own clock by the cycles it
-charges, and a request's latency is its completion time minus its trace
-arrival time on that shared simulated timeline.
+Execution model: one single-threaded discrete-event loop on the
+simulated clock (:class:`~repro.serve.events.EventLoop`).  Its events
+are arrivals, device-free instants and backoff expiries, and every
+batching, shedding and retry decision is taken inside one of them, so a
+replay's report is a pure function of (trace, config, artifact):
+identical across repeats, engines and host speed.  A dispatched batch
+runs to completion without preemption, so its outcomes are recorded at
+dispatch, stamped with their simulated start and end times.  Producers
+on any thread hand requests in through :meth:`ServeRuntime.submit`, a
+locked inbox the loop drains.  All reported times are simulated
+milliseconds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -41,6 +46,7 @@ from repro.errors import (
 )
 from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES
 from repro.mcu.intermittent import PowerBudget
+from repro.serve.events import EventLoop
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.metrics import Histogram, MetricsRegistry
 from repro.serve.pool import SimulatedDevice, build_pool
@@ -77,9 +83,9 @@ class ServeConfig:
     shed_expired: bool = True
     #: Sim-time load shedding: reject a first-attempt request whose queue
     #: wait (device start − arrival, simulated ms) exceeds this bound.
-    #: The depth bound protects host memory; this bound is what keeps
-    #: *simulated* tail latency finite under open-loop overload, where
-    #: real-time queue occupancy depends on host speed, not offered load.
+    #: The depth bound caps how many requests wait; this bound caps how
+    #: long they wait, which is what keeps simulated tail latency finite
+    #: under sustained open-loop overload.
     max_queue_wait_ms: float | None = None
     power_budget: PowerBudget | None = None
     fault_plan: FaultPlan | None = None
@@ -138,6 +144,25 @@ class ServeReport:
     def conserved(self) -> bool:
         return self.completed + self.rejected + self.failed == self.offered
 
+    def to_dict(self) -> dict[str, Any]:
+        """Every simulated figure as plain JSON values, outcomes included
+        (the span trace exports separately, as a Chrome trace)."""
+        return {
+            "engine": self.engine,
+            "offered": self.offered,
+            "completed": self.completed,
+            "rejected": self.rejected,
+            "failed": self.failed,
+            "makespan_ms": self.makespan_ms,
+            "throughput_rps": self.throughput_rps,
+            "latency_ms": self.latency_ms,
+            "queue_ms": self.queue_ms,
+            "device_utilization": self.device_utilization,
+            "device_busy_ms": self.device_busy_ms,
+            "metrics": self.metrics,
+            "outcomes": [dataclasses.asdict(o) for o in self.outcomes],
+        }
+
     def format(self) -> str:
         lines = [
             f"offered {self.offered}  completed {self.completed}  "
@@ -156,18 +181,30 @@ class ServeReport:
         return "\n".join(lines)
 
 
+def arrival_order(request: InferenceRequest) -> tuple[float, int]:
+    """The order submitted requests arrive in, whatever thread sent them."""
+    return (request.arrival_ms, request.request_id)
+
+
 class ServeRuntime:
-    """Multi-device inference server over one registered model."""
+    """Multi-device inference server over one registered model.
+
+    ``loop`` is the event loop the runtime schedules on; a cluster
+    passes its own so every fleet shares one simulated clock.
+    """
 
     def __init__(
         self,
         artifact: ModelArtifact,
         config: ServeConfig | None = None,
         metrics: MetricsRegistry | None = None,
+        *,
+        loop: EventLoop | None = None,
     ) -> None:
         self.artifact = artifact
         self.config = config or ServeConfig()
         self.metrics = metrics or MetricsRegistry()
+        self.loop = loop or EventLoop()
         self.tracer: TraceCollector | None = (
             TraceCollector(
                 self.config.trace_capacity,
@@ -193,39 +230,36 @@ class ServeRuntime:
             max_depth=self.config.max_queue_depth,
             n_devices=self.config.n_devices,
         )
-        self._threads: list[threading.Thread] = []
-        self._outcomes: list[ServeOutcome] = []  # guarded_by: _outcome_lock
-        self._outcome_lock = threading.Lock()
-        # Guards the admission-side tallies below: `submit()` may be
-        # called from many producer threads, and `n += 1` is not atomic.
+        #: Devices with a dispatched batch whose device-free event is
+        #: still pending.
+        self._busy: set[int] = set()
+        self._outcomes: list[ServeOutcome] = []
+        self._offered = 0
+        self._last_arrival_ms = 0.0
+        # The inbox is the runtime's only cross-thread state: `submit()`
+        # may be called from many producer threads.
         self._arrival_lock = threading.Lock()
-        self._offered = 0  # guarded_by: _arrival_lock
-        self._last_arrival_ms = 0.0  # guarded_by: _arrival_lock
-        self._started = False
+        self._inbox: list[InferenceRequest] = []  # guarded_by: _arrival_lock
+        self._started = False  # guarded_by: _arrival_lock
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
-        for device in self.devices:
-            thread = threading.Thread(
-                target=self._worker,
-                args=(device,),
-                name=f"serve-device-{device.device_id}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
+        with self._arrival_lock:
+            self._started = True
 
     def drain(self) -> None:
-        """Stop admissions, serve everything queued, join the workers."""
-        self.queue.close()
-        for thread in self._threads:
-            thread.join()
-        self._threads.clear()
-        self._started = False
+        """Stop taking submissions and serve everything submitted.
+
+        Inside a running event loop (a cluster retiring this runtime)
+        the loop carries on serving the backlog on the simulated clock.
+        """
+        with self._arrival_lock:
+            self._started = False
+            arrivals, self._inbox = self._inbox, []
+        for request in sorted(arrivals, key=arrival_order):
+            self.loop.at(request.arrival_ms, self.admit, request)
+        self.loop.run()
 
     def __enter__(self) -> "ServeRuntime":
         self.start()
@@ -236,14 +270,40 @@ class ServeRuntime:
 
     # -- producer API ----------------------------------------------------
 
-    def submit(self, request: InferenceRequest) -> bool:
-        """Offer one request; returns False when admission shed it."""
-        if not self._started:
-            raise ServeError("runtime not started (use start() or `with`)")
+    def submit(self, request: InferenceRequest) -> None:
+        """Hand one request in from any thread.
+
+        It arrives at ``request.arrival_ms`` on the simulated clock when
+        :meth:`drain` runs the loop, in arrival order whatever the order
+        of the submit calls.
+        """
         with self._arrival_lock:
-            self._offered += 1
-            self._last_arrival_ms = max(self._last_arrival_ms,
-                                        request.arrival_ms)
+            if not self._started:
+                raise ServeError(
+                    "runtime not started (use start() or `with`)"
+                )
+            self._inbox.append(request)
+
+    def replay(self, trace: list[InferenceRequest]) -> ServeReport:
+        """Open-loop replay: submit the whole trace, drain, report."""
+        self.start()
+        for request in trace:
+            self.submit(request)
+        self.drain()
+        return self.report()
+
+    # -- event handlers --------------------------------------------------
+
+    def admit(self, request: InferenceRequest) -> bool:
+        """The arrival of ``request`` at the loop's current time.
+
+        Runs admission control, then hands queued work to idle devices.
+        Returns whether the request was admitted (``False``: shed at the
+        door).
+        """
+        self._offered += 1
+        self._last_arrival_ms = max(self._last_arrival_ms,
+                                    request.arrival_ms)
         self.metrics.counter("requests.offered").inc()
         try:
             self.queue.offer(request)
@@ -262,80 +322,55 @@ class ServeRuntime:
             self.metrics.counter(f"rejected.{exc.reason}").inc()
             return False
         self._span(request, "admitted", request.arrival_ms)
-        self.metrics.gauge("queue.depth").set(self.queue.depth)
+        self._dispatch()
         return True
 
-    def replay(
-        self, trace: list[InferenceRequest], *, pace: bool = True
-    ) -> ServeReport:
-        """Open-loop replay: offer the whole trace, drain, report.
+    def _retry_eligible(self, request: InferenceRequest) -> None:
+        """Backoff expired: the retry rejoins the queue."""
+        self.queue.offer(request, force=True)
+        self._dispatch()
 
-        With ``pace`` (the default) arrivals are gated on the fleet's
-        *simulated* clock: while a backlog exists, a request is not
-        offered until the fleet has simulated up to its arrival time.
-        Without pacing the driver floods the queue at host speed, and
-        queue-depth rejections measure the host's interpreter speed
-        rather than offered load versus fleet capacity.  Instantaneous
-        bursts still hit the depth bound; sustained overload surfaces
-        as growing simulated queue wait (see ``max_queue_wait_ms``).
-        """
-        self.start()
-        for request in trace:
-            if pace:
-                while (
-                    self.queue.depth > 0
-                    and self._fleet_clock_ms() < request.arrival_ms
-                ):
-                    time.sleep(0.0002)
-            self.submit(request)
-        self.drain()
-        return self.report()
+    def _device_free(self, device: SimulatedDevice) -> None:
+        self._busy.discard(device.device_id)
+        self._dispatch()
 
-    def _fleet_clock_ms(self) -> float:
-        """How far the fleet has simulated (furthest device clock).
-
-        Racy cross-thread float reads are fine here: the value is used
-        only to pace the replay driver, never for accounting.
-        """
-        return max(device.clock_ms for device in self.devices)
-
-    # -- worker side -----------------------------------------------------
-
-    def _worker(self, device: SimulatedDevice) -> None:
-        while True:
+    def _dispatch(self) -> None:
+        """Hand queued work to idle devices, longest-idle first."""
+        idle = sorted(
+            (d for d in self.devices if d.device_id not in self._busy),
+            key=lambda d: (d.clock_ms, d.device_id),
+        )
+        for device in idle:
+            if not self.queue.depth:
+                break
             batch = self.queue.take_batch(
                 device.device_id, self.config.max_batch
             )
-            if batch is None:
-                return
-            if not batch:
-                continue
-            try:
-                device.begin_dispatch(
-                    min(r.earliest_start_ms for r in batch)
-                )
-                self.metrics.counter("batches.dispatched").inc()
-                self.metrics.histogram("batch_size").observe(len(batch))
-                if device.supports_batch_fusion:
-                    self._serve_batch_fused(device, batch)
-                else:
-                    for request in batch:
-                        self._serve_one(device, request)
-            finally:
-                self.queue.batch_done()
-            self.metrics.gauge("queue.depth").set(self.queue.depth)
+            if batch:
+                self._serve_batch(device, batch)
+                self._busy.add(device.device_id)
+                self.loop.at(device.clock_ms, self._device_free, device)
+        self.metrics.gauge("queue.depth").set(self.queue.depth)
 
-    def _serve_one(
-        self, device: SimulatedDevice, request: InferenceRequest
+    # -- batch execution -------------------------------------------------
+
+    def _serve_batch(
+        self, device: SimulatedDevice, batch: list[InferenceRequest]
     ) -> None:
-        # Where this attempt would start serving: the device cannot run
-        # a request before it is eligible (arrival + backoff), and the
-        # request cannot start before the device's clock.  Matches the
-        # `start` the device computes in `execute()`.
-        service_start = max(device.clock_ms, request.earliest_start_ms)
-        if not self._preflight(device, request, service_start):
+        device.begin_dispatch(min(r.earliest_start_ms for r in batch))
+        self.metrics.counter("batches.dispatched").inc()
+        self.metrics.histogram("batch_size").observe(len(batch))
+        if device.supports_batch_fusion:
+            self._serve_batch_fused(device, batch)
             return
-        self._execute_and_complete(device, request)
+        for request in batch:
+            # Where this attempt would start serving: the device cannot
+            # run a request before it is eligible, and the request cannot
+            # start before the device's clock.  Matches the `start` the
+            # device computes in `execute()`.
+            service_start = max(device.clock_ms, request.earliest_start_ms)
+            if self._preflight(device, request, service_start):
+                self._execute_and_complete(device, request)
 
     def _serve_batch_fused(
         self, device: SimulatedDevice, batch: list[InferenceRequest]
@@ -362,18 +397,8 @@ class ServeRuntime:
             except InvalidInputError as exc:
                 # Mirrors the per-request handler: an invalid input
                 # fails terminally without advancing the device clock.
-                self._record(
-                    ServeOutcome(
-                        request_id=request.request_id,
-                        status=FAILED,
-                        device_id=device.device_id,
-                        attempts=request.attempts + 1,
-                        reason=f"invalid_input: {exc}",
-                    )
-                )
-                self._span(request, "failed", service_start,
-                           detail="invalid_input")
-                self.metrics.counter("requests.failed").inc()
+                self._fail(device, request, service_start,
+                           f"invalid_input: {exc}", "invalid_input")
                 continue
             runnable.append(request)
             clock = service_start + exec_ms
@@ -407,10 +432,7 @@ class ServeRuntime:
         # The attempt's queueing interval: eligible-to-run until service
         # start.  First attempts become eligible at arrival; retries at
         # the end of their backoff.
-        queued_from = (
-            request.arrival_ms if request.attempts == 0
-            else request.earliest_start_ms
-        )
+        queued_from = request.earliest_start_ms
         if (
             self.config.shed_expired
             and request.deadline_ms is not None
@@ -423,54 +445,23 @@ class ServeRuntime:
                 # afterwards.  Backoff pushing it past its deadline is a
                 # terminal *failure* (mirroring the queue_wait rule that
                 # retries are never shed).
-                self._record(
-                    ServeOutcome(
-                        request_id=request.request_id,
-                        status=FAILED,
-                        device_id=device.device_id,
-                        attempts=request.attempts + 1,
-                        reason="deadline_after_retry",
-                    )
-                )
-                self._span(request, "failed", service_start,
-                           detail="deadline_after_retry")
-                self.metrics.counter("requests.failed").inc()
+                self._fail(device, request, service_start,
+                           "deadline_after_retry", "deadline_after_retry")
                 self.metrics.counter("failed.deadline_after_retry").inc()
                 return False
             # Shedding at dequeue: executing a request that already
             # missed its deadline wastes device time everyone else pays.
-            self._record(
-                ServeOutcome(
-                    request_id=request.request_id,
-                    status=REJECTED,
-                    attempts=request.attempts + 1,
-                    reason="deadline",
-                )
-            )
-            self._span(request, "shed", service_start, detail="deadline")
-            self.metrics.counter("requests.rejected").inc()
-            self.metrics.counter("rejected.deadline").inc()
+            self._shed(request, service_start, "deadline")
             return False
         if (
             self.config.max_queue_wait_ms is not None
             and request.attempts == 0  # retries are never shed
+            and service_start - request.arrival_ms
+            > self.config.max_queue_wait_ms
         ):
-            wait = service_start - request.arrival_ms
-            if wait > self.config.max_queue_wait_ms:
-                self._record(
-                    ServeOutcome(
-                        request_id=request.request_id,
-                        status=REJECTED,
-                        attempts=request.attempts + 1,
-                        reason="queue_wait",
-                    )
-                )
-                self._span(request, "queued", queued_from, service_start)
-                self._span(request, "shed", service_start,
-                           detail="queue_wait")
-                self.metrics.counter("requests.rejected").inc()
-                self.metrics.counter("rejected.queue_wait").inc()
-                return False
+            self._span(request, "queued", queued_from, service_start)
+            self._shed(request, service_start, "queue_wait")
+            return False
         self._span(request, "queued", queued_from, service_start)
         return True
 
@@ -486,35 +477,15 @@ class ServeRuntime:
             self._retry_or_fail(device, request)
             return
         except InvalidInputError as exc:
-            self._record(
-                ServeOutcome(
-                    request_id=request.request_id,
-                    status=FAILED,
-                    device_id=device.device_id,
-                    attempts=request.attempts + 1,
-                    reason=f"invalid_input: {exc}",
-                )
-            )
-            self._span(request, "failed", service_start,
-                       detail="invalid_input")
-            self.metrics.counter("requests.failed").inc()
+            self._fail(device, request, service_start,
+                       f"invalid_input: {exc}", "invalid_input")
             return
         except ReproError as exc:
             # Any other library error is terminal for this request but
-            # must never kill the worker thread: conservation requires
-            # one outcome per offered request.
-            self._record(
-                ServeOutcome(
-                    request_id=request.request_id,
-                    status=FAILED,
-                    device_id=device.device_id,
-                    attempts=request.attempts + 1,
-                    reason=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            self._span(request, "failed", service_start,
-                       detail=type(exc).__name__)
-            self.metrics.counter("requests.failed").inc()
+            # must never abort the loop: conservation requires one
+            # outcome per offered request.
+            self._fail(device, request, service_start,
+                       f"{type(exc).__name__}: {exc}", type(exc).__name__)
             return
         self._complete(device, request, execution)
 
@@ -550,21 +521,12 @@ class ServeRuntime:
     ) -> None:
         attempts_done = request.attempts + 1
         if attempts_done > self.config.max_retries:
-            self._record(
-                ServeOutcome(
-                    request_id=request.request_id,
-                    status=FAILED,
-                    device_id=device.device_id,
-                    attempts=attempts_done,
-                    reason=(
-                        f"brown-out on every attempt "
-                        f"({attempts_done} tries, retry cap reached)"
-                    ),
-                )
+            self._fail(
+                device, request, device.clock_ms,
+                f"brown-out on every attempt "
+                f"({attempts_done} tries, retry cap reached)",
+                "retry_cap",
             )
-            self._span(request, "failed", device.clock_ms,
-                       detail="retry_cap")
-            self.metrics.counter("requests.failed").inc()
             return
         request.attempts = attempts_done
         request.avoid_device = device.device_id
@@ -572,21 +534,55 @@ class ServeRuntime:
             self.config.backoff_cap_ms,
             self.config.backoff_base_ms * (2 ** (attempts_done - 1)),
         )
-        request.backoff_ms += backoff
-        # The backoff interval: from the brown-out (the failing device's
-        # clock) until the retry is eligible again.  A device that is far
-        # ahead of the eligibility point collapses it to an instant.
-        self._span(
-            request, "backoff",
-            min(device.clock_ms, request.earliest_start_ms),
-            request.earliest_start_ms,
-        )
+        # The retry becomes eligible its backoff after the brown-out
+        # (the failing device's clock); the interval is its backoff span.
+        request.backoff_ms = device.clock_ms + backoff - request.arrival_ms
+        self._span(request, "backoff", device.clock_ms,
+                   request.earliest_start_ms)
         self.metrics.counter("requests.retries").inc()
         # Already admitted once: retries bypass admission control so no
         # request can be both rejected and failed.
-        self.queue.offer(request, force=True)
+        self.loop.at(request.earliest_start_ms, self._retry_eligible,
+                     request)
 
     # -- reporting -------------------------------------------------------
+
+    def _shed(
+        self, request: InferenceRequest, at_ms: float, reason: str
+    ) -> None:
+        """Reject a first attempt at dequeue (it never ran)."""
+        self._record(
+            ServeOutcome(
+                request_id=request.request_id,
+                status=REJECTED,
+                attempts=request.attempts + 1,
+                reason=reason,
+            )
+        )
+        self._span(request, "shed", at_ms, detail=reason)
+        self.metrics.counter("requests.rejected").inc()
+        self.metrics.counter(f"rejected.{reason}").inc()
+
+    def _fail(
+        self,
+        device: SimulatedDevice,
+        request: InferenceRequest,
+        at_ms: float,
+        reason: str,
+        detail: str,
+    ) -> None:
+        """Record a terminal failure of an admitted request."""
+        self._record(
+            ServeOutcome(
+                request_id=request.request_id,
+                status=FAILED,
+                device_id=device.device_id,
+                attempts=request.attempts + 1,
+                reason=reason,
+            )
+        )
+        self._span(request, "failed", at_ms, detail=detail)
+        self.metrics.counter("requests.failed").inc()
 
     def _span(
         self,
@@ -595,7 +591,6 @@ class ServeRuntime:
         start_ms: float,
         end_ms: float | None = None,
         *,
-        device_id: int | None = None,
         detail: str | None = None,
     ) -> None:
         """Record one queue-track span for ``request`` (no-op untraced)."""
@@ -607,31 +602,26 @@ class ServeRuntime:
                 start_ms=start_ms,
                 end_ms=start_ms if end_ms is None else end_ms,
                 request_id=request.request_id,
-                device_id=device_id,
                 attempt=request.attempts + 1,
                 detail=detail,
             )
         )
 
     def _record(self, outcome: ServeOutcome) -> None:
-        with self._outcome_lock:
-            self._outcomes.append(outcome)
+        self._outcomes.append(outcome)
 
     @property
     def outcomes(self) -> tuple[ServeOutcome, ...]:
-        with self._outcome_lock:
-            return tuple(self._outcomes)
+        """Terminal outcomes so far, by request id."""
+        return tuple(sorted(self._outcomes, key=lambda o: o.request_id))
 
     def report(self) -> ServeReport:
         outcomes = self.outcomes
-        with self._arrival_lock:
-            offered = self._offered
-            last_arrival_ms = self._last_arrival_ms
         completed = sum(1 for o in outcomes if o.status == COMPLETED)
         rejected = sum(1 for o in outcomes if o.status == REJECTED)
         failed = sum(1 for o in outcomes if o.status == FAILED)
         makespan = max(
-            [last_arrival_ms]
+            [self._last_arrival_ms]
             + [device.clock_ms for device in self.devices]
         )
         utilization = {}
@@ -648,7 +638,7 @@ class ServeRuntime:
             completed / (makespan / 1e3) if makespan > 0.0 else 0.0
         )
         return ServeReport(
-            offered=offered,
+            offered=self._offered,
             completed=completed,
             rejected=rejected,
             failed=failed,

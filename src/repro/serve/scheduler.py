@@ -1,8 +1,5 @@
 """Request scheduling: bounded queues, policies, batching, admission.
 
-The queue is the runtime's only shared mutable structure, so all
-cross-thread coordination lives here:
-
 - **Bounded depth + admission control** — `offer()` sheds load with a
   typed :class:`~repro.errors.AdmissionError` when the queue is full
   instead of queueing without bound (an open-loop arrival process would
@@ -20,20 +17,16 @@ cross-thread coordination lives here:
   failed it (``avoid_device``); `take_batch()` skips those entries so
   the retry lands on a healthy board (ignored for single-device pools,
   where there is no healthier board to prefer).
-- **In-flight tracking** — a worker draining a closed queue only gets
-  the exit signal once no other worker holds an in-flight batch.  A
-  batch being executed elsewhere may still brown out and re-enter the
-  queue; exiting early could strand that retry with no worker willing
-  to take it.
+
+The queue is touched only by the runtime's event loop, so it needs no
+locking.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 
-from repro.analysis.annotations import guarded_by
 from repro.errors import AdmissionError, ConfigurationError
 from repro.serve.request import InferenceRequest
 
@@ -52,7 +45,7 @@ def _policy_key(policy: str, request: InferenceRequest) -> tuple:
 
 
 class BoundedRequestQueue:
-    """Thread-safe, policy-ordered, depth-bounded request queue."""
+    """Policy-ordered, depth-bounded request queue."""
 
     def __init__(
         self,
@@ -70,111 +63,48 @@ class BoundedRequestQueue:
         self.policy = policy
         self.max_depth = max_depth
         self.n_devices = n_devices
-        self._cv = threading.Condition()
-        self._heap: list[tuple[tuple, int, InferenceRequest]] = []  # guarded_by: _cv
-        self._closed = False  # guarded_by: _cv
+        self._heap: list[tuple[tuple, int, InferenceRequest]] = []
         self._seq = itertools.count()
-        self._in_flight = 0  # guarded_by: _cv
-
-    # -- producer side ---------------------------------------------------
 
     def offer(self, request: InferenceRequest, *, force: bool = False) -> None:
         """Admit a request, or shed it with a typed rejection.
 
-        ``force`` bypasses the depth bound (and the closed check) for
-        requests that were already admitted once — retries must never be
-        re-subjected to admission control or they could be lost.
+        ``force`` bypasses the depth bound for requests that were already
+        admitted once — retries must never be re-subjected to admission
+        control or they could be lost.
         """
-        with self._cv:
-            if not force:
-                if self._closed:
-                    raise AdmissionError(
-                        "runtime is draining; request not admitted",
-                        reason="draining",
-                    )
-                if len(self._heap) >= self.max_depth:
-                    raise AdmissionError(
-                        f"queue full ({self.max_depth} pending); "
-                        f"request {request.request_id} shed",
-                        reason="queue_full",
-                    )
-            request.seq = next(self._seq)
-            heapq.heappush(
-                self._heap,
-                (_policy_key(self.policy, request), request.seq, request),
+        if not force and len(self._heap) >= self.max_depth:
+            raise AdmissionError(
+                f"queue full ({self.max_depth} pending); "
+                f"request {request.request_id} shed",
+                reason="queue_full",
             )
-            self._cv.notify()
-
-    def close(self) -> None:
-        """Stop external admissions; wake consumers to drain and exit."""
-        with self._cv:
-            self._closed = True
-            self._cv.notify_all()
-
-    # -- consumer side ---------------------------------------------------
+        request.seq = next(self._seq)
+        heapq.heappush(
+            self._heap,
+            (_policy_key(self.policy, request), request.seq, request),
+        )
 
     def take_batch(
-        self,
-        device_id: int,
-        max_batch: int,
-        timeout: float = 0.05,
-    ) -> list[InferenceRequest] | None:
-        """Up to ``max_batch`` requests for one dispatch.
-
-        Returns ``[]`` when nothing eligible arrived within ``timeout``
-        and ``None`` when the queue is closed, empty, and no other
-        worker holds an in-flight batch (the worker's signal to exit —
-        in-flight work elsewhere may yet brown out and re-enter).
-        Callers must pair every non-empty batch with one
-        :meth:`batch_done` call.
-        """
-        with self._cv:
-            while True:
-                batch, skipped_all = self._pop_eligible(
-                    device_id, max_batch
-                )
-                if skipped_all:
-                    # Everything pending avoids this device; let another
-                    # worker grab it.
-                    self._cv.notify()
-                if batch:
-                    self._in_flight += 1
-                    return batch
-                if (
-                    self._closed and not self._heap
-                    and self._in_flight == 0
-                ):
-                    return None
-                if not self._cv.wait(timeout):
-                    return []
-
-    @guarded_by("_cv")
-    def _pop_eligible(
         self, device_id: int, max_batch: int
-    ) -> tuple[list[InferenceRequest], bool]:
-        """Pop up to ``max_batch`` heap entries this device may serve,
-        pushing back entries whose retry affinity avoids it.  Returns
-        the batch and whether *only* avoiding entries were pending."""
+    ) -> list[InferenceRequest]:
+        """Pop up to ``max_batch`` requests ``device_id`` may serve.
+
+        Entries whose retry affinity avoids the device stay queued for
+        another device; the batch is empty when nothing else is pending.
+        """
         batch, skipped = [], []
         honour_avoid = self.n_devices > 1
         while self._heap and len(batch) < max_batch:
-            key, seq, request = heapq.heappop(self._heap)
-            if honour_avoid and request.avoid_device == device_id:
-                skipped.append((key, seq, request))
+            entry = heapq.heappop(self._heap)
+            if honour_avoid and entry[2].avoid_device == device_id:
+                skipped.append(entry)
             else:
-                batch.append(request)
+                batch.append(entry[2])
         for entry in skipped:
             heapq.heappush(self._heap, entry)
-        return batch, bool(skipped) and not batch
-
-    def batch_done(self) -> None:
-        """Mark one taken batch as fully processed (retries included)."""
-        with self._cv:
-            self._in_flight -= 1
-            if self._in_flight == 0:
-                self._cv.notify_all()
+        return batch
 
     @property
     def depth(self) -> int:
-        with self._cv:
-            return len(self._heap)
+        return len(self._heap)

@@ -47,7 +47,6 @@ journey as plain text for tests and the CLI.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -113,8 +112,26 @@ class Span:
         return self.kind in TERMINAL_KINDS
 
 
+def timeline_order(span: Span) -> tuple:
+    """Sort key placing spans on the timeline.
+
+    Ties on time resolve on the span's identity, so an ordering never
+    depends on the order spans were recorded in.
+    """
+    return (
+        span.start_ms,
+        span.end_ms,
+        -1 if span.request_id is None else span.request_id,
+        span.kind,
+        span.attempt,
+        -1 if span.device_id is None else span.device_id,
+    )
+
+
 class TraceCollector:
-    """Bounded, thread-safe store of spans, indexed by request id.
+    """Bounded store of spans, indexed by request id.
+
+    Spans are recorded from the runtime's single-threaded event loop.
 
     ``namespace`` names the fleet this collector traces (e.g.
     ``"fleet-0"``).  Every recorded span is stamped with it, and the
@@ -131,35 +148,30 @@ class TraceCollector:
             raise ConfigurationError("trace capacity must be positive")
         self.capacity = capacity
         self.namespace = namespace
-        self._spans: list[Span] = []  # guarded_by: _lock
-        self._dropped = 0  # guarded_by: _lock
-        self._lock = threading.Lock()
+        self._spans: list[Span] = []
+        self._dropped = 0
 
     def record(self, span: Span) -> bool:
         """Store one span; ``False`` when the bounded buffer dropped it."""
         if self.namespace is not None and span.fleet is None:
             span = replace(span, fleet=self.namespace)
-        with self._lock:
-            if len(self._spans) >= self.capacity:
-                self._dropped += 1
-                return False
-            self._spans.append(span)
-            return True
+        if len(self._spans) >= self.capacity:
+            self._dropped += 1
+            return False
+        self._spans.append(span)
+        return True
 
     @property
     def dropped(self) -> int:
         """Spans discarded because the collector was full."""
-        with self._lock:
-            return self._dropped
+        return self._dropped
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
+        return len(self._spans)
 
     def spans(self) -> tuple[Span, ...]:
         """Every recorded span, in recording order."""
-        with self._lock:
-            return tuple(self._spans)
+        return tuple(self._spans)
 
     def request_ids(self) -> tuple[int, ...]:
         """Distinct request ids with at least one span, ascending."""
@@ -171,14 +183,14 @@ class TraceCollector:
         return tuple(sorted(seen))
 
     def request_spans(self, request_id: int) -> tuple[Span, ...]:
-        """One request's spans, ordered by (start, end) on the timeline."""
+        """One request's spans, in timeline order."""
         mine = [s for s in self.spans() if s.request_id == request_id]
-        return tuple(sorted(mine, key=lambda s: (s.start_ms, s.end_ms)))
+        return tuple(sorted(mine, key=timeline_order))
 
     def device_spans(self, device_id: int) -> tuple[Span, ...]:
-        """One device track's spans, ordered by (start, end)."""
+        """One device track's spans, in timeline order."""
         mine = [s for s in self.spans() if s.device_id == device_id]
-        return tuple(sorted(mine, key=lambda s: (s.start_ms, s.end_ms)))
+        return tuple(sorted(mine, key=timeline_order))
 
     # -- rendering -------------------------------------------------------
 
@@ -222,9 +234,7 @@ class TraceCollector:
         concatenated into one trace without colliding — each collector
         gets its own pid (see :func:`merged_chrome_trace`).
         """
-        spans = sorted(
-            self.spans(), key=lambda s: (s.start_ms, s.end_ms)
-        )
+        spans = sorted(self.spans(), key=timeline_order)
         tids = {None: 0}
         for device_id in sorted(
             {s.device_id for s in spans if s.device_id is not None}

@@ -1,8 +1,8 @@
-"""Cluster soak: 10x overload, rolling deploys, strict lock sanitizer.
+"""Cluster soak: 10x overload, rolling deploys, concurrent producers.
 
 The ISSUE-7 acceptance run.  Four fleets of four devices each take an
-open-loop trace at ten times a single fleet's offered load from
-multi-threaded paced producers while the control loop ticks on the
+open-loop trace at ten times a single fleet's offered load, submitted
+by multi-threaded producers while the control loop ticks on the
 simulated clock.  Mid-replay, two rolling deploys fire:
 
 1. a *good* model (same architecture, different weights) — the SLO
@@ -14,9 +14,9 @@ simulated clock.  Mid-replay, two rolling deploys fire:
 
 Afterwards, every cluster-scope invariant must hold — per-generation
 trace invariants, cluster conservation, the zero-lost-requests outcome
-ledger, per-fleet span stamping — and the strict lock-order sanitizer
-(covering the cluster's, router's, fleets', and every runtime's locks)
-must have seen zero nesting.
+ledger, per-fleet span stamping — the strict lock-order sanitizer over
+the producers' shared inbox must have seen no nesting, and the run must
+match a single-threaded replay of the same trace exactly.
 
 Reduced configuration: set ``REPRO_CLUSTER_SOAK_REQUESTS`` (the CI job
 uses 300) to shrink the run; the default soaks 900 requests.
@@ -24,9 +24,9 @@ uses 300) to shrink the run; the default soaks 900 requests.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
-import time
 
 from repro.analysis.concurrency import instrument_cluster
 from repro.cluster import (
@@ -46,6 +46,20 @@ LOAD_FACTOR = 10.0                 # x one fleet's offered capacity
 QUEUE_DEPTH = 8                    # small on purpose: floods must shed
 
 
+def _fingerprint(report) -> str:
+    """Every simulated figure of a cluster run, as one JSON string."""
+    return json.dumps({
+        "generations": [
+            [g.fleet, g.generation, g.model_id, g.report.to_dict()]
+            for g in report.generations
+        ],
+        "deploy_events": [
+            [e.time_ms, e.kind, e.fleet, e.model_id, e.detail]
+            for e in report.deploy_events
+        ],
+    })
+
+
 def test_cluster_soak_overload_deploys_and_sanitizer(
     base_artifact, good_artifact, slow_artifact, cluster_registry,
     cluster_sanitizer, digits_small,
@@ -56,65 +70,47 @@ def test_cluster_soak_overload_deploys_and_sanitizer(
         N_REQUESTS, rate, 64, seed=47, inputs=digits_small.x_test,
     )
     span_ms = trace[-1].arrival_ms
-    tick_ms = span_ms / 60.0
-
-    cluster = Cluster(
-        base_artifact,
-        ClusterConfig(
-            n_fleets=N_FLEETS,
-            serve=ServeConfig(
-                n_devices=N_DEVICES,
-                max_queue_depth=QUEUE_DEPTH,
-            ),
-            router_policy="hash",
-            tick_ms=tick_ms,
-            signal_window_ms=max(2.0, span_ms / 4.0),
-        ),
-        registry=cluster_registry,
-    )
-    instrument_cluster(cluster, cluster_sanitizer)
-    cluster.start()
-
     slo = SLOPolicy(min_probe_completed=3, probe_ms=200.0,
                     max_cycles_ratio=2.0)
-    cluster.schedule_deploy(good_artifact, 0.35 * span_ms, slo=slo)
-    cluster.schedule_deploy(slow_artifact, 0.75 * span_ms, slo=slo)
 
-    # Multi-threaded producers in two phases.  The first quarter of the
-    # trace floods in unpaced — at 10x load that overruns every fleet
-    # queue and forces shedding.  The rest is paced against the control
-    # loop's published tick time (NOT the device clock: devices burn
-    # through a backlog between two wall-clock slices of the control
-    # thread, so clock-paced traffic can end before the first tick).
-    # Control-paced traffic guarantees both deploy probes run under
-    # live load.
-    flood_cut = N_REQUESTS // 4
-    lead_ms = 2.0 * tick_ms
+    def build() -> Cluster:
+        cluster = Cluster(
+            base_artifact,
+            ClusterConfig(
+                n_fleets=N_FLEETS,
+                serve=ServeConfig(
+                    n_devices=N_DEVICES,
+                    max_queue_depth=QUEUE_DEPTH,
+                ),
+                router_policy="hash",
+                tick_ms=span_ms / 60.0,
+                signal_window_ms=max(2.0, span_ms / 4.0),
+            ),
+            registry=cluster_registry,
+        )
+        cluster.start()
+        cluster.schedule_deploy(good_artifact, 0.35 * span_ms, slo=slo)
+        cluster.schedule_deploy(slow_artifact, 0.75 * span_ms, slo=slo)
+        return cluster
 
-    def produce(slice_index: int) -> None:
-        for index in range(slice_index, N_REQUESTS, N_PRODUCERS):
-            request = trace[index]
-            if index >= flood_cut:
-                while cluster.control_ms + lead_ms < request.arrival_ms:
-                    time.sleep(0.0002)
-            cluster.submit(request)
-
+    cluster = build()
+    instrument_cluster(cluster, cluster_sanitizer)
+    # Unpaced multi-threaded producers, each submitting an interleaved
+    # slice of the trace; the loop replays them in arrival order.
     producers = [
-        threading.Thread(target=produce, args=(i,), name=f"producer-{i}")
+        threading.Thread(
+            target=lambda i=i: [
+                cluster.submit(request)
+                for request in trace[i::N_PRODUCERS]
+            ],
+            name=f"producer-{i}",
+        )
         for i in range(N_PRODUCERS)
     ]
     for producer in producers:
         producer.start()
-    # Control loop on the main thread: one simulated tick per wall
-    # slice, which is exactly what the paced producers gate on.
-    now = 0.0
-    while any(p.is_alive() for p in producers):
-        now += tick_ms
-        cluster.tick(now)
-        time.sleep(0.001)
     for producer in producers:
         producer.join()
-
     cluster.drain()
     report = cluster.report()
 
@@ -148,12 +144,16 @@ def test_cluster_soak_overload_deploys_and_sanitizer(
     # The slow model's fleet references were all released again.
     assert cluster_registry.refcount(slow_artifact.model_id) == 1
 
-    # -- zero lock nesting across every cluster/serve lock -------------
+    # -- zero lock nesting across the producers' shared inbox ----------
     assert cluster_sanitizer.violations == [], cluster_sanitizer.report()
+
+    # -- concurrent submission changes nothing simulated ---------------
+    serial = build().replay(trace)
+    assert _fingerprint(serial) == _fingerprint(report)
 
 
 def test_cluster_soak_fused_engine(
-    base_artifact, cluster_registry, cluster_sanitizer, digits_small,
+    base_artifact, cluster_registry, digits_small,
 ):
     """ISSUE-8: a cluster whose fleets run ``engine="fastpath-v2"``.
 
@@ -161,8 +161,8 @@ def test_cluster_soak_fused_engine(
     fused dispatch path (one vectorized device call per admitted batch)
     carries the bulk of the load — and every cluster-scope invariant,
     including per-request execute spans and ``busy_ms`` accounting
-    inside each generation, plus the strict lock sanitizer, must hold
-    exactly as on the per-request engine.
+    inside each generation, must hold exactly as on the per-request
+    engine.
     """
     n_requests = max(120, N_REQUESTS // 3)
     capacity = fleet_capacity_rps(base_artifact, 2)
@@ -184,7 +184,6 @@ def test_cluster_soak_fused_engine(
         ),
         registry=cluster_registry,
     )
-    instrument_cluster(cluster, cluster_sanitizer)
     cluster.start()
     for request in trace:
         cluster.submit(request)
@@ -200,4 +199,3 @@ def test_cluster_soak_fused_engine(
         for g in report.generations
     )
     assert fused_batches > 0, "flooded fleets should dispatch fused"
-    assert cluster_sanitizer.violations == [], cluster_sanitizer.report()

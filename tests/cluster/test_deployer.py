@@ -70,16 +70,12 @@ class TestGoodDeploy:
         cluster = _cluster(base_artifact, cluster_registry, n_fleets=1)
         cluster.start()
         cluster.schedule_deploy(good_artifact, 4.0, slo=_SLO)
-        # Drive the deploy to completion inside replay, then add a
-        # fleet: it must flash the promoted target, not the old base.
-        trace = _trace(digits_small, n=200)
-        next_tick = 2.0
-        for request in trace:
-            while request.arrival_ms >= next_tick:
-                cluster.tick(next_tick)
-                next_tick += 2.0
+        # Simulate the trace (the deploy completes inside it), then add
+        # a fleet: it must flash the promoted target, not the old base.
+        for request in _trace(digits_small, n=200):
             cluster.submit(request)
-        cluster._finish_deploys()
+        cluster.run()
+        assert [e.kind for e in cluster.deploy_events()][-1] == "complete"
         fleet = cluster._add_fleet()
         assert fleet.model_id == good_artifact.model_id
         cluster.drain()

@@ -6,8 +6,7 @@ per-board latency model — and a cluster flashes one fleet per board.
 The latency-aware router policies (`least-queue-wait`, `deadline-p2c`)
 then route on each fleet's own ``est_queue_wait_ms``, which is derived
 from the artifact's per-board ``cycles_to_ms`` latency.  Every
-cluster-scope invariant and the strict lock sanitizer must hold exactly
-as on a homogeneous cluster.
+cluster-scope invariant must hold exactly as on a homogeneous cluster.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import os
 
 import pytest
 
-from repro.analysis.concurrency import instrument_cluster
 from repro.cluster import (
     Cluster,
     ClusterConfig,
@@ -84,11 +82,11 @@ def test_fleets_flash_artifacts_round_robin(
 
 
 def test_mixed_board_soak_least_queue_wait(
-    mixed_artifacts, cluster_registry, cluster_sanitizer, digits_small,
+    mixed_artifacts, cluster_registry, digits_small,
 ):
     """Flooded mixed-board cluster under `least-queue-wait`: invariants
-    and the strict sanitizer hold, and the router demonstrably shifts
-    load toward the faster boards (whose queues drain quicker)."""
+    hold, and the router demonstrably shifts load toward the faster
+    boards (whose queues drain quicker)."""
     from repro.cluster import fleet_capacity_rps
 
     # Price the flood against the *slowest* fleet so its queue builds.
@@ -108,7 +106,6 @@ def test_mixed_board_soak_least_queue_wait(
         ),
         registry=cluster_registry,
     )
-    instrument_cluster(cluster, cluster_sanitizer)
     cluster.start()
     for request in trace:
         cluster.submit(request)
@@ -132,11 +129,10 @@ def test_mixed_board_soak_least_queue_wait(
         )
     m0_fleet, m7_fleet = "fleet-0", "fleet-2"
     assert completed[m7_fleet] > completed[m0_fleet], completed
-    assert cluster_sanitizer.violations == [], cluster_sanitizer.report()
 
 
 def test_mixed_board_deadline_p2c(
-    mixed_artifacts, cluster_registry, cluster_sanitizer, digits_small,
+    mixed_artifacts, cluster_registry, digits_small,
 ):
     """`deadline-p2c` on a mixed cluster: per-board wait estimates feed
     the slack filter, every invariant holds, deadlines are honored."""
@@ -162,7 +158,6 @@ def test_mixed_board_deadline_p2c(
         ),
         registry=cluster_registry,
     )
-    instrument_cluster(cluster, cluster_sanitizer)
     cluster.start()
     for request in trace:
         cluster.submit(request)
@@ -174,4 +169,3 @@ def test_mixed_board_deadline_p2c(
     assert report.submitted == n_requests
     assert report.conserved
     assert report.completed > 0
-    assert cluster_sanitizer.violations == [], cluster_sanitizer.report()

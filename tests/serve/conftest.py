@@ -1,14 +1,9 @@
-"""Serve-test fixtures: one small verified artifact, shared, plus the
-statically derived lock order the soak tests assert at runtime."""
+"""Serve-test fixtures: one small verified artifact, shared."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-import repro
-from repro.analysis.concurrency import analyze_paths, sanitizer_for_report
 from repro.core.neuroc import NeuroCConfig, train_neuroc
 from repro.serve import ModelRegistry
 
@@ -31,25 +26,3 @@ def small_trained(digits_small):
 @pytest.fixture(scope="session")
 def small_artifact(serve_registry, small_trained):
     return serve_registry.register(small_trained.quantized)
-
-
-@pytest.fixture(scope="session")
-def serve_concurrency_report():
-    """Static concurrency analysis of repro.serve, computed once."""
-    return analyze_paths([Path(repro.__file__).parent / "serve"])
-
-
-@pytest.fixture
-def lock_sanitizer(serve_concurrency_report):
-    """A strict runtime lock-order sanitizer for one test.
-
-    Strict mode asserts the static model exactly: serve locks are
-    leaf-level (the graph has no edges), so ANY nesting of two
-    sanitized locks — let alone out-of-order nesting — is a violation.
-    The teardown assertion makes every soak replay that instruments
-    its runtime also validate acquisition order.
-    """
-    sanitizer = sanitizer_for_report(serve_concurrency_report,
-                                     strict=True)
-    yield sanitizer
-    assert sanitizer.violations == [], sanitizer.report()

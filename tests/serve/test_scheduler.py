@@ -1,4 +1,4 @@
-"""The bounded queue: policies, admission, batching, drain."""
+"""The bounded queue: policies, admission, batching, retry affinity."""
 
 import numpy as np
 import pytest
@@ -55,13 +55,6 @@ class TestAdmission:
         queue.offer(_request(1), force=True)         # retry path
         assert queue.depth == 2
 
-    def test_closed_queue_sheds_with_reason(self):
-        queue = BoundedRequestQueue(max_depth=4)
-        queue.close()
-        with pytest.raises(AdmissionError) as excinfo:
-            queue.offer(_request(0))
-        assert excinfo.value.reason == "draining"
-
 
 class TestBatchingAndDrain:
     def test_batch_size_bounded(self):
@@ -71,34 +64,9 @@ class TestBatchingAndDrain:
         assert len(queue.take_batch(device_id=0, max_batch=4)) == 4
         assert len(queue.take_batch(device_id=0, max_batch=4)) == 2
 
-    def test_take_after_close_drains_then_signals_exit(self):
+    def test_empty_take_returns_empty_batch(self):
         queue = BoundedRequestQueue(max_depth=4)
-        queue.offer(_request(0))
-        queue.close()
-        assert [r.request_id
-                for r in queue.take_batch(0, max_batch=4)] == [0]
-        queue.batch_done()
-        assert queue.take_batch(0, max_batch=4) is None
-
-    def test_no_exit_signal_while_batches_in_flight(self):
-        # Another worker's in-flight batch may brown out and re-enter
-        # the queue, so "closed and empty" alone must not signal exit.
-        queue = BoundedRequestQueue(max_depth=4, n_devices=2)
-        queue.offer(_request(0))
-        queue.close()
-        assert queue.take_batch(0, max_batch=4)          # in flight
-        assert queue.take_batch(1, max_batch=4,
-                                timeout=0.01) == []      # not None
-        queue.offer(_request(0, avoid_device=0), force=True)  # retry
-        retry = queue.take_batch(1, max_batch=4)
-        assert [r.request_id for r in retry] == [0]
-        queue.batch_done()
-        queue.batch_done()
-        assert queue.take_batch(1, max_batch=4) is None
-
-    def test_empty_take_times_out(self):
-        queue = BoundedRequestQueue(max_depth=4)
-        assert queue.take_batch(0, max_batch=4, timeout=0.01) == []
+        assert queue.take_batch(0, max_batch=4) == []
 
 
 class TestBrownoutAffinity:
@@ -120,11 +88,9 @@ class TestBrownoutAffinity:
 
     def test_avoid_honoured_during_drain(self):
         # Draining must not hand a retry back to the board that browned
-        # it out: the other (still live) worker takes it instead.
+        # it out: the other device takes it instead.
         queue = BoundedRequestQueue(max_depth=8, n_devices=2)
         queue.offer(_request(0, avoid_device=0), force=True)
-        queue.close()
-        assert queue.take_batch(device_id=0, max_batch=4,
-                                timeout=0.01) == []
+        assert queue.take_batch(device_id=0, max_batch=4) == []
         batch = queue.take_batch(device_id=1, max_batch=4)
         assert [r.request_id for r in batch] == [0]
