@@ -548,6 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.mcu.board import BOARD_PROFILES, STM32F072RB
 
     board_names = tuple(BOARD_PROFILES)
+    # The serving engines: the proof-backed default and two CPU engines.
+    SERVE_ENGINES = ("verified", "fastpath", "interpreter")
 
     commands.add_parser("datasets", help="list the procedural datasets")
     commands.add_parser("zoo", help="list the pinned paper configurations")
@@ -635,12 +637,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--requests", type=int, default=1000)
     serve.add_argument("--rate", type=float, default=2000.0,
                        help="offered load, requests per simulated second")
-    serve.add_argument("--engine", default="fastpath",
-                       choices=("fastpath", "fastpath-v2", "interpreter"),
+    serve.add_argument("--engine", default="verified",
+                       choices=SERVE_ENGINES,
                        help="execution engine for device replicas: the "
-                            "basic-block translating engine (default), "
-                            "the content-specialized batch-fused tier "
-                            "(fastpath-v2), or the reference interpreter")
+                            "reference forward charged the verified WCET "
+                            "cycles (default), the basic-block "
+                            "translating engine, or the interpreter")
     serve.add_argument("--policy", default="fifo", choices=("fifo", "edf"))
     serve.add_argument("--queue-depth", type=int, default=256)
     serve.add_argument("--batch", type=int, default=4)
@@ -700,9 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "fleet's ideal capacity (10-100x is the "
                               "overload regime this bench targets)")
     cluster.add_argument("--queue-depth", type=int, default=64)
-    cluster.add_argument("--engine", default="fastpath",
-                         choices=("fastpath", "fastpath-v2",
-                                  "interpreter"),
+    cluster.add_argument("--engine", default="verified",
+                         choices=SERVE_ENGINES,
                          help="execution engine for every fleet's "
                               "device replicas")
     cluster.add_argument("--dataset", default=None,

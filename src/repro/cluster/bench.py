@@ -25,8 +25,8 @@ from typing import Any
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.deploy import SLOPolicy
 from repro.cluster.invariants import verify_cluster_invariants
+from repro.deploy.artifact import VERIFIED_ENGINE
 from repro.errors import VerificationError
-from repro.mcu.fastpath import DEFAULT_ENGINE
 from repro.serve.registry import ModelArtifact
 from repro.serve.runtime import ServeConfig
 from repro.serve.trace import synthetic_trace
@@ -57,7 +57,7 @@ def run_cluster_once(
     deploy_at_ms: float = 0.0,
     slo: SLOPolicy | None = None,
     tick_ms: float = 25.0,
-    engine: str = DEFAULT_ENGINE,
+    engine: str = VERIFIED_ENGINE,
 ) -> dict[str, Any]:
     """One cell of the sweep: build, replay, verify, summarize."""
     trace = synthetic_trace(
@@ -129,7 +129,7 @@ def run_cluster_scaling(
     queue_depth: int = 64,
     seed: int = 0,
     inputs=None,
-    engine: str = DEFAULT_ENGINE,
+    engine: str = VERIFIED_ENGINE,
 ) -> dict[str, Any]:
     """The full sweep: fleet counts x router policies at fixed load.
 

@@ -209,11 +209,6 @@ class Fleet:
         return self._gen
 
     @property
-    def generation(self) -> int | None:
-        """Index of the live generation (None once shut down)."""
-        return self._gen.index if self._gen is not None else None
-
-    @property
     def model_id(self) -> str | None:
         return self._gen.artifact.model_id if self._gen is not None else None
 

@@ -12,6 +12,17 @@ it.  Execution uses the basic-block translating engine by default
 (``engine="fastpath"``); pass ``engine="interpreter"`` for the reference
 interpreter — both produce identical registers, memory, and cycle counts
 (see :mod:`repro.mcu.fastpath`).
+
+``engine="verified"`` (the serving default) runs no instructions at
+all.  Every kernel has input-independent control flow, so the verifier
+proves each layer's WCET bound equal to its measured cycles, and the
+NumPy reference (:mod:`repro.kernels.ref`) is bit-exact with the
+device.  The engine therefore returns the reference logits and charges
+the per-layer bounds.  A row the reference's range audits reject (an
+input outside the calibrated range, where only the device's wraparound
+arithmetic is authoritative) runs on the tier-1 CPU instead, so every
+result stays device-exact.  Device RAM and traffic counters are left
+untouched.
 """
 
 from __future__ import annotations
@@ -24,16 +35,45 @@ from repro.errors import (
     BudgetExceededError,
     ConfigurationError,
     InvalidInputError,
+    QuantizationError,
 )
 from repro.kernels.codegen_common import KernelImage
 from repro.kernels.codegen_dense import count_dense, generate_dense
 from repro.kernels.codegen_sparse import count_sparse, generate_sparse
 from repro.kernels.opcount import OpCount
+from repro.kernels.ref import model_forward
 from repro.mcu.board import BoardProfile, STM32F072RB
 from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES, make_cpu
 from repro.mcu.memory import Allocator
 from repro.mcu.profiler import Tim2
 from repro.quantize.ptq import QuantizedModel
+
+#: Reference forward + the verifier's per-layer WCET cycles.  A
+#: deploy-layer engine: ``repro.mcu.fastpath.ENGINES`` stays CPU-only.
+VERIFIED_ENGINE = "verified"
+#: Every engine a :class:`DeployedModel` accepts.
+MODEL_ENGINES = (VERIFIED_ENGINE, *ENGINES)
+
+_WIDTH_DTYPES = {1: np.int8, 2: np.int16, 4: np.int32}
+
+
+def _resolve_engine(board: BoardProfile, engine: str) -> str:
+    if engine not in MODEL_ENGINES:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; known: {MODEL_ENGINES}"
+        )
+    # A CPU tier the board's capability flags gate out (e.g. fastpath-v2
+    # on a board without a hardware multiplier) degrades to the best
+    # supported one — bit-identical results, only host speed differs.
+    if engine == VERIFIED_ENGINE:
+        return engine
+    return board.resolve_engine(engine)
+
+
+def _make_model_cpu(memory, board: BoardProfile, engine: str):
+    # Under "verified" the CPU serves only rows the reference rejects.
+    cpu_engine = "fastpath" if engine == VERIFIED_ENGINE else engine
+    return make_cpu(memory, costs=board.costs, engine=cpu_engine)
 
 
 @dataclass(frozen=True)
@@ -53,8 +93,8 @@ class BatchInferenceResult:
     Simulated costs stay *per request*: every row is charged the same
     input-independent ``cycles_per_inference``/``latency_ms`` the
     sequential path would charge, so cycle accounting is unchanged by
-    fusion.  ``fused`` records whether the batch actually took the
-    tier-2 fused path (``False`` means a per-row fallback served it).
+    batching.  ``fused`` records whether the batch took the tier-2
+    fused path.
     """
 
     logits: np.ndarray
@@ -87,14 +127,7 @@ class DeployedModel:
         block_size: int = 256,
         engine: str = DEFAULT_ENGINE,
     ) -> None:
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; known: {ENGINES}"
-            )
-        # A tier the board's capability flags gate out (e.g. fastpath-v2
-        # on a board without a hardware multiplier) degrades to the best
-        # supported one — bit-identical results, only host speed differs.
-        engine = board.resolve_engine(engine)
+        engine = _resolve_engine(board, engine)
         self.quantized = quantized
         self.format_name = format_name
         self.board = board
@@ -139,11 +172,13 @@ class DeployedModel:
                 f"model does not fit {board.name}: {exc}"
             ) from exc
 
-        self._cpu = make_cpu(self.memory, costs=board.costs, engine=engine)
+        self._cpu = _make_model_cpu(self.memory, board, engine)
         self.timer = Tim2(board.clock_hz)
         #: Lazily computed fused-pipeline cache:
         #: None = not computed, (False,) = not fusible, (True, sps) = go.
         self._fused: tuple | None = None
+        #: Per-layer WCET cycle bounds (see :meth:`layer_cycle_bounds`).
+        self._layer_cycles: tuple[int, ...] | None = None
 
     def warm_translations(self) -> int:
         """Translate every layer program ahead of the first inference.
@@ -184,17 +219,56 @@ class DeployedModel:
 
     def set_engine(self, engine: str) -> None:
         """Switch execution engine in place (e.g. for verification runs)."""
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; known: {ENGINES}"
-            )
-        engine = self.board.resolve_engine(engine)
+        engine = _resolve_engine(self.board, engine)
         if engine != self.engine:
             self.engine = engine
-            self._cpu = make_cpu(
-                self.memory, costs=self.board.costs, engine=engine
-            )
+            self._cpu = _make_model_cpu(self.memory, self.board, engine)
             self._fused = None
+
+    # -- the verified engine ------------------------------------------------
+
+    def record_verification(self, verification) -> None:
+        """Adopt a passing verdict's per-layer WCET bounds.
+
+        Raises :class:`~repro.errors.VerificationError` when any layer
+        failed.  ``deploy()`` records the verdict it computes, so the
+        bounds travel with the model and every replica copied from it.
+        """
+        verification.require_ok()
+        self._layer_cycles = tuple(
+            entry.report.cycle_bound for entry in verification.layers
+        )
+
+    def layer_cycle_bounds(self) -> tuple[int, ...]:
+        """Per-layer WCET cycle bounds the ``verified`` engine charges.
+
+        A model that never got a verdict verifies itself here, once.
+        """
+        if self._layer_cycles is None:
+            from repro.analysis.report import verify_deployed_model
+
+            self.record_verification(verify_deployed_model(self))
+        return self._layer_cycles
+
+    def _infer_verified(self, x_int: np.ndarray) -> InferenceResult | None:
+        """The reference's device-dtype logits, timed at the WCET bounds;
+        ``None`` when one of the reference's range audits rejects the
+        input."""
+        try:
+            logits = model_forward(self.quantized.specs, x_int)
+        except QuantizationError:
+            return None
+        logits = logits.astype(_WIDTH_DTYPES[self.images[-1].output_width])
+        bounds = self.layer_cycle_bounds()
+        self.timer.start()
+        for cycles in bounds:
+            self.timer.advance(cycles)
+        return InferenceResult(
+            logits=logits,
+            label=int(np.argmax(logits)),
+            cycles=sum(bounds),
+            latency_ms=self.timer.elapsed_ms(),
+        )
 
     # -- batch fusion -------------------------------------------------------
 
@@ -255,35 +329,15 @@ class DeployedModel:
         self._fused = (pipeline is not None, pipeline)
         return pipeline
 
-    @property
-    def supports_batch_fusion(self) -> bool:
-        """True when :meth:`infer_batch` will take the fused path."""
-        return self._fused_pipeline() is not None
-
-    @property
-    def fused_cycles_per_inference(self) -> int:
-        """Simulated cycles each fused-batch row is charged.
-
-        Input-independent, so device pools can price a batch without
-        running it.  Raises unless :attr:`supports_batch_fusion`.
-        """
-        sps = self._fused_pipeline()
-        if sps is None:
-            raise ConfigurationError(
-                f"model (engine={self.engine!r}) does not support "
-                f"batch fusion"
-            )
-        return sum(sp.cycles for sp in sps)
-
     def infer_batch(self, x_batch: np.ndarray) -> BatchInferenceResult:
-        """Run an admitted batch through the device in one fused call.
+        """Run a batch through the device in one call.
 
         Bit-exact with ``len(x_batch)`` sequential :meth:`infer` calls:
-        identical per-row logits/labels, identical per-request cycle and
-        latency charges, identical final RAM and per-region traffic
-        counters (the test suite enforces all of these).  Falls back to
-        the sequential path (``fused=False``) when the engine is not
-        ``fastpath-v2`` or any layer declined specialization.
+        identical per-row logits/labels and per-request cycle and
+        latency charges.  On ``fastpath-v2`` the batch runs fused, with
+        identical final RAM and per-region traffic counters too.  Other
+        engines, and fastpath-v2 pipelines with a declined layer, run
+        the sequential path (``fused=False``).
         """
         x_batch = self._validate_input(x_batch, batch=True)
         if len(x_batch) == 0:
@@ -313,7 +367,7 @@ class DeployedModel:
                 positions[j] = len(positions)
 
         first, last = self.images[0], self.images[-1]
-        widths = {1: np.int8, 2: np.int16, 4: np.int32}
+        widths = _WIDTH_DTYPES
         j, off = self._locate(first.input_addr)
         in_dtype = np.dtype(widths[first.input_width]).newbyteorder("<")
         raw = np.ascontiguousarray(x_int.astype(in_dtype)) \
@@ -382,19 +436,15 @@ class DeployedModel:
             raise InvalidInputError("input contains NaN or infinity")
         return arr
 
-    def validate_input(self, x, *, batch: bool = False) -> np.ndarray:
-        """Public preflight hook: the checks :meth:`infer` applies.
-
-        Lets callers (e.g. the serve pool's fused batch path) surface
-        ``InvalidInputError`` for one row before committing a batch.
-        """
-        return self._validate_input(x, batch=batch)
-
     def infer(self, x: np.ndarray) -> InferenceResult:
         """Run one float input through the deployed integer model."""
         x_int = self.quantized.quantize_input(
             self._validate_input(x, batch=False)
         )
+        if self.engine == VERIFIED_ENGINE:
+            result = self._infer_verified(x_int)
+            if result is not None:
+                return result
         self.images[0].write_input(x_int)
         self.timer.start()
         total_cycles = 0
@@ -426,9 +476,9 @@ class DeployedModel:
         x_batch = self._validate_input(x_batch, batch=True)
         if vectorized:
             return self.quantized.predict(x_batch)
-        if len(x_batch) and self._fused_pipeline() is not None:
-            return np.asarray(self.infer_batch(x_batch).labels)
-        return np.array([self.infer(row).label for row in x_batch])
+        if not len(x_batch):
+            return np.array([])
+        return np.asarray(self.infer_batch(x_batch).labels)
 
     def accuracy(
         self, x_batch: np.ndarray, y: np.ndarray, *,

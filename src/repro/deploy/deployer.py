@@ -57,9 +57,11 @@ def deploy(
     When the artifact is built and ``verify`` is on (the default), the
     full static-verification suite (:mod:`repro.analysis`) runs over
     every layer kernel and the deployment ships with its verdict —
-    deployments are verified by construction.  A kernel that fails
-    verification raises :class:`~repro.errors.VerificationError` naming
-    the offending instruction.
+    deployments are verified by construction.  The model keeps the
+    verdict's per-layer WCET bounds, which the ``verified`` engine
+    charges.  A kernel that fails verification raises
+    :class:`~repro.errors.VerificationError` naming the offending
+    instruction.
     """
     memory_report = model_program_memory(
         quantized.specs, format_name=format_name, block_size=block_size
@@ -76,7 +78,7 @@ def deploy(
         )
         if verify:
             verification = verify_deployed_model(model)
-            verification.require_ok()
+            model.record_verification(verification)
     elif require_fit:
         raise BudgetExceededError(
             f"model needs {memory_report.total_kb:.1f} KB of program "

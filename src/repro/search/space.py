@@ -28,9 +28,9 @@ from repro.core.neuroc import NeuroCConfig
 from repro.errors import ConfigurationError
 from repro.kernels.codegen_sparse import SPARSE_FORMATS
 
-#: Hidden-layer width choices (kept below the autosearch maximum: the
-#: staged search prices flash analytically before training, so huge
-#: configs are cheap to enumerate but pointless to sample often).
+#: Hidden-layer width choices (capped at 256: the staged search prices
+#: flash analytically before training, so huge configs are cheap to
+#: enumerate but pointless to sample often).
 HIDDEN_CHOICES = (32, 48, 64, 96, 128, 192, 256)
 #: Layer-count choices (weighted toward single-hidden-layer nets, like
 #: the paper's zoo).

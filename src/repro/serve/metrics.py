@@ -238,17 +238,26 @@ class MetricsRegistry:
                 self._labels[name] = str(value)
             return self._labels.get(name)
 
+    # Each lookup builds its metric only on a miss: ``setdefault`` would
+    # construct (and a Histogram seed an RNG for) a throwaway every call.
+
     def counter(self, name: str) -> Counter:
         with self._lock:
-            return self._counters.setdefault(name, Counter())
+            if name not in self._counters:
+                self._counters[name] = Counter()
+            return self._counters[name]
 
     def gauge(self, name: str) -> Gauge:
         with self._lock:
-            return self._gauges.setdefault(name, Gauge())
+            if name not in self._gauges:
+                self._gauges[name] = Gauge()
+            return self._gauges[name]
 
     def histogram(self, name: str) -> Histogram:
         with self._lock:
-            return self._histograms.setdefault(name, Histogram())
+            if name not in self._histograms:
+                self._histograms[name] = Histogram()
+            return self._histograms[name]
 
     def rate_view(
         self,

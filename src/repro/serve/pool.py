@@ -4,9 +4,10 @@ Each :class:`SimulatedDevice` owns a full replica of the deployed model
 (its own RAM, CPU, and TIM2 timer — see
 :meth:`~repro.serve.registry.ModelArtifact.replica`) plus a simulated
 clock in milliseconds.  The clock advances by exactly the cycle counts
-the interpreter charges, converted at the board's frequency, so latency
-and utilization are reported in the same simulated-time domain as every
-other number in this repository.
+the replica charges (on every engine, the interpreter's), converted at
+the board's frequency, so latency and utilization are reported in the
+same simulated-time domain as every other number in this repository.
+Every request runs through the one per-request :meth:`execute`.
 
 Devices are driven by the runtime's single-threaded event loop, so
 their mutable state needs no locking.
@@ -15,8 +16,6 @@ their mutable state needs no locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.errors import DeviceBrownoutError, ExecutionError
 from repro.mcu.board import BoardProfile
@@ -68,9 +67,7 @@ class SimulatedDevice:
         #    finishes the work dispatched to it so far ------------------
         self.clock_ms = 0.0
         self.busy_ms = 0.0
-        self.completed = 0
         self.brownouts = 0
-        self.dispatches = 0
         self._nominal_ms = self.deployed.analytic_latency_ms()
 
     def _emit(
@@ -109,7 +106,6 @@ class SimulatedDevice:
         still counted as busy, overstating utilization and understating
         the first request's queue wait.
         """
-        self.dispatches += 1
         overhead_ms = self.board.cycles_to_ms(DISPATCH_OVERHEAD_CYCLES)
         start = max(self.clock_ms, earliest_start_ms)
         self.clock_ms = start + overhead_ms
@@ -161,75 +157,10 @@ class SimulatedDevice:
         exec_ms = self.board.cycles_to_ms(cycles)
         self.clock_ms = start + exec_ms
         self.busy_ms += exec_ms
-        self.completed += 1
         self._emit("execute", start, self.clock_ms, request)
         return DeviceExecution(
             label=label, cycles=cycles, start_ms=start, end_ms=self.clock_ms
         )
-
-    # -- batch fusion -----------------------------------------------------
-
-    @property
-    def supports_batch_fusion(self) -> bool:
-        """Whether :meth:`execute_fused` may serve this device's batches.
-
-        Fusion requires the replica's fused pipeline (``fastpath-v2``
-        with every layer specialized) and declines devices with
-        input-dependent timelines: fault injection and intermittent
-        power decide brown-outs per request mid-execution, which a
-        one-call batch cannot reproduce.
-        """
-        return (
-            self.injector is None
-            and self._intermittent is None
-            and self.deployed.supports_batch_fusion
-        )
-
-    @property
-    def fused_exec_ms(self) -> float:
-        """Per-request execute time on the fused path (input-independent)."""
-        return self.board.cycles_to_ms(
-            self.deployed.fused_cycles_per_inference
-        )
-
-    def validate_request(self, request: InferenceRequest) -> None:
-        """Raise ``InvalidInputError`` exactly where ``execute()`` would."""
-        self.deployed.validate_input(request.x)
-
-    def execute_fused(
-        self, requests: list[InferenceRequest]
-    ) -> list[DeviceExecution]:
-        """Serve pre-validated admitted requests in one fused call.
-
-        Simulated accounting is identical to ``len(requests)``
-        sequential :meth:`execute` calls — per-request start/end times,
-        busy time, and one ``execute`` span per request — because the
-        fused engine charges every row the same input-independent
-        cycles.  Only the host-side work is batched.  The device state
-        is untouched if the underlying call raises, so callers can fall
-        back to the per-request path.
-        """
-        rows = np.stack(
-            [self.deployed.validate_input(r.x) for r in requests]
-        )
-        result = self.deployed.infer_batch(rows)
-        exec_ms = self.board.cycles_to_ms(result.cycles_per_inference)
-        executions = []
-        for i, request in enumerate(requests):
-            start = max(self.clock_ms, request.earliest_start_ms)
-            self.clock_ms = start + exec_ms
-            self.busy_ms += exec_ms
-            self.completed += 1
-            self._emit("execute", start, self.clock_ms, request)
-            executions.append(
-                DeviceExecution(
-                    label=int(result.labels[i]),
-                    cycles=result.cycles_per_inference,
-                    start_ms=start,
-                    end_ms=self.clock_ms,
-                )
-            )
-        return executions
 
     def utilization(self, horizon_ms: float) -> float:
         """Busy fraction of the fleet-wide simulated horizon."""

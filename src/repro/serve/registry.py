@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.deploy.artifact import DeployedModel
+from repro.deploy.artifact import VERIFIED_ENGINE, DeployedModel
 from repro.deploy.deployer import Deployment, deploy
 from repro.errors import ConfigurationError
 from repro.mcu.board import BoardProfile, STM32F072RB
@@ -97,8 +97,12 @@ class ModelArtifact:
         and fastpath translations are shared (they are immutable and
         cached process-wide by program content, so N replicas compile
         each layer exactly once).  ``engine`` overrides the execution
-        engine for this replica only.
+        engine for this replica only.  A ``verified`` replica copies the
+        artifact's WCET bounds, so an unverified artifact verifies once
+        here rather than once per replica.
         """
+        if (engine or self.deployed.engine) == VERIFIED_ENGINE:
+            self.deployed.layer_cycle_bounds()
         replica = copy.deepcopy(self.deployed)
         if engine is not None:
             replica.set_engine(engine)

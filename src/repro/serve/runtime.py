@@ -4,11 +4,13 @@
 :class:`~repro.serve.registry.ModelArtifact` is replicated onto
 ``n_devices`` simulated boards; requests enter through admission control
 into one policy-ordered queue; idle devices take batches, execute them
-cycle-exactly (on the fastpath translating engine by default —
-``ServeConfig.engine`` selects the reference interpreter, or
-``"fastpath-v2"``, which serves each admitted batch in one
-content-specialized fused call with unchanged per-request accounting),
-and retry brown-outs on healthy devices with capped exponential backoff.
+cycle-exactly one request at a time, and retry brown-outs on healthy
+devices with capped exponential backoff.  Devices run the ``verified``
+engine by default: reference logits plus the verifier's per-layer WCET
+cycles, device-exact by construction (see
+:mod:`repro.deploy.artifact`).  ``ServeConfig.engine`` selects a CPU
+engine instead (``"fastpath"``, ``"interpreter"``, ...); simulated
+results are identical on every engine.
 Every offered request ends in exactly one terminal outcome — completed,
 rejected, or failed — so the conservation law
 
@@ -36,6 +38,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.deploy.artifact import MODEL_ENGINES, VERIFIED_ENGINE
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -44,7 +47,6 @@ from repro.errors import (
     ReproError,
     ServeError,
 )
-from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES
 from repro.mcu.intermittent import PowerBudget
 from repro.serve.events import EventLoop
 from repro.serve.faults import FaultInjector, FaultPlan
@@ -89,11 +91,10 @@ class ServeConfig:
     max_queue_wait_ms: float | None = None
     power_budget: PowerBudget | None = None
     fault_plan: FaultPlan | None = None
-    #: Execution engine for every device replica: ``"fastpath"`` (the
-    #: translating engine, default), ``"fastpath-v2"`` (content-
-    #: specialized + batch-fused dispatch), or ``"interpreter"``
-    #: (reference CPU).
-    engine: str = DEFAULT_ENGINE
+    #: Execution engine for every device replica: ``"verified"``
+    #: (reference forward + WCET cycles, default), or a CPU engine:
+    #: ``"fastpath"``, ``"fastpath-v2"``, ``"interpreter"``.
+    engine: str = VERIFIED_ENGINE
     #: Per-request span tracing (see :mod:`repro.serve.tracing`).  On by
     #: default — the collector is bounded, so long replays degrade to
     #: dropped spans rather than unbounded memory.
@@ -110,9 +111,9 @@ class ServeConfig:
             raise ConfigurationError("max_batch must be positive")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
-        if self.engine not in ENGINES:
+        if self.engine not in MODEL_ENGINES:
             raise ConfigurationError(
-                f"unknown engine {self.engine!r}; known: {ENGINES}"
+                f"unknown engine {self.engine!r}; known: {MODEL_ENGINES}"
             )
         if self.trace_capacity <= 0:
             raise ConfigurationError("trace_capacity must be positive")
@@ -132,7 +133,7 @@ class ServeReport:
     queue_ms: dict[str, float]
     device_utilization: dict[str, float]
     metrics: dict[str, Any]            # full MetricsRegistry snapshot
-    engine: str = DEFAULT_ENGINE       # execution engine the fleet ran on
+    engine: str = VERIFIED_ENGINE      # execution engine the fleet ran on
     outcomes: tuple[ServeOutcome, ...] = field(repr=False, default=())
     #: Raw per-device busy time — what utilization is computed from, and
     #: what the trace invariant ``busy_ms == Σ busy spans`` checks.
@@ -360,9 +361,6 @@ class ServeRuntime:
         device.begin_dispatch(min(r.earliest_start_ms for r in batch))
         self.metrics.counter("batches.dispatched").inc()
         self.metrics.histogram("batch_size").observe(len(batch))
-        if device.supports_batch_fusion:
-            self._serve_batch_fused(device, batch)
-            return
         for request in batch:
             # Where this attempt would start serving: the device cannot
             # run a request before it is eligible, and the request cannot
@@ -370,52 +368,7 @@ class ServeRuntime:
             # device computes in `execute()`.
             service_start = max(device.clock_ms, request.earliest_start_ms)
             if self._preflight(device, request, service_start):
-                self._execute_and_complete(device, request)
-
-    def _serve_batch_fused(
-        self, device: SimulatedDevice, batch: list[InferenceRequest]
-    ) -> None:
-        """Serve one batch through a single fused device call.
-
-        Preflight (deadline/queue-wait shedding, input validation) runs
-        first against a *simulated* clock: on the fused engine every
-        request's execute time is the same input-independent constant,
-        so each request's service start — and therefore every shedding
-        decision — is known before anything runs.  Spans, outcomes, and
-        device accounting come out identical to the per-request path;
-        only the host-side work is batched.
-        """
-        exec_ms = device.fused_exec_ms
-        clock = device.clock_ms
-        runnable: list[InferenceRequest] = []
-        for request in batch:
-            service_start = max(clock, request.earliest_start_ms)
-            if not self._preflight(device, request, service_start):
-                continue
-            try:
-                device.validate_request(request)
-            except InvalidInputError as exc:
-                # Mirrors the per-request handler: an invalid input
-                # fails terminally without advancing the device clock.
-                self._fail(device, request, service_start,
-                           f"invalid_input: {exc}", "invalid_input")
-                continue
-            runnable.append(request)
-            clock = service_start + exec_ms
-        if not runnable:
-            return
-        try:
-            executions = device.execute_fused(runnable)
-        except ReproError:
-            # The fused call leaves no partial device state on failure,
-            # so the per-request path can serve the batch instead (and
-            # record the per-request errors conservation needs).
-            for request in runnable:
-                self._execute_and_complete(device, request)
-            return
-        self.metrics.counter("batches.fused").inc()
-        for request, execution in zip(runnable, executions):
-            self._complete(device, request, execution)
+                self._execute(device, request, service_start)
 
     def _preflight(
         self,
@@ -423,12 +376,7 @@ class ServeRuntime:
         request: InferenceRequest,
         service_start: float,
     ) -> bool:
-        """Shedding decisions for one attempt; True when it should run.
-
-        ``service_start`` is where the attempt would begin serving —
-        callers on the fused path pass a simulated projection of the
-        device clock instead of its live value.
-        """
+        """Shedding decisions for one attempt; True when it should run."""
         # The attempt's queueing interval: eligible-to-run until service
         # start.  First attempts become eligible at arrival; retries at
         # the end of their backoff.
@@ -465,11 +413,13 @@ class ServeRuntime:
         self._span(request, "queued", queued_from, service_start)
         return True
 
-    def _execute_and_complete(
-        self, device: SimulatedDevice, request: InferenceRequest
+    def _execute(
+        self,
+        device: SimulatedDevice,
+        request: InferenceRequest,
+        service_start: float,
     ) -> None:
-        """One post-preflight attempt on the per-request device path."""
-        service_start = max(device.clock_ms, request.earliest_start_ms)
+        """One post-preflight attempt: run it and record its outcome."""
         try:
             execution = device.execute(request)
         except DeviceBrownoutError:
@@ -487,15 +437,6 @@ class ServeRuntime:
             self._fail(device, request, service_start,
                        f"{type(exc).__name__}: {exc}", type(exc).__name__)
             return
-        self._complete(device, request, execution)
-
-    def _complete(
-        self,
-        device: SimulatedDevice,
-        request: InferenceRequest,
-        execution,
-    ) -> None:
-        """Record one successful execution (per-request or fused path)."""
         latency = execution.end_ms - request.arrival_ms
         queue_wait = execution.start_ms - request.arrival_ms
         self._record(

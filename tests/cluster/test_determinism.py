@@ -22,7 +22,7 @@ from repro.cluster import (
 )
 from repro.serve import FaultPlan, ServeConfig, synthetic_trace
 
-ENGINES = ("fastpath", "fastpath-v2", "interpreter")
+ENGINES = ("verified", "fastpath", "fastpath-v2", "interpreter")
 SLO = SLOPolicy(min_probe_completed=3, probe_ms=50.0)
 
 
@@ -30,7 +30,6 @@ def _engine_free(report_dict: dict) -> dict:
     """A serve report's figures without the engine's name tags."""
     del report_dict["engine"]
     del report_dict["metrics"]["labels"]["engine"]
-    report_dict["metrics"]["counters"].pop("batches.fused", None)
     return report_dict
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.mcu.intermittent import IntermittentDeployment, PowerBudget
 from repro.serve import FaultPlan, ServeConfig, ServeRuntime, synthetic_trace
 
-ENGINES = ("fastpath", "fastpath-v2", "interpreter")
+ENGINES = ("verified", "fastpath", "fastpath-v2", "interpreter")
 
 
 def sim_json(report) -> str:
@@ -23,8 +23,6 @@ def sim_json(report) -> str:
     body = report.to_dict()
     del body["engine"]
     del body["metrics"]["labels"]["engine"]
-    # Host-side dispatch detail: how many batches ran as one fused call.
-    body["metrics"]["counters"].pop("batches.fused", None)
     return json.dumps([body, report.trace.chrome_trace()], sort_keys=True)
 
 

@@ -133,6 +133,27 @@ class TestRegistry:
         assert encoded["gauges"]["depth"] == 7
         assert encoded["histograms"]["latency_ms"]["count"] == 1
 
+    def test_lookup_of_existing_name_constructs_nothing(self, monkeypatch):
+        from repro.serve import metrics
+
+        registry = MetricsRegistry()
+        existing = (registry.counter("c"), registry.gauge("g"),
+                    registry.histogram("h"))
+        built = []
+        for cls in (Counter, Gauge, Histogram):
+            monkeypatch.setattr(
+                metrics, cls.__name__,
+                lambda *args, _cls=cls, **kwargs: (
+                    built.append(_cls) or _cls(*args, **kwargs)
+                ),
+            )
+        again = (registry.counter("c"), registry.gauge("g"),
+                 registry.histogram("h"))
+        assert all(a is b for a, b in zip(again, existing))
+        assert built == []
+        registry.histogram("new")          # a miss builds exactly one
+        assert built == [Histogram]
+
 
 class TestRateView:
     def test_windowed_rate_over_steady_increments(self):
