@@ -545,6 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    from repro.kernels.codegen_sparse import SPARSE_FORMATS
     from repro.mcu.board import BOARD_PROFILES, STM32F072RB
 
     board_names = tuple(BOARD_PROFILES)
@@ -576,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     deploy.add_argument("--model", required=True)
     deploy.add_argument("--format", default="block",
-                        choices=("csc", "delta", "mixed", "block"))
+                        choices=SPARSE_FORMATS)
     deploy.add_argument("--board", default=STM32F072RB.name,
                         choices=board_names,
                         help="target board profile (see `repro boards`)")
@@ -620,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--model", required=True)
     verify.add_argument("--format", default="block",
-                        choices=("csc", "delta", "mixed", "block"))
+                        choices=SPARSE_FORMATS)
     verify.add_argument("--board", default=STM32F072RB.name,
                         choices=board_names,
                         help="target board profile (see `repro boards`)")
@@ -632,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--model", required=True)
     serve.add_argument("--format", default="block",
-                       choices=("csc", "delta", "mixed", "block"))
+                       choices=SPARSE_FORMATS)
     serve.add_argument("--devices", type=int, default=4)
     serve.add_argument("--requests", type=int, default=1000)
     serve.add_argument("--rate", type=float, default=2000.0,
@@ -685,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--model", required=True)
     cluster.add_argument("--format", default="block",
-                         choices=("csc", "delta", "mixed", "block"))
+                         choices=SPARSE_FORMATS)
     cluster.add_argument("--fleets", type=int, nargs="+",
                          default=[1, 2, 4],
                          help="fleet counts to sweep")

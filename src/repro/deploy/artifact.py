@@ -38,10 +38,10 @@ from repro.errors import (
     QuantizationError,
 )
 from repro.kernels.codegen_common import KernelImage
-from repro.kernels.codegen_dense import count_dense, generate_dense
-from repro.kernels.codegen_sparse import count_sparse, generate_sparse
+from repro.kernels.layer import layer_kernel, layer_opcount
 from repro.kernels.opcount import OpCount
 from repro.kernels.ref import model_forward
+from repro.kernels.spec import LayerKernelSpec
 from repro.mcu.board import BoardProfile, STM32F072RB
 from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES, make_cpu
 from repro.mcu.memory import Allocator
@@ -152,21 +152,10 @@ class DeployedModel:
             for i, spec in enumerate(specs):
                 src = buffer_a if i % 2 == 0 else buffer_b
                 dst = buffer_b if i % 2 == 0 else buffer_a
-                if spec.is_dense:
-                    image = generate_dense(
-                        spec, memory=self.memory,
-                        input_addr=src, output_addr=dst,
-                    )
-                else:
-                    kwargs = (
-                        {"block_size": block_size}
-                        if format_name == "block" else {}
-                    )
-                    image = generate_sparse(
-                        spec, format_name, memory=self.memory,
-                        input_addr=src, output_addr=dst, **kwargs
-                    )
-                self.images.append(image)
+                self.images.append(layer_kernel(
+                    spec, format_name, block_size, memory=self.memory,
+                    input_addr=src, output_addr=dst,
+                ))
         except Exception as exc:  # allocator exhaustion -> budget error
             raise BudgetExceededError(
                 f"model does not fit {board.name}: {exc}"
@@ -489,25 +478,6 @@ class DeployedModel:
 
     # -- cost reporting -------------------------------------------------------
 
-    def analytic_opcount(self) -> OpCount:
-        """Operation counts summed over layers (no execution needed)."""
-        total = OpCount.block()
-        for spec in self.quantized.specs:
-            if spec.is_dense:
-                total += count_dense(spec)
-            else:
-                kwargs = (
-                    {"block_size": self.block_size}
-                    if self.format_name == "block" else {}
-                )
-                total += count_sparse(spec, self.format_name, **kwargs)
-        return total
-
-    def analytic_latency_ms(self) -> float:
-        return self.board.cycles_to_ms(
-            self.analytic_opcount().cycles(self.board.costs)
-        )
-
     @property
     def flash_data_bytes(self) -> int:
         return sum(image.flash_data_bytes for image in self.images)
@@ -517,6 +487,21 @@ class DeployedModel:
         return sum(
             image.program.code_size_bytes() for image in self.images
         )
+
+
+def model_opcount(
+    specs: list[LayerKernelSpec], format_name: str = "block",
+    block_size: int = 256,
+) -> OpCount:
+    """Operation counts summed over a model's layers.
+
+    Board-independent: price the result with each board's cost table
+    instead of recounting the model per board.
+    """
+    total = OpCount.block()
+    for spec in specs:
+        total += layer_opcount(spec, format_name, block_size)
+    return total
 
 
 def analytic_model_cycles(
@@ -530,15 +515,9 @@ def analytic_model_cycles(
     The fast path for parameter sweeps: prices each layer's operation
     counts directly.
     """
-    total = OpCount.block()
-    for spec in quantized.specs:
-        if spec.is_dense:
-            total += count_dense(spec)
-        else:
-            kwargs = {"block_size": block_size} if format_name == "block" \
-                else {}
-            total += count_sparse(spec, format_name, **kwargs)
-    return total.cycles(board.costs)
+    return model_opcount(quantized.specs, format_name, block_size).cycles(
+        board.costs
+    )
 
 
 def analytic_model_latency_ms(

@@ -24,10 +24,12 @@ A tight-latency SLO therefore buys the fast, large board while a
 tight-flash SLO forces the small one — different ``(encoding, engine,
 board)`` tuples, the acceptance criterion of ISSUE 9.
 
-:func:`plan_from_catalog` extends the same admission rules to a *model
-catalog* — the per-board Pareto frontier artifact a ``repro search``
-sweep emits — picking the most accurate already-trained model that
-meets the SLO instead of re-pricing one fixed model.
+One function, :func:`rejection_reason`, owns the admission rule for
+the planner, the catalog and the search's stage-1 screen.
+:func:`plan_from_catalog` applies it to a *model catalog* — the
+per-board Pareto frontier artifact a ``repro search`` sweep emits —
+picking the most accurate already-trained model that meets the SLO
+instead of re-pricing one fixed model.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.deploy.artifact import analytic_model_cycles
+from repro.deploy.artifact import model_opcount
 from repro.deploy.deployer import Deployment, deploy
 from repro.deploy.size import model_program_memory
 from repro.errors import BudgetExceededError, ConfigurationError
@@ -101,59 +103,51 @@ class DeploymentPlan:
         return tuple(c for c in self.considered if c.feasible)
 
 
-def _price(
-    quantized: QuantizedModel,
-    format_name: str,
+def rejection_reason(
     board: BoardProfile,
-    block_size: int,
+    cycles: int,
+    flash_kb: float,
     slo: DeploySLO,
-) -> PlanCandidate:
-    """Analytically price one candidate and apply the SLO admission."""
-    memory = model_program_memory(
-        quantized.specs, format_name=format_name, block_size=block_size
-    )
-    cycles = analytic_model_cycles(
-        quantized, format_name, board, block_size
-    )
-    latency_ms = board.cycles_to_ms(cycles)
-    flash_kb = memory.total_kb
+    latency_slack: float = 1.0,
+) -> str:
+    """The SLO admission rule: why ``board`` rejects a priced program.
 
-    reason = ""
+    Returns ``""`` when the program is admitted.  The checks run in
+    order: the device class under the flash SLO, the program under the
+    board's flash, the program under the flash SLO, and the cycles under
+    the board's *ceiling* cycle budget for the latency SLO, widened by
+    ``latency_slack`` (the search screen's allowance for untrained
+    models; 1.0 everywhere else).
+    """
     if slo.max_flash_kb is not None and board.flash_kb > slo.max_flash_kb:
-        reason = (
+        return (
             f"{board.name} carries {board.flash_kb} KB flash, over the "
             f"{slo.max_flash_kb:g} KB device budget"
         )
-    elif not memory.fits(board):
-        reason = (
+    if flash_kb * 1024 > board.flash_bytes:
+        return (
             f"needs {flash_kb:.1f} KB flash, "
             f"{board.name} has {board.flash_kb} KB"
         )
-    elif slo.max_flash_kb is not None and flash_kb > slo.max_flash_kb:
-        reason = (
+    if slo.max_flash_kb is not None and flash_kb > slo.max_flash_kb:
+        return (
             f"program memory {flash_kb:.1f} KB over the "
             f"{slo.max_flash_kb:g} KB SLO"
         )
-    elif slo.max_latency_ms is not None and cycles > board.ms_to_cycles(
-        slo.max_latency_ms
-    ):
-        # Admission goes through the ceiling cycle budget, never a float
-        # ms comparison: a request priced exactly at the deadline fits.
-        reason = (
-            f"{cycles} cycles over the "
-            f"{board.ms_to_cycles(slo.max_latency_ms)}-cycle budget "
-            f"({slo.max_latency_ms:g} ms on {board.name})"
-        )
-    return PlanCandidate(
-        format_name=format_name,
-        board=board,
-        engine=board.resolve_engine(),
-        block_size=block_size,
-        cycles=cycles,
-        latency_ms=latency_ms,
-        flash_kb=flash_kb,
-        feasible=reason == "",
-        reason=reason,
+    if slo.max_latency_ms is None:
+        return ""
+    # Admission goes through the ceiling cycle budget, never a float ms
+    # comparison: a request priced exactly at the deadline fits.
+    budget = board.ms_to_cycles(slo.max_latency_ms)
+    if cycles <= latency_slack * budget:
+        return ""
+    over = (
+        f"{cycles} cycles over the" if latency_slack == 1.0
+        else f"{cycles} analytic cycles over {latency_slack:g}x the"
+    )
+    return (
+        f"{over} {budget}-cycle budget "
+        f"({slo.max_latency_ms:g} ms on {board.name})"
     )
 
 
@@ -183,11 +177,34 @@ def plan_deployment(
     if not board_list or not formats:
         raise ConfigurationError("plan needs at least one board and format")
 
-    considered = tuple(
-        _price(quantized, fmt, board, block_size, slo)
-        for board in board_list
+    # Flash and operation counts are board-independent: price each
+    # encoding once, then cost it with every board's cycle table.
+    priced = {
+        fmt: (
+            model_program_memory(
+                quantized.specs, format_name=fmt, block_size=block_size
+            ).total_kb,
+            model_opcount(quantized.specs, fmt, block_size),
+        )
         for fmt in formats
-    )
+    }
+    considered = []
+    for board in board_list:
+        for fmt in formats:
+            flash_kb, ops = priced[fmt]
+            cycles = ops.cycles(board.costs)
+            reason = rejection_reason(board, cycles, flash_kb, slo)
+            considered.append(PlanCandidate(
+                format_name=fmt,
+                board=board,
+                engine=board.resolve_engine(),
+                block_size=block_size,
+                cycles=cycles,
+                latency_ms=board.cycles_to_ms(cycles),
+                flash_kb=flash_kb,
+                feasible=reason == "",
+                reason=reason,
+            ))
     feasible = [c for c in considered if c.feasible]
     if not feasible:
         table = "; ".join(
@@ -228,7 +245,7 @@ def plan_deployment(
         slo=slo,
         chosen=chosen,
         deployment=deployment,
-        considered=considered,
+        considered=tuple(considered),
     )
 
 
@@ -281,11 +298,9 @@ def plan_from_catalog(
 
     ``entries`` are frontier rows as a ``repro search`` artifact stores
     them (see :func:`repro.search.frontier.catalog_entries`): each names
-    its own board, measured cycles, and flash footprint.  Admission
-    mirrors :func:`plan_deployment` — device class under the flash SLO,
-    program under the board's flash and the flash SLO, cycles within the
-    board's *ceiling* budget for the latency SLO — but the objective
-    flips: a catalog spans models of different accuracies, so the
+    its own board, measured cycles, and flash footprint.  Admission is
+    :func:`plan_deployment`'s :func:`rejection_reason`, but the
+    objective flips: a catalog spans models of different accuracies, so the
     planner maximizes accuracy first, then minimizes cycles, then
     flash, with the candidate key as the deterministic tie-break.
 
@@ -301,34 +316,9 @@ def plan_from_catalog(
     considered = []
     for entry in entries:
         board = board_by_name(str(entry["board"]))
-        cycles = int(entry["cycles"])
-        flash_kb = float(entry["flash_kb"])
-        reason = ""
-        if slo.max_flash_kb is not None and (
-            board.flash_kb > slo.max_flash_kb
-        ):
-            reason = (
-                f"{board.name} carries {board.flash_kb} KB flash, over "
-                f"the {slo.max_flash_kb:g} KB device budget"
-            )
-        elif flash_kb * 1024 > board.flash_bytes:
-            reason = (
-                f"needs {flash_kb:.1f} KB flash, "
-                f"{board.name} has {board.flash_kb} KB"
-            )
-        elif slo.max_flash_kb is not None and flash_kb > slo.max_flash_kb:
-            reason = (
-                f"program memory {flash_kb:.1f} KB over the "
-                f"{slo.max_flash_kb:g} KB SLO"
-            )
-        elif slo.max_latency_ms is not None and cycles > board.ms_to_cycles(
-            slo.max_latency_ms
-        ):
-            reason = (
-                f"{cycles} cycles over the "
-                f"{board.ms_to_cycles(slo.max_latency_ms)}-cycle budget "
-                f"({slo.max_latency_ms:g} ms on {board.name})"
-            )
+        reason = rejection_reason(
+            board, int(entry["cycles"]), float(entry["flash_kb"]), slo
+        )
         considered.append(CatalogCandidate(
             entry=dict(entry), board=board,
             feasible=reason == "", reason=reason,

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.kernels.codegen_dense import generate_dense
-from repro.kernels.codegen_sparse import generate_sparse
+from repro.kernels.layer import layer_kernel
 from repro.kernels.spec import LayerKernelSpec
 from repro.mcu.board import BoardProfile, STM32F072RB
 from repro.mcu.memory import MemoryMap, Region
@@ -83,13 +82,9 @@ def layer_program_memory(
     ``format_name`` selects the sparse encoding for ternary layers and is
     ignored for dense ones.
     """
-    memory = scratch_memory()
-    if spec.is_dense:
-        image = generate_dense(spec, memory=memory)
-    else:
-        kwargs = {"block_size": block_size} if format_name == "block" else {}
-        image = generate_sparse(spec, format_name or "block",
-                                memory=memory, **kwargs)
+    image = layer_kernel(
+        spec, format_name or "block", block_size, memory=scratch_memory()
+    )
     return ProgramMemoryReport(
         text_bytes=image.program.code_size_bytes(),
         rodata_bytes=image.flash_data_bytes,

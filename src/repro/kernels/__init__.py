@@ -7,6 +7,10 @@ Three mutually-validating backends compute every layer:
 3. ``count_*`` — analytical :class:`~repro.kernels.opcount.OpCount`
    formulas priced by a board's cycle table.
 
+:func:`~repro.kernels.layer.layer_kernel` and
+:func:`~repro.kernels.layer.layer_opcount` pick a layer's generator and
+its ``count_*`` twin; every deploy-side consumer goes through them.
+
 Tests assert (2) matches (1) on outputs and (3) on cycles; benchmarks then
 use the fast analytical path.
 """
@@ -28,6 +32,7 @@ from repro.kernels.codegen_sparse import (
     encode_for_kernel,
     generate_sparse,
 )
+from repro.kernels.layer import layer_kernel, layer_opcount
 from repro.kernels.opcount import OpCount, countdown_loop
 from repro.kernels.ref import (
     conv2d_forward,
@@ -66,6 +71,8 @@ __all__ = [
     "generate_sparse",
     "im2col",
     "layer_forward",
+    "layer_kernel",
+    "layer_opcount",
     "make_dense_spec",
     "make_neuroc_spec",
     "model_forward",

@@ -52,7 +52,6 @@ from repro.mcu.fastpath_v2 import SpecializedProgram
 from repro.mcu.isa import Assembler, Instr, Op, Program, Reg
 from repro.mcu.memory import Allocator, MemoryMap, Region
 from repro.mcu.profiler import (
-    BatchLatencyReport,
     BlockProfile,
     LatencyReport,
     Profiler,
@@ -74,7 +73,6 @@ __all__ = [
     "run_with_interrupts",
     "worst_case_latency_ms",
     "Allocator",
-    "BatchLatencyReport",
     "BlockProfile",
     "BOARD_PROFILES",
     "BoardProfile",

@@ -73,23 +73,15 @@ class IntermittentDeployment:
         self._checkpoint_costs = self._per_layer_checkpoint_cycles()
 
     def _per_layer_cycles(self) -> list[int]:
-        from repro.kernels.codegen_dense import count_dense
-        from repro.kernels.codegen_sparse import count_sparse
+        from repro.kernels.layer import layer_opcount
 
-        costs = []
-        for spec in self.deployed.quantized.specs:
-            if spec.is_dense:
-                count = count_dense(spec)
-            else:
-                kwargs = (
-                    {"block_size": self.deployed.block_size}
-                    if self.deployed.format_name == "block" else {}
-                )
-                count = count_sparse(
-                    spec, self.deployed.format_name, **kwargs
-                )
-            costs.append(count.cycles(self.board.costs))
-        return costs
+        deployed = self.deployed
+        return [
+            layer_opcount(
+                spec, deployed.format_name, deployed.block_size
+            ).cycles(self.board.costs)
+            for spec in deployed.quantized.specs
+        ]
 
     def _per_layer_checkpoint_cycles(self) -> list[int]:
         costs = []

@@ -9,7 +9,6 @@ code matches the paper's methodology, and it verifies the determinism claim
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ExecutionError
@@ -35,27 +34,6 @@ class LatencyReport:
     @property
     def deterministic(self) -> bool:
         return self.cycles_min == self.cycles_max
-
-
-@dataclass(frozen=True)
-class BatchLatencyReport:
-    """One fused batch execution: per-request charges + host cost.
-
-    Simulated numbers are *per request* and input-independent (every
-    row of a fused batch is charged identically); ``host_seconds`` is
-    the wall-clock cost of the single fused call, the quantity batch
-    fusion actually amortizes.
-    """
-
-    batch: int
-    cycles_per_run: int
-    instructions_per_run: int
-    latency_ms_per_run: float
-    host_seconds: float
-
-    @property
-    def host_seconds_per_run(self) -> float:
-        return self.host_seconds / self.batch
 
 
 @dataclass(frozen=True)
@@ -122,52 +100,6 @@ class Profiler:
                 round(sum(cycle_counts) / runs)
             ),
             instructions=instructions,
-        )
-
-    def measure_fused(
-        self, program: Program, batch: int = 32
-    ) -> BatchLatencyReport:
-        """Run a ``batch``-row fused execution on the tier-2 engine.
-
-        Requires ``engine="fastpath-v2"`` and a program the specializer
-        accepts.  Leaves memory and traffic counters exactly as
-        ``batch`` sequential runs would (the last row's RAM is
-        committed), so fused measurement composes with the rest of the
-        harness.
-        """
-        if batch < 1:
-            raise ExecutionError("need at least one batch row")
-        if not (isinstance(self.cpu, FastCPU) and self.cpu.prefer_v2):
-            raise ConfigurationError(
-                "fused batch measurement requires engine='fastpath-v2' "
-                f"(profiler was built with engine={self.engine!r})"
-            )
-        specialized = self.cpu.specialization(program)
-        if specialized is None:
-            raise ConfigurationError(
-                f"program {program.name!r} was declined by the "
-                "specializer; no fused measurement is available"
-            )
-        from repro.mcu.fastpath_v2 import (
-            charge_batch_traffic,
-            commit_batch_row,
-            make_batch_state,
-        )
-
-        mats = make_batch_state(self.memory, batch)
-        began = time.perf_counter()
-        specialized.fn(mats)
-        host_seconds = time.perf_counter() - began
-        charge_batch_traffic(self.memory, specialized, batch)
-        commit_batch_row(self.memory, mats, batch - 1)
-        self.timer.start()
-        self.timer.advance(specialized.cycles)
-        return BatchLatencyReport(
-            batch=batch,
-            cycles_per_run=specialized.cycles,
-            instructions_per_run=specialized.instructions,
-            latency_ms_per_run=self.timer.elapsed_ms(),
-            host_seconds=host_seconds,
         )
 
     def profile_blocks(

@@ -29,6 +29,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.deploy.planner import DeploySLO
 from repro.errors import ConfigurationError
 from repro.experiments import runner
 from repro.mcu.board import board_by_name
@@ -89,6 +90,15 @@ class SearchSettings:
             )
         if self.min_promote < 1:
             raise ConfigurationError("min_promote must be >= 1")
+        self.slo  # the admission rule's input validates the bounds
+
+    @property
+    def slo(self) -> DeploySLO:
+        """The sweep's SLO, as the stage-1 screen admits against it."""
+        return DeploySLO(
+            max_latency_ms=self.max_latency_ms,
+            max_flash_kb=self.max_flash_kb,
+        )
 
     # -- knob resolution ---------------------------------------------------
 
@@ -300,35 +310,33 @@ def run_search(
         stages._dataset_from_key(settings.dataset_key)
 
     # Stage 1: inline analytic screen (milliseconds per candidate, no
-    # training, no units — and in flat mode, no screen at all).
+    # training, no units — and in flat mode, no screen at all).  Each
+    # candidate is priced once and admitted on every board.
     n_in, n_out = _probe_dims(settings)
     plane = _probe_plane(settings)
-    survivors: dict[str, list[CandidateSpec]] = {}
-    for name in settings.boards:
-        funnel = funnels[name]
-        if settings.mode == "flat":
-            survivors[name] = list(specs)
-            funnel.stage1_admitted = count
-            continue
-        board = board_by_name(name)
-        admitted = []
+    survivors: dict[str, list[CandidateSpec]] = {
+        name: list(specs) if settings.mode == "flat" else []
+        for name in settings.boards
+    }
+    if settings.mode != "flat":
+        boards = [board_by_name(name) for name in settings.boards]
         for spec in specs:
-            row = stages.analytic_screen(
+            rows = stages.analytic_screen(
                 spec,
                 spec.to_config(
                     n_in, n_out,
                     seed=settings.candidate_seed(spec),
                     image_shape=plane,
                 ),
-                board,
-                max_latency_ms=settings.max_latency_ms,
-                max_flash_kb=settings.max_flash_kb,
+                boards,
+                settings.slo,
             )
-            funnel.stage1.append(row)
-            if row["admitted"]:
-                admitted.append(spec)
-        survivors[name] = admitted
-        funnel.stage1_admitted = len(admitted)
+            for name, row in zip(settings.boards, rows):
+                funnels[name].stage1.append(row)
+                if row["admitted"]:
+                    survivors[name].append(spec)
+    for name in settings.boards:
+        funnels[name].stage1_admitted = len(survivors[name])
 
     # Stage 2: the PTQ proxy sweep (staged mode only).
     promoted: dict[str, list[CandidateSpec]] = {}

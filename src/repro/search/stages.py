@@ -1,12 +1,12 @@
 """The three evaluation fidelities of the staged search.
 
-Cheap to expensive, each stage prices a :class:`CandidateSpec` on one
-board:
+Cheap to expensive, each stage prices a :class:`CandidateSpec`:
 
 1. :func:`analytic_screen` — no training at all.  An *untrained* model's
    ternary adjacency already determines program memory and (to first
    order) cycle count, so SLO-infeasible candidates are rejected from
-   operation counts alone.
+   operation counts alone.  It prices a candidate once and admits it on
+   every board of the sweep.
 2. :func:`stage2_unit` — short-budget *float* training followed by
    post-training ternarization + int8 export
    (:func:`repro.quantize.ptq.ternarize_float_model`), scored on real
@@ -24,13 +24,16 @@ importable by pool workers and round-trippable through the disk cache.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.mlp import MLPConfig, train_mlp
 from repro.core.neuroc import build_neuroc, train_neuroc
 from repro.datasets import load
-from repro.deploy.artifact import analytic_model_cycles
+from repro.deploy.artifact import analytic_model_cycles, model_opcount
 from repro.deploy.deployer import deploy
+from repro.deploy.planner import DeploySLO, rejection_reason
 from repro.deploy.size import model_program_memory
 from repro.errors import QuantizationError, ReproError
 from repro.kernels.spec import make_neuroc_spec
@@ -118,59 +121,40 @@ def _pseudo_specs(spec: CandidateSpec, config) -> list:
 def analytic_screen(
     spec: CandidateSpec,
     config,
-    board: BoardProfile,
-    max_latency_ms: float | None = None,
-    max_flash_kb: float | None = None,
-) -> dict:
-    """Price a candidate without training; mirrors the planner's rules.
+    boards: Sequence[BoardProfile],
+    slo: DeploySLO,
+) -> list[dict]:
+    """Price a candidate without training, then admit it on each board.
 
-    Runs inline in the parent (no work unit): milliseconds per
-    candidate, and the rejection reason lands in the search report the
-    same way :func:`~repro.deploy.planner.plan_deployment` reports its
-    rejection table.
+    Program memory and operation counts do not depend on the board, so
+    the candidate is sized and counted once and every board prices the
+    counts with its own cycle table.  Admission is the planner's
+    :func:`~repro.deploy.planner.rejection_reason` with
+    :data:`STAGE1_LATENCY_SLACK`.  Returns one row per board, in
+    ``boards`` order.  Runs inline in the parent (no work unit):
+    milliseconds per candidate.
     """
     specs = _pseudo_specs(spec, config)
-    memory = model_program_memory(specs, format_name=spec.encoding)
-    pseudo = QuantizedModel(
-        specs=specs, input_scale=1.0, act_width=spec.act_width
-    )
-    cycles = analytic_model_cycles(pseudo, spec.encoding, board)
-    flash_kb = memory.total_kb
-
-    reason = ""
-    if max_flash_kb is not None and board.flash_kb > max_flash_kb:
-        reason = (
-            f"{board.name} carries {board.flash_kb} KB flash, over the "
-            f"{max_flash_kb:g} KB device budget"
+    flash_kb = model_program_memory(
+        specs, format_name=spec.encoding
+    ).total_kb
+    ops = model_opcount(specs, spec.encoding)
+    rows = []
+    for board in boards:
+        cycles = int(ops.cycles(board.costs))
+        reason = rejection_reason(
+            board, cycles, flash_kb, slo, STAGE1_LATENCY_SLACK
         )
-    elif not memory.fits(board):
-        reason = (
-            f"needs {flash_kb:.1f} KB flash, "
-            f"{board.name} has {board.flash_kb} KB"
-        )
-    elif max_flash_kb is not None and flash_kb > max_flash_kb:
-        reason = (
-            f"program memory {flash_kb:.1f} KB over the "
-            f"{max_flash_kb:g} KB SLO"
-        )
-    elif max_latency_ms is not None and cycles > STAGE1_LATENCY_SLACK * (
-        board.ms_to_cycles(max_latency_ms)
-    ):
-        reason = (
-            f"{cycles} analytic cycles over "
-            f"{STAGE1_LATENCY_SLACK:g}x the "
-            f"{board.ms_to_cycles(max_latency_ms)}-cycle budget "
-            f"({max_latency_ms:g} ms on {board.name})"
-        )
-    return {
-        "key": spec.key,
-        "board": board.name,
-        "cycles": int(cycles),
-        "latency_ms": board.cycles_to_ms(int(cycles)),
-        "flash_kb": flash_kb,
-        "admitted": reason == "",
-        "reason": reason,
-    }
+        rows.append({
+            "key": spec.key,
+            "board": board.name,
+            "cycles": cycles,
+            "latency_ms": board.cycles_to_ms(cycles),
+            "flash_kb": flash_kb,
+            "admitted": reason == "",
+            "reason": reason,
+        })
+    return rows
 
 
 # -- stage 2: PTQ proxy (short float training, no QAT) ----------------------

@@ -68,7 +68,7 @@ class SimulatedDevice:
         self.clock_ms = 0.0
         self.busy_ms = 0.0
         self.brownouts = 0
-        self._nominal_ms = self.deployed.analytic_latency_ms()
+        self._nominal_ms = artifact.deployment.latency_ms
 
     def _emit(
         self,

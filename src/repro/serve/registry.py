@@ -230,7 +230,3 @@ class ModelRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._artifacts)
-
-    def model_ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._artifacts)

@@ -61,11 +61,7 @@ from repro.serve.request import (
     ServeOutcome,
 )
 from repro.serve.scheduler import BoundedRequestQueue
-from repro.serve.tracing import (
-    DEFAULT_TRACE_CAPACITY,
-    Span,
-    TraceCollector,
-)
+from repro.serve.tracing import Span, TraceCollector
 
 
 @dataclass(frozen=True)
@@ -81,8 +77,6 @@ class ServeConfig:
     max_retries: int = 2
     backoff_base_ms: float = 2.0
     backoff_cap_ms: float = 50.0
-    #: Drop requests whose deadline already passed when dequeued.
-    shed_expired: bool = True
     #: Sim-time load shedding: reject a first-attempt request whose queue
     #: wait (device start − arrival, simulated ms) exceeds this bound.
     #: The depth bound caps how many requests wait; this bound caps how
@@ -99,7 +93,6 @@ class ServeConfig:
     #: default — the collector is bounded, so long replays degrade to
     #: dropped spans rather than unbounded memory.
     tracing: bool = True
-    trace_capacity: int = DEFAULT_TRACE_CAPACITY
     #: Track namespace stamped on every span (``"fleet-0"``), so multiple
     #: runtimes tracing in one process export distinguishable tracks.
     trace_namespace: str | None = None
@@ -115,8 +108,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; known: {MODEL_ENGINES}"
             )
-        if self.trace_capacity <= 0:
-            raise ConfigurationError("trace_capacity must be positive")
 
 
 @dataclass(frozen=True)
@@ -207,10 +198,7 @@ class ServeRuntime:
         self.metrics = metrics or MetricsRegistry()
         self.loop = loop or EventLoop()
         self.tracer: TraceCollector | None = (
-            TraceCollector(
-                self.config.trace_capacity,
-                namespace=self.config.trace_namespace,
-            )
+            TraceCollector(namespace=self.config.trace_namespace)
             if self.config.tracing else None
         )
         injector = (
@@ -382,8 +370,7 @@ class ServeRuntime:
         # the end of their backoff.
         queued_from = request.earliest_start_ms
         if (
-            self.config.shed_expired
-            and request.deadline_ms is not None
+            request.deadline_ms is not None
             and service_start > request.deadline_ms
         ):
             self._span(request, "queued", queued_from, service_start)

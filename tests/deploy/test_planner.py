@@ -9,6 +9,7 @@ full search table.
 import pytest
 
 from repro.deploy import DeploySLO, plan_deployment
+from repro.deploy.planner import rejection_reason
 from repro.errors import BudgetExceededError, ConfigurationError
 from repro.kernels.codegen_sparse import SPARSE_FORMATS
 from repro.mcu.board import BOARD_PROFILES, STM32F072RB
@@ -185,3 +186,30 @@ class TestCatalogPlanning:
 
         with pytest.raises(ConfigurationError):
             plan_from_catalog([])
+
+
+
+class TestRejectionReason:
+    """The one admission rule's reasons, word for word: they appear in
+    the ``repro search`` artifact and the ``repro deploy`` table."""
+
+    @pytest.mark.parametrize("cycles, flash_kb, slo, slack, reason", [
+        (100, 1.0, DeploySLO(max_flash_kb=64.0), 1.0,
+         "STM32F072RB carries 128 KB flash, over the 64 KB device "
+         "budget"),
+        (100, 200.0, DeploySLO(), 1.0,
+         "needs 200.0 KB flash, STM32F072RB has 128 KB"),
+        (100, 128.0, DeploySLO(max_flash_kb=128.0), 1.0, ""),
+        (80, 2.0, DeploySLO(max_latency_ms=0.01), 1.0, ""),
+        (100, 2.0, DeploySLO(max_latency_ms=0.01), 1.0,
+         "100 cycles over the 80-cycle budget (0.01 ms on "
+         "STM32F072RB)"),
+        (100, 2.0, DeploySLO(max_latency_ms=0.01), 1.25, ""),
+        (101, 2.0, DeploySLO(max_latency_ms=0.01), 1.25,
+         "101 analytic cycles over 1.25x the 80-cycle budget (0.01 ms "
+         "on STM32F072RB)"),
+    ])
+    def test_reasons(self, cycles, flash_kb, slo, slack, reason):
+        assert rejection_reason(
+            STM32F072RB, cycles, flash_kb, slo, slack
+        ) == reason

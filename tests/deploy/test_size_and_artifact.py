@@ -18,7 +18,8 @@ from repro.deploy.size import (
 )
 from repro.errors import BudgetExceededError
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
-from repro.mcu.board import STM32F072RB
+from repro.mcu.board import STM32F072RB, board_by_name
+from repro.mcu.intermittent import IntermittentDeployment, PowerBudget
 
 
 class TestProgramMemoryReport:
@@ -123,6 +124,36 @@ class TestDeployedModel:
                                       format_name="block")
         assert deployed.flash_data_bytes == report.rodata_bytes
         assert deployed.text_bytes == report.text_bytes
+
+
+class TestNonDefaultBlockSize:
+    """``block_size=16`` splits the 64-input layer into 4 blocks; every
+    consumer of the layer dispatch must see the same kernel."""
+
+    @pytest.mark.parametrize("board_name", ["STM32F072RB", "FE310-G002"])
+    def test_every_price_agrees(self, trained_neuroc, digits_small,
+                                board_name):
+        quantized = trained_neuroc.quantized
+        board = board_by_name(board_name)
+        x = digits_small.x_test[0]
+        deployment = deploy(quantized, "block", board=board,
+                            block_size=16, engine="interpreter")
+        model = deployment.model
+        measured = model.infer(x).cycles
+        model.set_engine("verified")
+        verified = model.infer(x).cycles
+        analytic = analytic_model_cycles(quantized, "block", board, 16)
+        intermittent = IntermittentDeployment(model, board).run(
+            x, PowerBudget(10**9)
+        ).compute_cycles
+        assert measured == verified == analytic == intermittent \
+            == sum(model.layer_cycle_bounds())
+        # The block size really reached the kernel.
+        assert analytic != analytic_model_cycles(quantized, "block", board)
+        memory = model_program_memory(quantized.specs, "block",
+                                      block_size=16)
+        assert deployment.program_memory == memory
+        assert memory != model_program_memory(quantized.specs, "block")
 
 
 class TestDeploy:

@@ -237,6 +237,24 @@ class TestSearchCommand:
         assert "searched 2 candidates" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--slo-latency-ms", "0", "max_latency_ms must be positive"),
+        ("--slo-latency-ms", "-5", "max_latency_ms must be positive"),
+        ("--slo-flash-kb", "-1", "max_flash_kb must be positive"),
+    ])
+    def test_search_rejects_a_bad_slo_like_deploy(
+        self, model_file, tmp_path, monkeypatch, capsys, flag, value,
+        message,
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["deploy", "--model", model_file, flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["search", "--count", "2", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "searched" not in captured.out   # no stage ran
+
+
 class TestCachePrune:
     def test_prune_lifecycle(self, tmp_path, monkeypatch, capsys):
         import json as _json

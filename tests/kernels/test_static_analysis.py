@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.analysis.taint import verify_static_control_flow
 from repro.errors import ExecutionError
 from repro.kernels.codegen_cnn import ConvKernelSpec, generate_conv
 from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
 from repro.kernels.codegen_unrolled import generate_dense_unrolled
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
-from repro.kernels.static_analysis import verify_static_control_flow
 from repro.mcu.isa import Assembler, Reg
 
 RAM = 0x2000_0000

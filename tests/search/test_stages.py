@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.mcu.board import STM32F072RB, board_by_name
+from repro.deploy.planner import DeploySLO
+from repro.mcu.board import BOARD_PROFILES, STM32F072RB, board_by_name
 from repro.search import CandidateSpec, analytic_screen, measure_on_board
 from repro.search.stages import stage2_unit, stage3_unit
 
@@ -22,7 +23,24 @@ def small_spec(**overrides):
 class TestAnalyticScreen:
     def screen(self, spec, board=STM32F072RB, **slo):
         config = spec.to_config(64, 10, seed=0)
-        return analytic_screen(spec, config, board, **slo)
+        (row,) = analytic_screen(spec, config, [board], DeploySLO(**slo))
+        return row
+
+    def test_one_row_per_board_in_board_order(self):
+        spec = small_spec()
+        boards = list(BOARD_PROFILES.values())
+        slo = DeploySLO(max_latency_ms=0.05, max_flash_kb=600.0)
+        rows = analytic_screen(
+            spec, spec.to_config(64, 10, seed=0), boards, slo
+        )
+        assert rows == [
+            self.screen(spec, board, max_latency_ms=0.05,
+                        max_flash_kb=600.0)
+            for board in boards
+        ]
+        # Flash is priced once; cycles follow each board's cost table.
+        assert len({row["flash_kb"] for row in rows}) == 1
+        assert len({row["cycles"] for row in rows}) > 1
 
     def test_small_config_admitted_unconstrained(self):
         row = self.screen(small_spec())
