@@ -147,7 +147,6 @@ def test_board_matrix_mixed_cluster_soak():
         ),
         registry=registry,
     )
-    cluster.start()
     report = cluster.replay(trace)
     violations = verify_cluster_invariants(report, cluster.submitted_ids)
     assert not violations, "\n".join(violations)

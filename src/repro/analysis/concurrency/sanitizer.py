@@ -204,17 +204,14 @@ def sanitizer_for_report(report, strict: bool = False
 
 
 def instrument_runtime(runtime, sanitizer: LockOrderSanitizer) -> None:
-    """Swap a ServeRuntime's locks for sanitized wrappers, in place.
+    """Swap a ServeRuntime's metric locks for sanitized wrappers, in place.
 
-    Covers the arrival inbox producers share and every metric the
-    registry hands out (metric locks are created lazily, so the
-    registry's factory methods are shadowed to wrap them at creation).
+    Covers the metrics registry and every metric it hands out (metric
+    locks are created lazily, so the registry's factory methods are
+    shadowed to wrap them at creation).  The runtime itself holds no
+    lock: it runs on its single-threaded event loop.
     """
     prefix = "repro.serve"
-    runtime._arrival_lock = sanitizer.wrap(
-        f"{prefix}.runtime.ServeRuntime._arrival_lock",
-        runtime._arrival_lock,
-    )
     registry = getattr(runtime, "metrics", None)
     if registry is not None and hasattr(registry, "_lock"):
         registry._lock = sanitizer.wrap(
@@ -283,14 +280,10 @@ def _wrap_metric_locks(registry, sanitizer, prefix) -> None:
 
 
 def instrument_cluster(cluster, sanitizer: LockOrderSanitizer) -> None:
-    """Swap a Cluster's locks for sanitized wrappers, in place.
+    """Swap a Cluster's model-registry lock for a sanitized wrapper.
 
-    Covers the arrival inbox producers share and the model registry;
-    everything else in a cluster runs on its single-threaded event loop.
+    Everything else in a cluster runs on its single-threaded event loop.
     """
-    cluster._arrival_lock = sanitizer.wrap(
-        "repro.cluster.cluster.Cluster._arrival_lock", cluster._arrival_lock
-    )
     registry = getattr(cluster, "registry", None)
     if registry is not None and hasattr(registry, "_lock") and \
             not isinstance(registry._lock, SanitizedLock):

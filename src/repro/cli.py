@@ -269,24 +269,23 @@ def _cmd_serve_bench(args) -> int:
     if not report.conserved:
         print("request conservation VIOLATED", file=sys.stderr)
         return 2
-    if report.trace is not None:
-        violations = verify_trace_invariants(report)
-        if violations:
-            for violation in violations:
-                print(f"trace invariant VIOLATED: {violation}",
-                      file=sys.stderr)
-            return 2
-        if args.trace:
-            report.trace.write_chrome_trace(
-                args.trace,
-                labels={"model_id": artifact.model_id,
-                        "engine": report.engine},
-            )
-            print(f"wrote Chrome trace JSON to {args.trace} "
-                  f"({len(report.trace)} spans; open in "
-                  f"https://ui.perfetto.dev)")
-        if args.trace_request is not None:
-            print(report.trace.timeline(args.trace_request))
+    violations = verify_trace_invariants(report)
+    if violations:
+        for violation in violations:
+            print(f"trace invariant VIOLATED: {violation}",
+                  file=sys.stderr)
+        return 2
+    if args.trace:
+        report.trace.write_chrome_trace(
+            args.trace,
+            labels={"model_id": artifact.model_id,
+                    "engine": report.engine},
+        )
+        print(f"wrote Chrome trace JSON to {args.trace} "
+              f"({len(report.trace)} spans; open in "
+              f"https://ui.perfetto.dev)")
+    if args.trace_request is not None:
+        print(report.trace.timeline(args.trace_request))
     if args.json_out:
         payload = {"model_id": artifact.model_id, **report.to_dict()}
         with open(args.json_out, "w") as handle:

@@ -36,10 +36,6 @@ from repro.cluster.deploy import (
     SLOPolicy,
 )
 from repro.cluster.fleet import (
-    ACTIVE,
-    DRAINING,
-    FLEET_STATES,
-    RETIRED,
     Fleet,
     FleetGeneration,
     FleetSignals,
@@ -55,22 +51,18 @@ from repro.cluster.router import (
 )
 
 __all__ = [
-    "ACTIVE",
     "Autoscaler",
     "AutoscalerConfig",
     "Cluster",
     "ClusterConfig",
     "ClusterReport",
-    "DRAINING",
     "DeployEvent",
     "Deployer",
-    "FLEET_STATES",
     "Fleet",
     "FleetGeneration",
     "FleetSignals",
     "GenerationReport",
     "NoRoutableFleetError",
-    "RETIRED",
     "ROUTER_POLICIES",
     "Router",
     "SCALE_DOWN",

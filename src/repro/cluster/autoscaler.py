@@ -22,14 +22,14 @@ Hysteresis, three ways, because a single-threshold scaler flaps:
 
 All signals are *measured* cluster quantities in simulated time:
 windowed shed fraction (rejected rate / offered rate), mean estimated
-queue wait, and mean device utilization across ACTIVE fleets.
+queue wait, and mean device utilization across the live fleets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.fleet import ACTIVE, FleetSignals
+from repro.cluster.fleet import FleetSignals
 from repro.errors import ConfigurationError
 
 SCALE_UP = "scale_up"
@@ -93,17 +93,16 @@ class Autoscaler:
     ) -> ScaleDecision | None:
         """One control tick: emit an action or None.
 
-        Only ACTIVE fleets count — fleets mid-drain contribute neither
-        load nor capacity to the decision.
+        ``signals`` are the live fleets' readings; a fleet retired by a
+        scale-down has already left them.
         """
         cfg = self.config
-        active = [s for s in signals if s.state == ACTIVE]
-        if not active:
+        if not signals:
             return None
-        n = len(active)
-        shed = max(s.shed_fraction for s in active)
-        wait = sum(s.est_queue_wait_ms for s in active) / n
-        util = sum(s.utilization for s in active) / n
+        n = len(signals)
+        shed = max(s.shed_fraction for s in signals)
+        wait = sum(s.est_queue_wait_ms for s in signals) / n
+        util = sum(s.utilization for s in signals) / n
 
         overloaded = (
             shed >= cfg.up_shed_fraction

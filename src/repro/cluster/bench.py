@@ -76,7 +76,6 @@ def run_cluster_once(
         tick_ms=tick_ms,
     )
     cluster = Cluster(artifact, config)
-    cluster.start()
     if deploy_artifact is not None:
         cluster.schedule_deploy(deploy_artifact, deploy_at_ms, slo=slo)
     report = cluster.replay(trace)

@@ -14,10 +14,10 @@ Everything runs on one single-threaded discrete-event loop
 
 * the **data plane** is an arrival event per request: route, then offer
   to the chosen fleet's live generation at the request's arrival time.
-  Producers on any thread hand requests in through :meth:`submit`, a
-  locked inbox the loop drains; every submitted id is recorded, which is
-  what lets :func:`~repro.cluster.invariants.verify_cluster_invariants`
-  prove none were lost.
+  :meth:`Cluster.replay` takes the whole finite trace and records every
+  id in it, which is what lets
+  :func:`~repro.cluster.invariants.verify_cluster_invariants` prove none
+  were lost.
 * the **control plane** is a periodic tick event (:meth:`tick`, every
   ``tick_ms`` of simulated time): sample fleet signals, advance any
   rolling deploy, then let the autoscaler act.  Deploys freeze the
@@ -31,7 +31,6 @@ artifacts).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -41,10 +40,11 @@ from repro.cluster.autoscaler import (
     AutoscalerConfig,
 )
 from repro.cluster.deploy import DONE, Deployer, DeployEvent, SLOPolicy
-from repro.cluster.fleet import ACTIVE, Fleet, FleetSignals
+from repro.cluster.fleet import Fleet, FleetSignals
 from repro.cluster.router import ROUTER_POLICIES, Router
 from repro.errors import ConfigurationError, ServeError
 from repro.serve.events import EventLoop
+from repro.serve.metrics import summarize
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import COMPLETED, InferenceRequest
 from repro.serve.runtime import ServeConfig, ServeReport, arrival_order
@@ -93,14 +93,14 @@ class GenerationReport:
 class ClusterReport:
     """Terminal accounting of one cluster run, across every generation."""
 
-    submitted: int                 # unique requests offered via submit()
+    submitted: int                 # requests in the replayed trace
     offered: int                   # sum of per-generation offered
     completed: int
     rejected: int
     failed: int
     makespan_ms: float
     goodput_rps: float             # completed per simulated second
-    latency_ms: dict[str, float]   # exact percentiles, merged outcomes
+    latency_ms: dict[str, float]   # exact summary of merged outcomes
     generations: tuple[GenerationReport, ...]
     deploy_events: tuple[DeployEvent, ...] = ()
     scale_decisions: tuple[Any, ...] = ()
@@ -130,32 +130,6 @@ class ClusterReport:
                 f"{event.fleet or '-'} {event.detail}"
             )
         return "\n".join(lines)
-
-
-def _exact_latency_summary(latencies: list[float]) -> dict[str, float]:
-    """Exact percentile summary over merged completion latencies.
-
-    Per-generation summaries cannot be merged (quantiles do not
-    compose), so the cluster recomputes from every completed outcome.
-    """
-    if not latencies:
-        return {
-            "count": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
-            "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
-    ordered = sorted(latencies)
-    n = len(ordered)
-
-    def pct(q: float) -> float:
-        return ordered[min(n - 1, int(round(q * (n - 1))))]
-
-    return {
-        "count": float(n),
-        "mean": sum(ordered) / n,
-        "min": ordered[0],
-        "max": ordered[-1],
-        "p50": pct(0.50), "p95": pct(0.95), "p99": pct(0.99),
-    }
 
 
 class Cluster:
@@ -192,38 +166,17 @@ class Cluster:
         self._fleets: list[Fleet] = []
         self._retired_fleets: list[Fleet] = []
         self._next_fleet_id = 0
-        # The inbox and the submission ledger are the cluster's only
-        # cross-thread state: `submit()` may be called from many
-        # producer threads.
-        self._arrival_lock = threading.Lock()
-        self._inbox: list[InferenceRequest] = []  # guarded_by: _arrival_lock
-        self._submitted_ids: list[int] = []       # guarded_by: _arrival_lock
-        self._started = False                     # guarded_by: _arrival_lock
+        self._submitted_ids: list[int] = []
         self._deployer: Deployer | None = None
         self._deploy_history: list[Deployer] = []
         self._pending_deploys: list[
             tuple[float, ModelArtifact, SLOPolicy | None]
         ] = []
         self._next_tick_ms = self.config.tick_ms
-        self._ticking = False
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> None:
-        """Build the initial fleets."""
-        with self._arrival_lock:
-            if self._started:
-                raise ServeError("cluster already started")
-            self._started = True
         for _ in range(self.config.n_fleets):
             self._add_fleet()
 
-    def __enter__(self) -> "Cluster":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.drain()
+    # -- fleet membership ------------------------------------------------
 
     def _add_fleet(self) -> Fleet:
         fleet_id = self._next_fleet_id
@@ -246,28 +199,6 @@ class Cluster:
         self._fleets.remove(fleet)
         self._retired_fleets.append(fleet)
 
-    def run(self) -> None:
-        """Simulate every submitted request to a terminal outcome.
-
-        The control loop ticks while anything is left to simulate, and
-        until every scheduled deploy has fired and finished.
-        """
-        with self._arrival_lock:
-            arrivals, self._inbox = self._inbox, []
-        for request in sorted(arrivals, key=arrival_order):
-            self.loop.at(request.arrival_ms, self._arrive, request)
-        if not self._ticking and (self.loop.pending or self._deploying):
-            self._ticking = True
-            self.loop.at(self._next_tick_ms, self._on_tick)
-        self.loop.run()
-
-    def drain(self) -> None:
-        """Simulate everything submitted, finish any rolling deploy, then
-        retire every fleet."""
-        self.run()
-        while self._fleets:
-            self._remove_fleet(self._fleets[0])
-
     # -- introspection ---------------------------------------------------
 
     @property
@@ -283,19 +214,6 @@ class Cluster:
         return [f.signals() for f in self._fleets]
 
     # -- data plane ------------------------------------------------------
-
-    def submit(self, request: InferenceRequest) -> None:
-        """Hand one request in from any thread.
-
-        It is routed when it arrives, at ``request.arrival_ms`` on the
-        simulated clock, once :meth:`run` (or :meth:`drain`) runs the
-        loop — in arrival order, whatever the order of the submit calls.
-        """
-        with self._arrival_lock:
-            if not self._started:
-                raise ServeError("cluster not started; call start()")
-            self._inbox.append(request)
-            self._submitted_ids.append(request.request_id)
 
     def _arrive(self, request: InferenceRequest) -> None:
         self.router.route(request, self._fleets).submit(request)
@@ -313,8 +231,6 @@ class Cluster:
         self._next_tick_ms += self.config.tick_ms
         if self.loop.pending or self._deploying:
             self.loop.at(self._next_tick_ms, self._on_tick)
-        else:
-            self._ticking = False
 
     def tick(self, now_ms: float) -> None:
         """One control-loop step at simulated time ``now_ms``."""
@@ -338,13 +254,9 @@ class Cluster:
         if decision.action == SCALE_UP:
             self._add_fleet()
         else:
-            victim = max(
-                (f for f in fleets if f.state == ACTIVE),
-                key=lambda f: f.fleet_id,
-                default=None,
-            )
-            if victim is not None and self.n_fleets > 1:
-                self._remove_fleet(victim)
+            # The autoscaler scales down only above its floor of >= 1
+            # fleet, so a victim always exists and one fleet remains.
+            self._remove_fleet(max(fleets, key=lambda f: f.fleet_id))
 
     def schedule_deploy(
         self,
@@ -373,14 +285,24 @@ class Cluster:
     def replay(
         self, trace: list[InferenceRequest], pace: bool = True
     ) -> ClusterReport:
-        """Drive an open-loop trace through the cluster, then drain.
+        """Drive an open-loop trace through the cluster, then retire
+        every fleet and report.
 
-        Every request arrives at its trace time on the simulated clock,
-        so ``pace`` has no effect.
+        Arrivals are scheduled in
+        :func:`~repro.serve.runtime.arrival_order`, whatever the order of
+        ``trace``.  The control loop ticks while anything is left to
+        simulate, and until every scheduled deploy has fired and
+        finished.  Every request arrives at its trace time on the
+        simulated clock, so ``pace`` has no effect.
         """
-        for request in trace:
-            self.submit(request)
-        self.drain()
+        self._submitted_ids.extend(request.request_id for request in trace)
+        for request in sorted(trace, key=arrival_order):
+            self.loop.at(request.arrival_ms, self._arrive, request)
+        if self.loop.pending or self._deploying:
+            self.loop.at(self._next_tick_ms, self._on_tick)
+        self.loop.run()
+        while self._fleets:
+            self._remove_fleet(self._fleets[0])
         return self.report()
 
     # -- reporting -------------------------------------------------------
@@ -397,8 +319,7 @@ class Cluster:
 
     @property
     def submitted_ids(self) -> list[int]:
-        with self._arrival_lock:
-            return list(self._submitted_ids)
+        return list(self._submitted_ids)
 
     def deploy_events(self) -> list[DeployEvent]:
         return [
@@ -408,7 +329,7 @@ class Cluster:
         ]
 
     def report(self) -> ClusterReport:
-        """Terminal cluster accounting; call after :meth:`drain`."""
+        """Terminal cluster accounting; :meth:`replay` returns it."""
         generations = tuple(self.generation_reports())
         offered = sum(g.report.offered for g in generations)
         completed = sum(g.report.completed for g in generations)
@@ -433,7 +354,7 @@ class Cluster:
             goodput_rps=(
                 completed / (makespan / 1e3) if makespan > 0 else 0.0
             ),
-            latency_ms=_exact_latency_summary(latencies),
+            latency_ms=summarize(latencies),
             generations=generations,
             deploy_events=tuple(self.deploy_events()),
             scale_decisions=tuple(
@@ -447,9 +368,5 @@ class Cluster:
         self, labels: dict[str, Any] | None = None
     ) -> dict[str, Any]:
         """Merged Chrome trace: one process per generation's collector."""
-        collectors = [
-            g.report.trace
-            for g in self.generation_reports()
-            if g.report.trace is not None
-        ]
+        collectors = [g.report.trace for g in self.generation_reports()]
         return merged_chrome_trace(collectors, labels)

@@ -27,13 +27,6 @@ from repro.serve.registry import ModelArtifact
 from repro.serve.request import InferenceRequest
 from repro.serve.runtime import ServeConfig, ServeReport, ServeRuntime
 
-#: Fleet lifecycle states.  Routers and the autoscaler act on ACTIVE
-#: fleets only.
-ACTIVE = "active"
-DRAINING = "draining"
-RETIRED = "retired"
-FLEET_STATES = (ACTIVE, DRAINING, RETIRED)
-
 
 @dataclasses.dataclass(frozen=True)
 class FleetSignals:
@@ -47,7 +40,6 @@ class FleetSignals:
     """
 
     fleet: str
-    state: str
     offered_per_s: float
     shed_per_s: float
     shed_fraction: float          # windowed shed rate / offered rate
@@ -75,9 +67,6 @@ class FleetGeneration:
         self.rejected_rate = runtime.metrics.rate_view(
             "requests.rejected", window_ms
         )
-        self.completed_rate = runtime.metrics.rate_view(
-            "requests.completed", window_ms
-        )
         self._window_ms = window_ms
         self._busy_samples: list[tuple[float, float]] = []
         #: Per-request service estimate for queue-wait scoring.
@@ -87,7 +76,6 @@ class FleetGeneration:
         """Advance every windowed signal to simulated time ``now_ms``."""
         self.offered_rate.sample(now_ms)
         self.rejected_rate.sample(now_ms)
-        self.completed_rate.sample(now_ms)
         busy = sum(d.busy_ms for d in self.runtime.devices)
         samples = self._busy_samples
         samples.append((now_ms, busy))
@@ -136,7 +124,6 @@ class Fleet:
         self.name = f"fleet-{fleet_id}"
         self.config = config
         self.signal_window_ms = signal_window_ms
-        self.state = ACTIVE
         self.loop = loop or EventLoop()
         self._registry = registry
         self._gen_count = 0
@@ -177,18 +164,22 @@ class Fleet:
 
     def retire_generation(self, gen: FleetGeneration) -> None:
         """Archive a swapped-out generation; it drains its backlog on the
-        event loop, and its report is read once the loop has run."""
-        gen.runtime.drain()
+        event loop, and its report is read once the loop has run.
+
+        Inside the running loop (a cluster retiring the generation) the
+        ``run()`` call returns at once and the loop carries on.
+        """
+        self.loop.run()
         self._retired.append(gen)
         if self._registry is not None:
             self._registry.release(gen.artifact.model_id)
 
     def shutdown(self) -> None:
-        """Retire the live generation (scale-down / cluster drain)."""
+        """Retire the live generation (scale-down, or the end of a
+        cluster replay)."""
         old, self._gen = self._gen, None
         if old is not None:
             self.retire_generation(old)
-        self.state = RETIRED
 
     # -- data plane --------------------------------------------------------
 
@@ -220,7 +211,7 @@ class Fleet:
         gen = self._gen
         if gen is None:
             return FleetSignals(
-                fleet=self.name, state=self.state, offered_per_s=0.0,
+                fleet=self.name, offered_per_s=0.0,
                 shed_per_s=0.0, shed_fraction=0.0, utilization=0.0,
                 queue_depth=0, est_queue_wait_ms=0.0,
             )
@@ -228,7 +219,6 @@ class Fleet:
         shed = gen.rejected_rate.rate_per_s()
         return FleetSignals(
             fleet=self.name,
-            state=self.state,
             offered_per_s=offered,
             shed_per_s=shed,
             shed_fraction=shed / offered if offered > 0.0 else 0.0,
@@ -250,8 +240,8 @@ class Fleet:
     def generation_reports(self) -> list[tuple[int, str, ServeReport]]:
         """(generation, model_id, report) for every *retired* generation.
 
-        The live generation (if any) is not included — drain the fleet
-        first; the cluster's ``report()`` does.
+        The live generation (if any) is not included — shut the fleet
+        down first; :meth:`Cluster.replay` does.
         """
         return [
             (gen.index, gen.artifact.model_id, gen.runtime.report())

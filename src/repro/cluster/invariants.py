@@ -96,8 +96,6 @@ def verify_cluster_invariants(
 
     # 4. every span stamped with its generation's fleet namespace.
     for gen in report.generations:
-        if gen.report.trace is None:
-            continue
         want = generation_namespace(gen.fleet, gen.generation)
         bad = [
             span for span in gen.report.trace.spans()

@@ -28,8 +28,9 @@ live :class:`~repro.cluster.fleet.FleetSignals`:
     "power of two choices" result — and the deadline filter steers
     latency-critical requests away from fleets that would expire them.
 
-All policies route only to ``ACTIVE`` fleets: a fleet that is draining
-or retired never receives new work (the property tests pin this).
+The cluster hands the router its live fleets only: a fleet retired by
+a scale-down leaves that list first, so it never receives new work while
+its backlog drains (the property tests pin this).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import bisect
 import hashlib
 import random
 
-from repro.cluster.fleet import ACTIVE, Fleet
+from repro.cluster.fleet import Fleet
 from repro.errors import ConfigurationError
 from repro.serve.request import InferenceRequest
 
@@ -57,7 +58,7 @@ def _stable_hash(key: str) -> int:
 
 
 class NoRoutableFleetError(ConfigurationError):
-    """Raised when no ACTIVE fleet exists to accept a request."""
+    """Raised when there is no fleet to accept a request."""
 
 
 class Router:
@@ -143,14 +144,11 @@ class Router:
     def route(
         self, request: InferenceRequest, fleets: list[Fleet]
     ) -> Fleet:
-        """Pick an ACTIVE fleet for ``request`` under the policy."""
-        active = [f for f in fleets if f.state == ACTIVE]
-        if not active:
-            raise NoRoutableFleetError(
-                "no ACTIVE fleet available to route to"
-            )
+        """Pick one of ``fleets`` for ``request`` under the policy."""
+        if not fleets:
+            raise NoRoutableFleetError("no fleet available to route to")
         if self.policy == "hash":
-            return self._route_hash(request, active)
+            return self._route_hash(request, fleets)
         if self.policy == "least-queue-wait":
-            return self._route_least_wait(active)
-        return self._route_deadline_p2c(request, active)
+            return self._route_least_wait(fleets)
+        return self._route_deadline_p2c(request, fleets)

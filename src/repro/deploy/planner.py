@@ -114,10 +114,11 @@ def rejection_reason(
 
     Returns ``""`` when the program is admitted.  The checks run in
     order: the device class under the flash SLO, the program under the
-    board's flash, the program under the flash SLO, and the cycles under
-    the board's *ceiling* cycle budget for the latency SLO, widened by
-    ``latency_slack`` (the search screen's allowance for untrained
-    models; 1.0 everywhere else).
+    board's flash, and the cycles under the board's *ceiling* cycle
+    budget for the latency SLO, widened by ``latency_slack`` (the search
+    screen's allowance for untrained models; 1.0 everywhere else).  A
+    program that passes the first two is within the flash SLO as well:
+    it fits a board that fits the SLO.
     """
     if slo.max_flash_kb is not None and board.flash_kb > slo.max_flash_kb:
         return (
@@ -128,11 +129,6 @@ def rejection_reason(
         return (
             f"needs {flash_kb:.1f} KB flash, "
             f"{board.name} has {board.flash_kb} KB"
-        )
-    if slo.max_flash_kb is not None and flash_kb > slo.max_flash_kb:
-        return (
-            f"program memory {flash_kb:.1f} KB over the "
-            f"{slo.max_flash_kb:g} KB SLO"
         )
     if slo.max_latency_ms is None:
         return ""

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, ExecutionError
-from repro.mcu.board import BoardProfile, STM32F072RB
 
 #: FRAM-style checkpoint cost per byte, in CPU cycles (write + verify).
 CHECKPOINT_CYCLES_PER_BYTE = 4
@@ -62,26 +61,17 @@ class IntermittentRun:
 
 
 class IntermittentDeployment:
-    """Runs a deployed model under an intermittent power supply."""
+    """Runs a deployed model under an intermittent power supply.
 
-    def __init__(self, deployed, board: BoardProfile = STM32F072RB) -> None:
-        # ``deployed`` is a repro.deploy.DeployedModel; imported lazily to
-        # keep mcu free of upward dependencies.
+    ``deployed`` is a :class:`repro.deploy.DeployedModel`.  Each layer
+    costs its verified WCET bound (``deployed.layer_cycle_bounds()``),
+    priced on the board the model was deployed to.
+    """
+
+    def __init__(self, deployed) -> None:
         self.deployed = deployed
-        self.board = board
-        self._layer_costs = self._per_layer_cycles()
+        self._layer_costs = deployed.layer_cycle_bounds()
         self._checkpoint_costs = self._per_layer_checkpoint_cycles()
-
-    def _per_layer_cycles(self) -> list[int]:
-        from repro.kernels.layer import layer_opcount
-
-        deployed = self.deployed
-        return [
-            layer_opcount(
-                spec, deployed.format_name, deployed.block_size
-            ).cycles(self.board.costs)
-            for spec in deployed.quantized.specs
-        ]
 
     def _per_layer_checkpoint_cycles(self) -> list[int]:
         costs = []

@@ -5,23 +5,17 @@ The runtime records everything it does into a :class:`MetricsRegistry`;
 dict so benchmarks can persist it and dashboards (or tests) can assert
 on it without importing any serve types.
 
-Histograms keep a bounded reservoir of raw observations.  For the sizes
-this repository serves (traces of a few thousand requests) the reservoir
-holds everything and the reported p50/p95/p99 are exact; past the cap,
-uniform reservoir sampling keeps the quantiles unbiased.
+Histograms keep every observation of a replay, so the reported
+p50/p95/p99 are exact at any trace length (see :func:`summarize`).
 """
 
 from __future__ import annotations
 
-import random
 import threading
 from collections import deque
 from typing import Any
 
 from repro.errors import ConfigurationError
-
-#: Default reservoir capacity; a 1k-request bench fits with headroom.
-RESERVOIR_SIZE = 65_536
 
 #: Default trailing window for :class:`RateView` (simulated ms).
 RATE_WINDOW_MS = 250.0
@@ -69,14 +63,12 @@ class Gauge:
 
 
 class RateView:
-    """Windowed + EWMA rate view over a :class:`Counter`.
+    """Windowed rate view over a :class:`Counter`.
 
     Counters are cumulative; control loops (the cluster autoscaler's
-    shed-rate signal, the deployer's SLO probes) need *derivatives* on
-    the simulated clock.  A RateView is sampled at control ticks
-    (``sample(now_ms)``) and offers two readings: the exact rate over
-    the trailing ``window_ms`` and an EWMA of per-interval rates with
-    ``alpha`` weighting the newest interval.
+    shed-rate signal) need *derivatives* on the simulated clock.  A
+    RateView is sampled at control ticks (``sample(now_ms)``) and reads
+    the exact rate over the trailing ``window_ms``.
 
     Thread-safe: every reading is computed from one consistent
     ``(time, value)`` sample pair taken under the view's lock, so a
@@ -86,20 +78,13 @@ class RateView:
     """
 
     def __init__(
-        self,
-        counter: Counter,
-        window_ms: float = RATE_WINDOW_MS,
-        alpha: float = 0.3,
+        self, counter: Counter, window_ms: float = RATE_WINDOW_MS
     ) -> None:
         if window_ms <= 0.0:
             raise ConfigurationError("rate window must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError("EWMA alpha must be in (0, 1]")
         self._counter = counter
         self.window_ms = float(window_ms)
-        self.alpha = float(alpha)
         self._samples: deque[tuple[float, float]] = deque()  # guarded_by: _lock
-        self._ewma_per_s: float | None = None  # guarded_by: _lock
         self._lock = threading.Lock()
 
     def sample(self, now_ms: float) -> None:
@@ -108,14 +93,6 @@ class RateView:
         with self._lock:
             if self._samples and now_ms <= self._samples[-1][0]:
                 return
-            if self._samples:
-                last_ms, last_value = self._samples[-1]
-                instant = (value - last_value) / (now_ms - last_ms) * 1e3
-                self._ewma_per_s = (
-                    instant if self._ewma_per_s is None
-                    else self.alpha * instant
-                    + (1.0 - self.alpha) * self._ewma_per_s
-                )
             self._samples.append((now_ms, float(value)))
             # Keep one sample at/before the window start so the windowed
             # rate spans at least window_ms once warmed up.
@@ -132,88 +109,63 @@ class RateView:
             last_ms, last_value = self._samples[-1]
         return (last_value - first_value) / (last_ms - first_ms) * 1e3
 
-    @property
-    def ewma_per_s(self) -> float:
-        with self._lock:
-            return self._ewma_per_s if self._ewma_per_s is not None else 0.0
-
     def summary(self) -> dict[str, float]:
-        return {
-            "windowed_per_s": self.rate_per_s(),
-            "ewma_per_s": self.ewma_per_s,
-        }
+        return {"windowed_per_s": self.rate_per_s()}
+
+
+def summarize(values: list[float]) -> dict[str, float]:
+    """Exact count/mean/min/max/p50/p95/p99 of ``values`` (zeros if empty).
+
+    The mean is a running sum in the order given; each quantile is the
+    nearest-rank element of the sorted values.
+    """
+    if not values:
+        return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
+                "p50": 0.0, "p95": 0.0, "p99": 0.0}
+    ordered = sorted(values)
+    n = len(ordered)
+    total = 0.0
+    for value in values:
+        total += value
+
+    def quantile(q: float) -> float:
+        return ordered[min(n - 1, int(round(q * (n - 1))))]
+
+    return {
+        "count": n,
+        "mean": total / n,
+        "min": ordered[0],
+        "max": ordered[-1],
+        "p50": quantile(0.50),
+        "p95": quantile(0.95),
+        "p99": quantile(0.99),
+    }
 
 
 class Histogram:
-    """Reservoir-sampled distribution with exact small-n quantiles."""
+    """Every observation, summarized exactly (thread-safe)."""
 
-    def __init__(self, capacity: int = RESERVOIR_SIZE, seed: int = 0) -> None:
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._samples: list[float] = []  # guarded_by: _lock
-        self._count = 0  # guarded_by: _lock
-        self._sum = 0.0  # guarded_by: _lock
-        self._min = float("inf")  # guarded_by: _lock
-        self._max = float("-inf")  # guarded_by: _lock
-        self._rng = random.Random(seed)
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
         value = float(value)
         with self._lock:
-            self._count += 1
-            self._sum += value
-            self._min = min(self._min, value)
-            self._max = max(self._max, value)
-            if len(self._samples) < self._capacity:
-                self._samples.append(value)
-            else:  # Vitter's algorithm R
-                slot = self._rng.randrange(self._count)
-                if slot < self._capacity:
-                    self._samples[slot] = value
+            self._samples.append(value)
 
     @property
     def count(self) -> int:
         with self._lock:
-            return self._count
-
-    def quantile(self, q: float) -> float:
-        """The q-quantile (0..1) of the observed distribution, or 0.0."""
-        with self._lock:
-            if not self._samples:
-                return 0.0
-            ordered = sorted(self._samples)
-        index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-        return ordered[index]
+            return len(self._samples)
 
     def summary(self) -> dict[str, float]:
-        # Snapshot every field under ONE lock acquisition: a concurrent
-        # observe() between piecemeal reads would yield a summary whose
-        # count, extrema, and quantiles come from different instants
-        # (e.g. a max larger than the latest observed value the count
-        # accounts for).
+        # Copy the observations under ONE lock acquisition, so count,
+        # extrema and quantiles all describe the same instant even while
+        # another thread observes.
         with self._lock:
-            count = self._count
-            total = self._sum
-            minimum = self._min
-            maximum = self._max
-            ordered = sorted(self._samples)
-        if count == 0:
-            return {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0,
-                    "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-        def quantile(q: float) -> float:
-            index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-            return ordered[index]
-
-        return {
-            "count": count,
-            "mean": total / count,
-            "min": minimum,
-            "max": maximum,
-            "p50": quantile(0.50),
-            "p95": quantile(0.95),
-            "p99": quantile(0.99),
-        }
+            samples = list(self._samples)
+        return summarize(samples)
 
 
 class MetricsRegistry:
@@ -239,7 +191,7 @@ class MetricsRegistry:
             return self._labels.get(name)
 
     # Each lookup builds its metric only on a miss: ``setdefault`` would
-    # construct (and a Histogram seed an RNG for) a throwaway every call.
+    # construct a throwaway every call.
 
     def counter(self, name: str) -> Counter:
         with self._lock:
@@ -260,20 +212,17 @@ class MetricsRegistry:
             return self._histograms[name]
 
     def rate_view(
-        self,
-        name: str,
-        window_ms: float = RATE_WINDOW_MS,
-        alpha: float = 0.3,
+        self, name: str, window_ms: float = RATE_WINDOW_MS
     ) -> RateView:
         """The (one) rate view over counter ``name``, created on first use.
 
-        The window/alpha of the first caller win; later callers share
-        the same view so every control loop reads one signal.
+        The window of the first caller wins; later callers share the
+        same view so every control loop reads one signal.
         """
         counter = self.counter(name)
         with self._lock:
             return self._rates.setdefault(
-                name, RateView(counter, window_ms, alpha)
+                name, RateView(counter, window_ms)
             )
 
     def snapshot(self) -> dict[str, Any]:

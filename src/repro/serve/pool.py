@@ -60,7 +60,7 @@ class SimulatedDevice:
         self.tracer = tracer
         self.power_budget = power_budget
         self._intermittent = (
-            IntermittentDeployment(self.deployed, self.board)
+            IntermittentDeployment(self.deployed)
             if power_budget is not None else None
         )
         # -- simulated-time accounting: ``clock_ms`` is when the device

@@ -25,16 +25,14 @@ batching, shedding and retry decision is taken inside one of them, so a
 replay's report is a pure function of (trace, config, artifact):
 identical across repeats, engines and host speed.  A dispatched batch
 runs to completion without preemption, so its outcomes are recorded at
-dispatch, stamped with their simulated start and end times.  Producers
-on any thread hand requests in through :meth:`ServeRuntime.submit`, a
-locked inbox the loop drains.  All reported times are simulated
-milliseconds.
+dispatch, stamped with their simulated start and end times.  The one
+way in is :meth:`ServeRuntime.replay`, which takes a whole finite trace.
+All reported times are simulated milliseconds.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,12 +43,11 @@ from repro.errors import (
     DeviceBrownoutError,
     InvalidInputError,
     ReproError,
-    ServeError,
 )
 from repro.mcu.intermittent import PowerBudget
 from repro.serve.events import EventLoop
 from repro.serve.faults import FaultInjector, FaultPlan
-from repro.serve.metrics import Histogram, MetricsRegistry
+from repro.serve.metrics import MetricsRegistry, summarize
 from repro.serve.pool import SimulatedDevice, build_pool
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import (
@@ -89,10 +86,6 @@ class ServeConfig:
     #: (reference forward + WCET cycles, default), or a CPU engine:
     #: ``"fastpath"``, ``"fastpath-v2"``, ``"interpreter"``.
     engine: str = VERIFIED_ENGINE
-    #: Per-request span tracing (see :mod:`repro.serve.tracing`).  On by
-    #: default — the collector is bounded, so long replays degrade to
-    #: dropped spans rather than unbounded memory.
-    tracing: bool = True
     #: Track namespace stamped on every span (``"fleet-0"``), so multiple
     #: runtimes tracing in one process export distinguishable tracks.
     trace_namespace: str | None = None
@@ -129,8 +122,8 @@ class ServeReport:
     #: Raw per-device busy time — what utilization is computed from, and
     #: what the trace invariant ``busy_ms == Σ busy spans`` checks.
     device_busy_ms: dict[str, float] = field(default_factory=dict)
-    #: The replay's span collector (``None`` when tracing is off).
-    trace: TraceCollector | None = field(repr=False, default=None)
+    #: The replay's span collector.
+    trace: TraceCollector = field(repr=False, default_factory=TraceCollector)
 
     @property
     def conserved(self) -> bool:
@@ -174,7 +167,7 @@ class ServeReport:
 
 
 def arrival_order(request: InferenceRequest) -> tuple[float, int]:
-    """The order submitted requests arrive in, whatever thread sent them."""
+    """The order a trace's requests arrive in, whatever their list order."""
     return (request.arrival_ms, request.request_id)
 
 
@@ -197,10 +190,7 @@ class ServeRuntime:
         self.config = config or ServeConfig()
         self.metrics = metrics or MetricsRegistry()
         self.loop = loop or EventLoop()
-        self.tracer: TraceCollector | None = (
-            TraceCollector(namespace=self.config.trace_namespace)
-            if self.config.tracing else None
-        )
+        self.tracer = TraceCollector(namespace=self.config.trace_namespace)
         injector = (
             FaultInjector(self.config.fault_plan)
             if self.config.fault_plan is not None else None
@@ -225,60 +215,17 @@ class ServeRuntime:
         self._outcomes: list[ServeOutcome] = []
         self._offered = 0
         self._last_arrival_ms = 0.0
-        # The inbox is the runtime's only cross-thread state: `submit()`
-        # may be called from many producer threads.
-        self._arrival_lock = threading.Lock()
-        self._inbox: list[InferenceRequest] = []  # guarded_by: _arrival_lock
-        self._started = False  # guarded_by: _arrival_lock
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> None:
-        with self._arrival_lock:
-            self._started = True
-
-    def drain(self) -> None:
-        """Stop taking submissions and serve everything submitted.
-
-        Inside a running event loop (a cluster retiring this runtime)
-        the loop carries on serving the backlog on the simulated clock.
-        """
-        with self._arrival_lock:
-            self._started = False
-            arrivals, self._inbox = self._inbox, []
-        for request in sorted(arrivals, key=arrival_order):
-            self.loop.at(request.arrival_ms, self.admit, request)
-        self.loop.run()
-
-    def __enter__(self) -> "ServeRuntime":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.drain()
-
-    # -- producer API ----------------------------------------------------
-
-    def submit(self, request: InferenceRequest) -> None:
-        """Hand one request in from any thread.
-
-        It arrives at ``request.arrival_ms`` on the simulated clock when
-        :meth:`drain` runs the loop, in arrival order whatever the order
-        of the submit calls.
-        """
-        with self._arrival_lock:
-            if not self._started:
-                raise ServeError(
-                    "runtime not started (use start() or `with`)"
-                )
-            self._inbox.append(request)
 
     def replay(self, trace: list[InferenceRequest]) -> ServeReport:
-        """Open-loop replay: submit the whole trace, drain, report."""
-        self.start()
-        for request in trace:
-            self.submit(request)
-        self.drain()
+        """Open-loop replay: every request arrives at its trace time.
+
+        Arrivals are scheduled in :func:`arrival_order`, whatever the
+        order of ``trace``, and the loop runs until every request has a
+        terminal outcome.
+        """
+        for request in sorted(trace, key=arrival_order):
+            self.loop.at(request.arrival_ms, self.admit, request)
+        self.loop.run()
         return self.report()
 
     # -- event handlers --------------------------------------------------
@@ -521,9 +468,7 @@ class ServeRuntime:
         *,
         detail: str | None = None,
     ) -> None:
-        """Record one queue-track span for ``request`` (no-op untraced)."""
-        if self.tracer is None:
-            return
+        """Record one queue-track span for ``request``."""
         self.tracer.record(
             Span(
                 kind=kind,
@@ -573,11 +518,9 @@ class ServeRuntime:
             makespan_ms=makespan,
             throughput_rps=throughput,
             latency_ms=snapshot["histograms"].get(
-                "latency_ms", Histogram().summary()
+                "latency_ms", summarize([])
             ),
-            queue_ms=snapshot["histograms"].get(
-                "queue_ms", Histogram().summary()
-            ),
+            queue_ms=snapshot["histograms"].get("queue_ms", summarize([])),
             device_utilization=utilization,
             metrics=snapshot,
             engine=self.config.engine,

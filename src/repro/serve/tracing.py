@@ -36,12 +36,11 @@ per-request refinement of the conservation law.  Spans live on tracks:
 track.  :func:`verify_trace_invariants` checks the full invariant list
 (see ``docs/serving.md``); the soak harness runs it after every replay.
 
-The collector is bounded: past ``capacity`` spans it drops (and counts)
-further records instead of growing without limit, so tracing can stay on
-in long-running fleets.  ``chrome_trace()`` exports the standard Chrome
-trace-event JSON (load it in https://ui.perfetto.dev — one track per
-device plus the queue track); ``timeline()`` renders one request's
-journey as plain text for tests and the CLI.
+The collector keeps every span: a replay is a finite trace, so its
+invariants are always checkable.  ``chrome_trace()`` exports the
+standard Chrome trace-event JSON (load it in https://ui.perfetto.dev —
+one track per device plus the queue track); ``timeline()`` renders one
+request's journey as plain text for tests and the CLI.
 """
 
 from __future__ import annotations
@@ -51,10 +50,6 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.errors import ConfigurationError
-
-#: Default span capacity: ~8 spans/request leaves room for a 25k-request
-#: replay before the collector starts dropping.
-DEFAULT_TRACE_CAPACITY = 200_000
 
 SPAN_KINDS = (
     "admitted",
@@ -129,7 +124,7 @@ def timeline_order(span: Span) -> tuple:
 
 
 class TraceCollector:
-    """Bounded store of spans, indexed by request id.
+    """Every span of one replay, indexed by request id.
 
     Spans are recorded from the runtime's single-threaded event loop.
 
@@ -139,32 +134,15 @@ class TraceCollector:
     pools exporting into one merged trace never collide.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_TRACE_CAPACITY,
-        namespace: str | None = None,
-    ) -> None:
-        if capacity <= 0:
-            raise ConfigurationError("trace capacity must be positive")
-        self.capacity = capacity
+    def __init__(self, namespace: str | None = None) -> None:
         self.namespace = namespace
         self._spans: list[Span] = []
-        self._dropped = 0
 
-    def record(self, span: Span) -> bool:
-        """Store one span; ``False`` when the bounded buffer dropped it."""
+    def record(self, span: Span) -> None:
+        """Store one span, stamped with the collector's namespace."""
         if self.namespace is not None and span.fleet is None:
             span = replace(span, fleet=self.namespace)
-        if len(self._spans) >= self.capacity:
-            self._dropped += 1
-            return False
         self._spans.append(span)
-        return True
-
-    @property
-    def dropped(self) -> int:
-        """Spans discarded because the collector was full."""
-        return self._dropped
 
     def __len__(self) -> int:
         return len(self._spans)
@@ -362,16 +340,6 @@ def verify_trace_invariants(
             f"{report.rejected} + {report.failed} != {report.offered}"
         )
     tracer = report.trace
-    if tracer is None:
-        violations.append("report carries no trace (tracing disabled?)")
-        return violations
-    if tracer.dropped:
-        violations.append(
-            f"collector dropped {tracer.dropped} spans (capacity "
-            f"{tracer.capacity}); invariants are not checkable"
-        )
-        return violations
-
     spans = tracer.spans()
 
     # 2. exactly one terminal span per offered request.

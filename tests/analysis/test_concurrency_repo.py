@@ -59,16 +59,17 @@ class TestServePackage:
             "repro.serve.metrics.Gauge._lock",
             "repro.serve.metrics.Histogram._lock",
             "repro.serve.metrics.MetricsRegistry._lock",
+            "repro.serve.metrics.RateView._lock",
             "repro.serve.registry.ModelRegistry._lock",
-            "repro.serve.runtime.ServeRuntime._arrival_lock",
         }
         assert expected <= self.report.graph.nodes
 
     def test_event_loop_state_is_lock_free(self):
-        """Only the producer inbox is shared across threads: the queue,
-        the outcome ledger and the span collector live on the event
-        loop."""
+        """The runtime shares nothing across threads: its arrivals, the
+        queue, the outcome ledger and the span collector live on the
+        event loop."""
         assert not {
+            "repro.serve.runtime.ServeRuntime._arrival_lock",
             "repro.serve.runtime.ServeRuntime._outcome_lock",
             "repro.serve.scheduler.BoundedRequestQueue._cv",
             "repro.serve.tracing.TraceCollector._lock",

@@ -171,9 +171,9 @@ class TestConditionCompatibility:
 class TestInstrumentedRuntime:
     def test_soak_scenario_with_sanitizer(self, small_artifact,
                                           digits_small):
-        """A threaded replay through a fully instrumented runtime:
-        the statically derived order holds, strictly (no serve lock
-        is ever nested inside another)."""
+        """A replay through a fully instrumented runtime: the
+        statically derived order holds, strictly (no serve lock is ever
+        nested inside another)."""
         from pathlib import Path
 
         import repro
@@ -192,25 +192,15 @@ class TestInstrumentedRuntime:
                         max_queue_wait_ms=None),
         )
         instrument_runtime(runtime, sanitizer)
-        assert isinstance(runtime._arrival_lock, SanitizedLock)
+        assert isinstance(runtime.metrics._lock, SanitizedLock)
         trace = synthetic_trace(
             48, 500.0, 64, seed=3, inputs=digits_small.x_test,
         )
-        with runtime:
-            threads = [
-                threading.Thread(
-                    target=lambda i=i: [
-                        runtime.submit(request)
-                        for request in trace[i::2]
-                    ]
-                )
-                for i in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        serve_report = runtime.report()
+        serve_report = runtime.replay(trace)
+        assert isinstance(
+            runtime.metrics.counter("requests.offered")._lock,
+            SanitizedLock,
+        )
         assert serve_report.offered == 48
         assert verify_trace_invariants(serve_report) == []
         assert sanitizer.violations == [], sanitizer.report()

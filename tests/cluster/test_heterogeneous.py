@@ -69,9 +69,7 @@ def test_fleets_flash_artifacts_round_robin(
         ),
         registry=cluster_registry,
     )
-    cluster.start()
-    cluster.drain()
-    report = cluster.report()
+    report = cluster.replay([])
     by_fleet = {gen.fleet: gen.model_id for gen in report.generations}
     expected = {
         f"fleet-{fleet}":
@@ -106,11 +104,7 @@ def test_mixed_board_soak_least_queue_wait(
         ),
         registry=cluster_registry,
     )
-    cluster.start()
-    for request in trace:
-        cluster.submit(request)
-    cluster.drain()
-    report = cluster.report()
+    report = cluster.replay(trace)
 
     violations = verify_cluster_invariants(report, cluster.submitted_ids)
     assert not violations, "\n".join(violations)
@@ -158,11 +152,7 @@ def test_mixed_board_deadline_p2c(
         ),
         registry=cluster_registry,
     )
-    cluster.start()
-    for request in trace:
-        cluster.submit(request)
-    cluster.drain()
-    report = cluster.report()
+    report = cluster.replay(trace)
 
     violations = verify_cluster_invariants(report, cluster.submitted_ids)
     assert not violations, "\n".join(violations)

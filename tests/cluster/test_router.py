@@ -1,8 +1,10 @@
 """Router property tests: stickiness, remap bounds, drain safety.
 
 These run against lightweight stand-in fleets (the router only reads
-``state``, ``fleet_id``, ``name``, and the two live load signals), so
-thousands of routing decisions cost microseconds.
+``fleet_id``, ``name``, and the two live load signals), so thousands of
+routing decisions cost microseconds.  Drain safety is membership: the
+cluster drops a retiring fleet from the list it routes over, and the
+fleet drains its backlog off that list.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import (
-    ACTIVE,
-    DRAINING,
     NoRoutableFleetError,
     Router,
 )
@@ -21,10 +21,9 @@ from repro.serve.request import InferenceRequest
 
 
 class StubFleet:
-    def __init__(self, fleet_id, wait_ms=0.0, depth=0, state=ACTIVE):
+    def __init__(self, fleet_id, wait_ms=0.0, depth=0):
         self.fleet_id = fleet_id
         self.name = f"fleet-{fleet_id}"
-        self.state = state
         self._wait_ms = wait_ms
         self._depth = depth
 
@@ -49,9 +48,8 @@ class TestValidation:
 
     def test_no_active_fleet_is_typed(self):
         router = Router("hash")
-        drained = [StubFleet(0, state=DRAINING)]
         with pytest.raises(NoRoutableFleetError):
-            router.route(_request(1), drained)
+            router.route(_request(1), [])
 
     def test_stable_hash_is_process_independent(self):
         # sha256-derived, NOT the salted builtin hash().
@@ -102,10 +100,16 @@ class TestConsistentHash:
 
     def test_never_routes_to_draining_fleet(self):
         router = Router("hash")
-        fleets = [StubFleet(0), StubFleet(1, state=DRAINING),
-                  StubFleet(2)]
+        fleets = [StubFleet(0), StubFleet(1), StubFleet(2)]
+        owned = [
+            rid for rid in range(200)
+            if router.route(_request(rid), fleets).fleet_id == 1
+        ]
+        assert owned
+        # Fleet 1 retires: the cached ring must not route to it again.
+        live = [fleets[0], fleets[2]]
         for request_id in range(200):
-            chosen = router.route(_request(request_id), fleets)
+            chosen = router.route(_request(request_id), live)
             assert chosen.fleet_id != 1
 
     def test_spread_covers_all_fleets(self):
@@ -134,9 +138,11 @@ class TestLeastQueueWait:
 
     def test_skips_draining(self):
         router = Router("least-queue-wait")
-        fleets = [StubFleet(0, wait_ms=9.0),
-                  StubFleet(1, wait_ms=0.0, state=DRAINING)]
-        assert router.route(_request(1), fleets).fleet_id == 0
+        idle_but_retired = StubFleet(1, wait_ms=0.0)
+        fleets = [StubFleet(0, wait_ms=9.0), idle_but_retired]
+        assert router.route(_request(1), fleets).fleet_id == 1
+        fleets.remove(idle_but_retired)
+        assert router.route(_request(2), fleets).fleet_id == 0
 
 
 class TestDeadlineP2C:
@@ -182,8 +188,7 @@ class TestDeadlineP2C:
 
     def test_never_routes_to_draining_fleet(self):
         router = Router("deadline-p2c", seed=3)
-        fleets = [StubFleet(0), StubFleet(1, state=DRAINING),
-                  StubFleet(2), StubFleet(3)]
+        fleets = [StubFleet(0), StubFleet(2), StubFleet(3)]
         for request_id in range(300):
             chosen = router.route(_request(request_id), fleets)
             assert chosen.fleet_id != 1

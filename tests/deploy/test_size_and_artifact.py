@@ -143,7 +143,7 @@ class TestNonDefaultBlockSize:
         model.set_engine("verified")
         verified = model.infer(x).cycles
         analytic = analytic_model_cycles(quantized, "block", board, 16)
-        intermittent = IntermittentDeployment(model, board).run(
+        intermittent = IntermittentDeployment(model).run(
             x, PowerBudget(10**9)
         ).compute_cycles
         assert measured == verified == analytic == intermittent \

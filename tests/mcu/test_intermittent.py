@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.deploy.artifact import DeployedModel
+from repro.deploy.deployer import deploy
 from repro.errors import ConfigurationError, ExecutionError
+from repro.mcu.board import BOARD_PROFILES
 from repro.mcu.intermittent import (
     IntermittentDeployment,
     PowerBudget,
@@ -124,3 +126,22 @@ class TestForwardProgressBoundary:
             worst_bare + RESTORE_OVERHEAD_CYCLES
         )
         assert CHECKPOINT_CYCLES_PER_BYTE > 0
+
+
+class TestBoardPricing:
+    """Each layer costs its verified WCET bound on the model's own board,
+    never another board's cost table."""
+
+    @pytest.mark.parametrize("board_name", sorted(BOARD_PROFILES))
+    def test_compute_cycles_are_the_boards_bounds(
+        self, trained_neuroc, digits_small, board_name
+    ):
+        model = deploy(
+            trained_neuroc.quantized, "block",
+            board=BOARD_PROFILES[board_name],
+        ).model
+        x = digits_small.x_test[0]
+        run = IntermittentDeployment(model).run(x, PowerBudget(10**9))
+        assert run.power_cycles_used == 1
+        assert run.compute_cycles == sum(model.layer_cycle_bounds()) \
+            == model.infer(x).cycles

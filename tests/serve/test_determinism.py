@@ -60,7 +60,7 @@ def test_replay_identical_across_repeats_and_engines(
     config = dict(scenario["config"])
     if scenario["budget"] is not None:
         minimum = IntermittentDeployment(
-            small_artifact.replica(), small_artifact.board
+            small_artifact.replica()
         ).minimum_charge_cycles()
         config["power_budget"] = PowerBudget(
             max(1, int(minimum * scenario["budget"]))

@@ -6,7 +6,6 @@ must surface a terminal ``ServeError`` after the retry cap — never hang
 ``completed + rejected + failed == offered`` still holds.
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import DeviceBrownoutError, ServeError
@@ -70,9 +69,7 @@ class TestDeviceBrownout:
     def test_starved_power_budget_browns_out(self, small_artifact,
                                              digits_small):
         deployed = small_artifact.replica()
-        minimum = IntermittentDeployment(
-            deployed, small_artifact.board
-        ).minimum_charge_cycles()
+        minimum = IntermittentDeployment(deployed).minimum_charge_cycles()
         device = SimulatedDevice(
             device_id=0, artifact=small_artifact,
             power_budget=PowerBudget(max(1, minimum // 2)),
@@ -86,9 +83,7 @@ class TestDeviceBrownout:
     def test_sufficient_power_budget_completes(self, small_artifact,
                                                digits_small):
         deployed = small_artifact.replica()
-        minimum = IntermittentDeployment(
-            deployed, small_artifact.board
-        ).minimum_charge_cycles()
+        minimum = IntermittentDeployment(deployed).minimum_charge_cycles()
         device = SimulatedDevice(
             device_id=0, artifact=small_artifact,
             power_budget=PowerBudget(minimum * 4),
@@ -151,9 +146,7 @@ class TestRetryOnHealthyDevice:
         request = InferenceRequest(
             request_id=0, x=digits_small.x_test[0], arrival_ms=0.0
         )
-        with runtime:
-            runtime.submit(request)
-        outcome = runtime.report().outcomes[0]
+        outcome = runtime.replay([request]).outcomes[0]
         assert outcome.status == COMPLETED
         if outcome.attempts > 1:             # retried off the faulty board
             assert request.backoff_ms >= 4.0
@@ -187,9 +180,7 @@ class TestTerminalFailure:
         self, small_artifact, digits_small
     ):
         deployed = small_artifact.replica()
-        minimum = IntermittentDeployment(
-            deployed, small_artifact.board
-        ).minimum_charge_cycles()
+        minimum = IntermittentDeployment(deployed).minimum_charge_cycles()
         runtime = ServeRuntime(
             small_artifact,
             _config(
@@ -201,9 +192,7 @@ class TestTerminalFailure:
         request = InferenceRequest(
             request_id=0, x=digits_small.x_test[0], arrival_ms=0.0
         )
-        with runtime:
-            runtime.submit(request)
-        outcome = runtime.report().outcomes[0]
+        outcome = runtime.replay([request]).outcomes[0]
         assert outcome.status == FAILED
         assert outcome.attempts == 2
         with pytest.raises(ServeError):

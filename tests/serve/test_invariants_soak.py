@@ -1,8 +1,8 @@
 """Invariant soak: trace-derived runtime invariants under hostile load.
 
-The ISSUE-4 harness: replay overload traces with multi-threaded
-producers, EDF + deadlines, brown-out fault plans, and retries, and
-assert on *every* run the invariants the tracer makes checkable:
+The harness replays overload traces with EDF + deadlines, brown-out
+fault plans, and retries, and asserts on *every* run the invariants
+the tracer makes checkable:
 
 - conservation: ``completed + rejected + failed == offered``;
 - every offered request has exactly one terminal span;
@@ -17,8 +17,7 @@ the harness was built to expose; each fails on the pre-fix runtime.
 """
 
 import json
-import sys
-import threading
+import random
 
 import pytest
 
@@ -104,9 +103,9 @@ class TestSoakScenarios:
         if name == "fused_v2_overload":
             assert report.metrics["histograms"]["batch_size"]["max"] > 4
 
-    def test_multi_producer_overload_invariants(self, small_artifact,
-                                                digits_small):
-        """Concurrent producers + faults + deadlines, unpaced flood."""
+    def test_flooded_edf_faults_invariants(self, small_artifact,
+                                           digits_small):
+        """Faults + deadlines + both shed bounds under a 4x flood."""
         trace = synthetic_trace(
             160, 4.0 * _capacity_rps(small_artifact, 2), 64, seed=29,
             deadline_ms=12.0, inputs=digits_small.x_test,
@@ -116,72 +115,42 @@ class TestSoakScenarios:
             max_retries=2, max_queue_wait_ms=25.0,
             fault_plan=FaultPlan(brownout_rate=0.2, seed=31),
         )
-        runtime = ServeRuntime(small_artifact, config)
-        _submit_concurrently(runtime, trace, n_producers=4)
-        report = runtime.report()
+        report = ServeRuntime(small_artifact, config).replay(trace)
         assert report.offered == 160
         _assert_invariants(report)
 
 
-def _submit_concurrently(runtime, trace, n_producers):
-    """Each producer thread submits an interleaved slice of ``trace``,
-    switching threads at (nearly) every chance the interpreter offers."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with runtime:
-            threads = [
-                threading.Thread(
-                    target=lambda i=i: [
-                        runtime.submit(request)
-                        for request in trace[i::n_producers]
-                    ]
-                )
-                for i in range(n_producers)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-                assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
+class TestArrivalOrder:
+    """A replay schedules arrivals by ``(arrival_ms, request_id)``.
 
-
-class TestConcurrentSubmitAccounting:
-    """No concurrent `submit()` may be lost.
-
-    Pre-fix, ``self._offered += 1`` raced across producer threads, lost
-    updates, and silently broke the conservation law.  Producers now
-    only append to a locked inbox; the event loop counts arrivals, in
-    arrival order, so the report cannot depend on how the producer
-    threads interleaved.
+    The list order of the trace never matters, even with many requests
+    at one arrival time and a queue bound that sheds most of them.
     """
 
-    def test_offered_counts_every_concurrent_submit(self, small_artifact,
-                                                    digits_small):
+    def test_list_order_does_not_change_the_replay(self, small_artifact,
+                                                   digits_small):
         config = ServeConfig(n_devices=1, max_queue_depth=2,
                              max_queue_wait_ms=None)
-        n_threads, per_thread = 4, 250
+        n_sources, per_source = 4, 250
         x = digits_small.x_test[0]
 
         def requests():
             return [
-                InferenceRequest(request_id=worker * per_thread + i, x=x,
+                InferenceRequest(request_id=source * per_source + i, x=x,
                                  arrival_ms=float(i))
-                for worker in range(n_threads) for i in range(per_thread)
+                for source in range(n_sources) for i in range(per_source)
             ]
 
-        runtime = ServeRuntime(small_artifact, config)
-        _submit_concurrently(runtime, requests(), n_producers=n_threads)
-        report = runtime.report()
-        assert report.offered == n_threads * per_thread
+        shuffled = requests()
+        random.Random(0).shuffle(shuffled)
+        report = ServeRuntime(small_artifact, config).replay(shuffled)
+        assert report.offered == n_sources * per_source
         assert report.conserved
         assert report.metrics["counters"]["requests.offered"] \
-            == n_threads * per_thread
-        # Same arrivals from one thread: identical simulated results.
-        serial = ServeRuntime(small_artifact, config).replay(requests())
-        assert json.dumps(report.to_dict()) == json.dumps(serial.to_dict())
+            == n_sources * per_source
+        in_order = ServeRuntime(small_artifact, config).replay(requests())
+        assert json.dumps(report.to_dict()) \
+            == json.dumps(in_order.to_dict())
 
 
 class TestDispatchOverheadAccounting:
@@ -249,9 +218,7 @@ class TestRetryPastDeadline:
             request_id=0, x=digits_small.x_test[0], arrival_ms=0.0,
             deadline_ms=1.0,   # < backoff: the retry is born expired
         )
-        with runtime:
-            runtime.submit(request)
-        report = runtime.report()
+        report = runtime.replay([request])
         outcome = report.outcomes[0]
         assert outcome.status == FAILED
         assert outcome.reason == "deadline_after_retry"

@@ -1,6 +1,7 @@
 """The metrics layer: counters, gauges, histograms, snapshots."""
 
 import json
+import random
 import sys
 import threading
 
@@ -72,16 +73,15 @@ class TestHistogram:
         it, so a concurrent ``observe()`` produced summaries mixing two
         instants — detectable as ``max > count - 1``.
         """
-        # Small reservoir: the tear detector only needs count/min/max,
-        # and a small capacity keeps the per-summary sort cheap.
-        hist = Histogram(capacity=512)
+        hist = Histogram()
         stop = threading.Event()
 
         def writer():
-            value = 0
-            while not stop.is_set():
+            # Bounded, so every summary's sort stays cheap.
+            for value in range(20_000):
+                if stop.is_set():
+                    return
                 hist.observe(float(value))
-                value += 1
 
         thread = threading.Thread(target=writer)
         interval = sys.getswitchinterval()
@@ -105,14 +105,21 @@ class TestHistogram:
             sys.setswitchinterval(interval)
         assert not torn, f"torn summaries: {torn[:3]}"
 
-    def test_reservoir_keeps_count_past_capacity(self):
-        hist = Histogram(capacity=16)
-        for value in range(1000):
-            hist.observe(float(value))
-        assert hist.count == 1000
-        assert len(hist._samples) == 16
+    def test_exact_quantiles_at_any_size(self):
+        # Past the old 65,536-sample reservoir: the quantiles are still
+        # the exact nearest-rank values of every input.
+        values = [float(v) for v in range(70_000)]
+        random.Random(0).shuffle(values)
+        hist = Histogram()
+        for value in values:
+            hist.observe(value)
         summary = hist.summary()
-        assert summary["min"] == 0.0 and summary["max"] == 999.0
+        assert summary["count"] == hist.count == 70_000
+        assert summary["min"] == 0.0 and summary["max"] == 69_999.0
+        # Nearest rank over 0..69_999: index round(q * 69_999).
+        assert summary["p50"] == 35_000.0
+        assert summary["p99"] == 69_299.0
+        assert summary["mean"] == pytest.approx(69_999 / 2)
 
 
 class TestRegistry:
@@ -165,7 +172,6 @@ class TestRateView:
             counter.inc(10)
         view.sample(200.0)
         assert view.rate_per_s() == pytest.approx(1000.0)
-        assert view.ewma_per_s == pytest.approx(1000.0)
 
     def test_window_prunes_old_samples(self):
         counter = Counter()
@@ -188,17 +194,13 @@ class TestRateView:
     def test_cold_view_reads_zero(self):
         view = RateView(Counter())
         assert view.rate_per_s() == 0.0
-        assert view.ewma_per_s == 0.0
-        summary = view.summary()
-        assert summary == {"windowed_per_s": 0.0, "ewma_per_s": 0.0}
+        assert view.summary() == {"windowed_per_s": 0.0}
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RateView(Counter(), window_ms=0.0)
         with pytest.raises(ConfigurationError):
-            RateView(Counter(), alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            RateView(Counter(), alpha=1.5)
+            RateView(Counter(), window_ms=-1.0)
 
     def test_registry_hands_out_one_view_per_name(self):
         registry = MetricsRegistry()
@@ -236,11 +238,8 @@ class TestRateView:
                 now += 0.01
                 view.sample(now)
                 windowed = view.rate_per_s()
-                ewma = view.ewma_per_s
                 if windowed < 0.0 or not math.isfinite(windowed):
                     torn.append(("windowed", windowed))
-                if ewma < 0.0 or not math.isfinite(ewma):
-                    torn.append(("ewma", ewma))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -112,31 +112,6 @@ class TestAdmissionControl:
 
 
 class TestRuntimeLifecycle:
-    def test_submit_before_start_is_typed(self, small_artifact):
-        from repro.errors import ServeError
-
-        runtime = _runtime(small_artifact)
-        request = InferenceRequest(
-            request_id=0, x=np.zeros(64, np.float32), arrival_ms=0.0
-        )
-        with pytest.raises(ServeError):
-            runtime.submit(request)
-
-    def test_context_manager_drains(self, small_artifact, digits_small):
-        runtime = _runtime(small_artifact, n_devices=2)
-        with runtime:
-            for i in range(8):
-                runtime.submit(
-                    InferenceRequest(
-                        request_id=i,
-                        x=digits_small.x_test[i],
-                        arrival_ms=float(i),
-                    )
-                )
-        report = runtime.report()
-        assert report.completed == 8
-        assert report.conserved
-
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigurationError):
             ServeConfig(n_devices=0)
@@ -153,10 +128,7 @@ class TestRuntimeLifecycle:
         good = InferenceRequest(
             request_id=1, x=digits_small.x_test[0], arrival_ms=0.0
         )
-        with runtime:
-            runtime.submit(bad)
-            runtime.submit(good)
-        report = runtime.report()
+        report = runtime.replay([bad, good])
         assert report.conserved
         by_id = {o.request_id: o for o in report.outcomes}
         assert by_id[0].status == "failed"
