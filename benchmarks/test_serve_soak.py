@@ -20,24 +20,12 @@ sample per-request timeline.
 Reduced configuration: set ``REPRO_SERVE_SOAK_REQUESTS`` (for example
 to 150, as the CI job does) to shrink the trace; the default soaks 600
 requests over 4 devices.
-
-The replay also runs under the strict runtime lock-order sanitizer:
-the runtime's metric locks are swapped for wrappers that assert the
-lock acquisition order derived by the static concurrency analyzer.
-Serve locks are leaf-level, so any nesting at all fails the soak.
 """
 
 import os
-from pathlib import Path
 
 from _output import RESULTS_DIR, emit
 
-import repro
-from repro.analysis.concurrency import (
-    analyze_paths,
-    instrument_runtime,
-    sanitizer_for_report,
-)
 from repro.core.neuroc import NeuroCConfig, train_neuroc
 from repro.datasets import load
 from repro.serve import (
@@ -79,9 +67,6 @@ def test_soak_invariants_and_trace_export():
             fault_plan=FaultPlan(brownout_rate=0.25, seed=7),
         ),
     )
-    concurrency = analyze_paths([Path(repro.__file__).parent / "serve"])
-    sanitizer = sanitizer_for_report(concurrency, strict=True)
-    instrument_runtime(runtime, sanitizer)
     report = runtime.replay(trace)
 
     assert report.offered == N_REQUESTS
@@ -92,7 +77,6 @@ def test_soak_invariants_and_trace_export():
     assert report.rejected > 0, "overload should shed"
     assert counters["device.brownouts"] > 0, "faults should fire"
     assert counters.get("requests.retries", 0) > 0, "retries should run"
-    assert sanitizer.violations == [], sanitizer.report()
 
     tracer = report.trace
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -123,8 +107,6 @@ def test_soak_invariants_and_trace_export():
         "invariants: all hold "
         "(conservation, terminal-uniqueness, device monotonicity, "
         "queue waits, busy==spans, utilization)",
-        f"lock sanitizer: strict, {len(sanitizer.violations)} "
-        f"violations over {len(concurrency.graph.nodes)} modeled locks",
         "",
         "sample timeline (first retried request):",
         sample,

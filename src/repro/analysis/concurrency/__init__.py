@@ -4,7 +4,7 @@ Entry points:
 
 - :func:`analyze_paths` — files/dirs in, :class:`ConcurrencyReport`
   out (violations, guard inferences, lock-order graph).
-- :func:`sanitizer_for_report` / :func:`instrument_runtime` — turn the
+- :func:`sanitizer_for_report` / :func:`instrument_cluster` — turn the
   static lock order into a live assertion inside soak tests.
 - ``repro lint-concurrency`` — the CLI front-end with baseline
   handling and DOT export.
@@ -29,7 +29,6 @@ from repro.analysis.concurrency.sanitizer import (
     LockOrderSanitizer,
     SanitizedLock,
     instrument_cluster,
-    instrument_runtime,
     sanitizer_for_report,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "collect_files",
     "extract_module",
     "instrument_cluster",
-    "instrument_runtime",
     "load_baseline",
     "sanitizer_for_report",
     "split_against_baseline",

@@ -203,82 +203,6 @@ def sanitizer_for_report(report, strict: bool = False
     )
 
 
-def instrument_runtime(runtime, sanitizer: LockOrderSanitizer) -> None:
-    """Swap a ServeRuntime's metric locks for sanitized wrappers, in place.
-
-    Covers the metrics registry and every metric it hands out (metric
-    locks are created lazily, so the registry's factory methods are
-    shadowed to wrap them at creation).  The runtime itself holds no
-    lock: it runs on its single-threaded event loop.
-    """
-    prefix = "repro.serve"
-    registry = getattr(runtime, "metrics", None)
-    if registry is not None and hasattr(registry, "_lock"):
-        registry._lock = sanitizer.wrap(
-            f"{prefix}.metrics.MetricsRegistry._lock", registry._lock
-        )
-        _wrap_metric_locks(registry, sanitizer, prefix)
-
-
-def _wrap_metric_locks(registry, sanitizer, prefix) -> None:
-    """Wrap existing metric locks and intercept lazily created ones."""
-    for kind, bucket_name in (
-        ("Counter", "_counters"),
-        ("Gauge", "_gauges"),
-        ("Histogram", "_histograms"),
-    ):
-        bucket = getattr(registry, bucket_name, None)
-        if not isinstance(bucket, dict):
-            continue
-        for metric in bucket.values():
-            if hasattr(metric, "_lock"):
-                metric._lock = sanitizer.wrap(
-                    f"{prefix}.metrics.{kind}._lock", metric._lock
-                )
-
-    originals = {
-        name: getattr(registry, name)
-        for name in ("counter", "gauge", "histogram")
-        if hasattr(registry, name)
-    }
-
-    def shadow(name, kind):
-        original = originals[name]
-
-        def wrapped(*args, **kwargs):
-            metric = original(*args, **kwargs)
-            if hasattr(metric, "_lock") and not isinstance(
-                metric._lock, SanitizedLock
-            ):
-                metric._lock = sanitizer.wrap(
-                    f"{prefix}.metrics.{kind}._lock", metric._lock
-                )
-            return metric
-
-        return wrapped
-
-    for name, kind in (("counter", "Counter"), ("gauge", "Gauge"),
-                       ("histogram", "Histogram")):
-        if name in originals:
-            setattr(registry, name, shadow(name, kind))
-
-    # Rate views (created lazily too) carry their own leaf lock.
-    if hasattr(registry, "rate_view"):
-        original_rate_view = registry.rate_view
-
-        def wrapped_rate_view(*args, **kwargs):
-            view = original_rate_view(*args, **kwargs)
-            if hasattr(view, "_lock") and not isinstance(
-                view._lock, SanitizedLock
-            ):
-                view._lock = sanitizer.wrap(
-                    f"{prefix}.metrics.RateView._lock", view._lock
-                )
-            return view
-
-        registry.rate_view = wrapped_rate_view
-
-
 def instrument_cluster(cluster, sanitizer: LockOrderSanitizer) -> None:
     """Swap a Cluster's model-registry lock for a sanitized wrapper.
 

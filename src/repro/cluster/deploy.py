@@ -35,7 +35,9 @@ from dataclasses import dataclass
 
 from repro.cluster.fleet import Fleet
 from repro.errors import ConfigurationError
+from repro.serve.metrics import summarize
 from repro.serve.registry import ModelArtifact
+from repro.serve.request import COMPLETED
 
 #: Deploy lifecycle states.
 IDLE = "idle"
@@ -88,9 +90,12 @@ class DeployEvent:
 
 
 def _mean_cycles(runtime) -> tuple[int, float]:
-    """(completed count, mean cycles per completion) from live metrics."""
-    summary = runtime.metrics.histogram("cycles").summary()
-    return int(summary["count"]), float(summary["mean"])
+    """(completed count, mean cycles per completion) so far."""
+    summary = summarize([
+        float(o.cycles) for o in runtime.outcome_log
+        if o.status == COMPLETED
+    ])
+    return summary["count"], summary["mean"]
 
 
 class Deployer:

@@ -24,7 +24,7 @@ import dataclasses
 
 from repro.serve.events import EventLoop
 from repro.serve.registry import ModelArtifact
-from repro.serve.request import InferenceRequest
+from repro.serve.request import REJECTED, InferenceRequest
 from repro.serve.runtime import ServeConfig, ServeReport, ServeRuntime
 
 
@@ -32,11 +32,10 @@ from repro.serve.runtime import ServeConfig, ServeReport, ServeRuntime
 class FleetSignals:
     """One control-tick reading of a fleet's live, measured signals.
 
-    These are the autoscaler's and router's inputs: windowed rates from
-    :class:`~repro.serve.metrics.RateView` samples, utilization from
-    busy-time deltas, and the queue-wait estimate the deadline-aware
-    router scores fleets by.  All *measured* on-fleet quantities, not
-    proxies.
+    These are the autoscaler's and router's inputs: offered and shed
+    rates and utilization over the generation's sample window, and the
+    queue-wait estimate the deadline-aware router scores fleets by.  All
+    *measured* on-fleet quantities, not proxies.
     """
 
     fleet: str
@@ -61,38 +60,60 @@ class FleetGeneration:
         self.index = index
         self.artifact = artifact
         self.runtime = runtime
-        self.offered_rate = runtime.metrics.rate_view(
-            "requests.offered", window_ms
-        )
-        self.rejected_rate = runtime.metrics.rate_view(
-            "requests.rejected", window_ms
-        )
         self._window_ms = window_ms
-        self._busy_samples: list[tuple[float, float]] = []
+        #: ``(now_ms, offered, rejected, busy_ms)`` at each control tick.
+        self._samples: list[tuple[float, int, int, float]] = []
+        #: Rejections counted so far, through a cursor into the
+        #: runtime's append-only outcome log.
+        self._rejected = 0
+        self._cursor = 0
         #: Per-request service estimate for queue-wait scoring.
         self.service_ms = artifact.deployment.latency_ms
 
     def sample(self, now_ms: float) -> None:
-        """Advance every windowed signal to simulated time ``now_ms``."""
-        self.offered_rate.sample(now_ms)
-        self.rejected_rate.sample(now_ms)
+        """Take the window's sample at simulated time ``now_ms``.
+
+        The window keeps one sample at or before its start, so once
+        warm it spans at least ``window_ms``.
+        """
+        log = self.runtime.outcome_log
+        self._rejected += sum(
+            1 for o in log[self._cursor:] if o.status == REJECTED
+        )
+        self._cursor = len(log)
         busy = sum(d.busy_ms for d in self.runtime.devices)
-        samples = self._busy_samples
-        samples.append((now_ms, busy))
+        samples = self._samples
+        samples.append((now_ms, self.runtime.offered, self._rejected, busy))
         cutoff = now_ms - self._window_ms
         while len(samples) > 2 and samples[1][0] <= cutoff:
             samples.pop(0)
 
+    def _deltas(self) -> tuple[float, int, int, float] | None:
+        """Window span and counts across it; ``None`` while cold."""
+        if len(self._samples) < 2:
+            return None
+        first, last = self._samples[0], self._samples[-1]
+        if last[0] <= first[0]:
+            return None
+        return tuple(b - a for a, b in zip(first, last))
+
+    def offered_per_s(self) -> float:
+        """Arrivals per simulated second over the window."""
+        deltas = self._deltas()
+        return deltas[1] / deltas[0] * 1e3 if deltas else 0.0
+
+    def shed_per_s(self) -> float:
+        """Rejections per simulated second over the window."""
+        deltas = self._deltas()
+        return deltas[2] / deltas[0] * 1e3 if deltas else 0.0
+
     def utilization(self) -> float:
         """Windowed busy fraction across this generation's devices."""
-        samples = self._busy_samples
-        if len(samples) < 2:
-            return 0.0
-        (t0, b0), (t1, b1) = samples[0], samples[-1]
-        if t1 <= t0:
+        deltas = self._deltas()
+        if not deltas:
             return 0.0
         n = len(self.runtime.devices)
-        return min(1.0, (b1 - b0) / ((t1 - t0) * n))
+        return min(1.0, deltas[3] / (deltas[0] * n))
 
     def queue_depth(self) -> int:
         return self.runtime.queue.depth
@@ -215,8 +236,8 @@ class Fleet:
                 shed_per_s=0.0, shed_fraction=0.0, utilization=0.0,
                 queue_depth=0, est_queue_wait_ms=0.0,
             )
-        offered = gen.offered_rate.rate_per_s()
-        shed = gen.rejected_rate.rate_per_s()
+        offered = gen.offered_per_s()
+        shed = gen.shed_per_s()
         return FleetSignals(
             fleet=self.name,
             offered_per_s=offered,

@@ -20,6 +20,8 @@ Schema (``npz`` keys)::
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,14 @@ _KIND_TERNARY = 1
 _MULT_NONE = 0
 _MULT_SCALAR = 1
 _MULT_PER_NEURON = 2
+
+#: What reading a truncated, corrupt, junk or ill-typed ``.npz`` raises,
+#: from :mod:`zipfile` (a corrupt header can claim an unsupported version
+#: or an encrypted member), numpy's loader, or the schema checks below.
+_MALFORMED = (
+    zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError,
+    EOFError, OSError, KeyError, IndexError, TypeError, ValueError,
+)
 
 
 def save_quantized_model(model: QuantizedModel, path: str | Path) -> Path:
@@ -84,10 +94,24 @@ def save_quantized_model(model: QuantizedModel, path: str | Path) -> Path:
 
 
 def load_quantized_model(path: str | Path) -> QuantizedModel:
-    """Load a model written by :func:`save_quantized_model`."""
+    """Load a model written by :func:`save_quantized_model`.
+
+    A missing, truncated, junk or ill-typed file raises
+    :class:`ConfigurationError` naming the file.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"no model file at {path}")
+    try:
+        return _read_model(path)
+    except _MALFORMED as exc:
+        raise ConfigurationError(
+            f"{path} is not a readable Neuro-C model file "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _read_model(path: Path) -> QuantizedModel:
     with np.load(path) as data:
         if "__meta__" not in data:
             raise ConfigurationError(f"{path} is not a Neuro-C model file")

@@ -5,20 +5,14 @@ serving stack: content-addressed model registry with a compiled-kernel
 cache (`registry`), a pool of replica boards (`pool`), bounded
 policy-ordered scheduling with admission control and batching
 (`scheduler`), fault injection plus retry-with-backoff (`faults`,
-`runtime`), fleet metrics (`metrics`), and open-loop synthetic traces
-(`trace`), all driven by one discrete-event loop on the simulated clock
-(`events`).  See ``docs/serving.md`` for the architecture walk-through.
+`runtime`), fleet metrics derived from each replay's records
+(`metrics`), and open-loop synthetic traces (`trace`), all driven by
+one discrete-event loop on the simulated clock (`events`).  See
+``docs/serving.md`` for the architecture walk-through.
 """
 
 from repro.serve.events import EventLoop
 from repro.serve.faults import FaultInjector, FaultPlan
-from repro.serve.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    RateView,
-)
 from repro.serve.pool import (
     DISPATCH_OVERHEAD_CYCLES,
     DeviceExecution,
@@ -56,7 +50,6 @@ from repro.serve.tracing import (
 __all__ = [
     "BoundedRequestQueue",
     "COMPLETED",
-    "Counter",
     "DEVICE_BUSY_KINDS",
     "DISPATCH_OVERHEAD_CYCLES",
     "DeviceExecution",
@@ -64,14 +57,10 @@ __all__ = [
     "FAILED",
     "FaultInjector",
     "FaultPlan",
-    "Gauge",
-    "Histogram",
     "InferenceRequest",
-    "MetricsRegistry",
     "ModelArtifact",
     "ModelRegistry",
     "REJECTED",
-    "RateView",
     "SCHEDULING_POLICIES",
     "SPAN_KINDS",
     "ServeConfig",

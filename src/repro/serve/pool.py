@@ -67,7 +67,6 @@ class SimulatedDevice:
         #    finishes the work dispatched to it so far ------------------
         self.clock_ms = 0.0
         self.busy_ms = 0.0
-        self.brownouts = 0
         self._nominal_ms = artifact.deployment.latency_ms
 
     def _emit(
@@ -124,7 +123,6 @@ class SimulatedDevice:
             waste_ms = self._nominal_ms * BROWNOUT_WASTE_FRACTION
             self.clock_ms = start + waste_ms
             self.busy_ms += waste_ms
-            self.brownouts += 1
             self._emit("retry", start, self.clock_ms, request,
                        detail="brownout")
             raise DeviceBrownoutError(
@@ -143,7 +141,6 @@ class SimulatedDevice:
                 )
                 self.clock_ms = start + waste_ms
                 self.busy_ms += waste_ms
-                self.brownouts += 1
                 self._emit("retry", start, self.clock_ms, request,
                            detail="budget_brownout")
                 raise DeviceBrownoutError(

@@ -47,7 +47,7 @@ from repro.errors import (
 from repro.mcu.intermittent import PowerBudget
 from repro.serve.events import EventLoop
 from repro.serve.faults import FaultInjector, FaultPlan
-from repro.serve.metrics import MetricsRegistry, summarize
+from repro.serve.metrics import replay_metrics, summarize
 from repro.serve.pool import SimulatedDevice, build_pool
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import (
@@ -116,7 +116,7 @@ class ServeReport:
     latency_ms: dict[str, float]       # count/mean/min/max/p50/p95/p99
     queue_ms: dict[str, float]
     device_utilization: dict[str, float]
-    metrics: dict[str, Any]            # full MetricsRegistry snapshot
+    metrics: dict[str, Any]            # see metrics.replay_metrics
     engine: str = VERIFIED_ENGINE      # execution engine the fleet ran on
     outcomes: tuple[ServeOutcome, ...] = field(repr=False, default=())
     #: Raw per-device busy time — what utilization is computed from, and
@@ -182,13 +182,11 @@ class ServeRuntime:
         self,
         artifact: ModelArtifact,
         config: ServeConfig | None = None,
-        metrics: MetricsRegistry | None = None,
         *,
         loop: EventLoop | None = None,
     ) -> None:
         self.artifact = artifact
         self.config = config or ServeConfig()
-        self.metrics = metrics or MetricsRegistry()
         self.loop = loop or EventLoop()
         self.tracer = TraceCollector(namespace=self.config.trace_namespace)
         injector = (
@@ -203,7 +201,6 @@ class ServeRuntime:
             engine=self.config.engine,
             tracer=self.tracer,
         )
-        self.metrics.label("engine", self.config.engine)
         self.queue = BoundedRequestQueue(
             policy=self.config.policy,
             max_depth=self.config.max_queue_depth,
@@ -212,8 +209,10 @@ class ServeRuntime:
         #: Devices with a dispatched batch whose device-free event is
         #: still pending.
         self._busy: set[int] = set()
-        self._outcomes: list[ServeOutcome] = []
-        self._offered = 0
+        #: Terminal outcomes in recording order; append-only, so a
+        #: reader can keep a cursor into it.
+        self.outcome_log: list[ServeOutcome] = []
+        self.offered = 0
         self._last_arrival_ms = 0.0
 
     def replay(self, trace: list[InferenceRequest]) -> ServeReport:
@@ -237,10 +236,9 @@ class ServeRuntime:
         Returns whether the request was admitted (``False``: shed at the
         door).
         """
-        self._offered += 1
+        self.offered += 1
         self._last_arrival_ms = max(self._last_arrival_ms,
                                     request.arrival_ms)
-        self.metrics.counter("requests.offered").inc()
         try:
             self.queue.offer(request)
         except AdmissionError as exc:
@@ -254,8 +252,6 @@ class ServeRuntime:
             )
             self._span(request, "shed", request.arrival_ms,
                        detail=exc.reason)
-            self.metrics.counter("requests.rejected").inc()
-            self.metrics.counter(f"rejected.{exc.reason}").inc()
             return False
         self._span(request, "admitted", request.arrival_ms)
         self._dispatch()
@@ -286,7 +282,6 @@ class ServeRuntime:
                 self._serve_batch(device, batch)
                 self._busy.add(device.device_id)
                 self.loop.at(device.clock_ms, self._device_free, device)
-        self.metrics.gauge("queue.depth").set(self.queue.depth)
 
     # -- batch execution -------------------------------------------------
 
@@ -294,8 +289,6 @@ class ServeRuntime:
         self, device: SimulatedDevice, batch: list[InferenceRequest]
     ) -> None:
         device.begin_dispatch(min(r.earliest_start_ms for r in batch))
-        self.metrics.counter("batches.dispatched").inc()
-        self.metrics.histogram("batch_size").observe(len(batch))
         for request in batch:
             # Where this attempt would start serving: the device cannot
             # run a request before it is eligible, and the request cannot
@@ -329,7 +322,6 @@ class ServeRuntime:
                 # retries are never shed).
                 self._fail(device, request, service_start,
                            "deadline_after_retry", "deadline_after_retry")
-                self.metrics.counter("failed.deadline_after_retry").inc()
                 return False
             # Shedding at dequeue: executing a request that already
             # missed its deadline wastes device time everyone else pays.
@@ -357,7 +349,6 @@ class ServeRuntime:
         try:
             execution = device.execute(request)
         except DeviceBrownoutError:
-            self.metrics.counter("device.brownouts").inc()
             self._retry_or_fail(device, request)
             return
         except InvalidInputError as exc:
@@ -386,10 +377,6 @@ class ServeRuntime:
             )
         )
         self._span(request, "completed", execution.end_ms)
-        self.metrics.counter("requests.completed").inc()
-        self.metrics.histogram("latency_ms").observe(latency)
-        self.metrics.histogram("queue_ms").observe(queue_wait)
-        self.metrics.histogram("cycles").observe(execution.cycles)
 
     def _retry_or_fail(
         self, device: SimulatedDevice, request: InferenceRequest
@@ -414,7 +401,6 @@ class ServeRuntime:
         request.backoff_ms = device.clock_ms + backoff - request.arrival_ms
         self._span(request, "backoff", device.clock_ms,
                    request.earliest_start_ms)
-        self.metrics.counter("requests.retries").inc()
         # Already admitted once: retries bypass admission control so no
         # request can be both rejected and failed.
         self.loop.at(request.earliest_start_ms, self._retry_eligible,
@@ -435,8 +421,6 @@ class ServeRuntime:
             )
         )
         self._span(request, "shed", at_ms, detail=reason)
-        self.metrics.counter("requests.rejected").inc()
-        self.metrics.counter(f"rejected.{reason}").inc()
 
     def _fail(
         self,
@@ -457,7 +441,6 @@ class ServeRuntime:
             )
         )
         self._span(request, "failed", at_ms, detail=detail)
-        self.metrics.counter("requests.failed").inc()
 
     def _span(
         self,
@@ -481,40 +464,41 @@ class ServeRuntime:
         )
 
     def _record(self, outcome: ServeOutcome) -> None:
-        self._outcomes.append(outcome)
+        self.outcome_log.append(outcome)
 
     @property
     def outcomes(self) -> tuple[ServeOutcome, ...]:
         """Terminal outcomes so far, by request id."""
-        return tuple(sorted(self._outcomes, key=lambda o: o.request_id))
+        return tuple(sorted(self.outcome_log, key=lambda o: o.request_id))
 
     def report(self) -> ServeReport:
-        outcomes = self.outcomes
-        completed = sum(1 for o in outcomes if o.status == COMPLETED)
-        rejected = sum(1 for o in outcomes if o.status == REJECTED)
-        failed = sum(1 for o in outcomes if o.status == FAILED)
         makespan = max(
             [self._last_arrival_ms]
             + [device.clock_ms for device in self.devices]
         )
-        utilization = {}
-        busy = {}
-        for device in self.devices:
-            value = device.utilization(makespan)
-            utilization[f"device.{device.device_id}"] = value
-            busy[f"device.{device.device_id}"] = device.busy_ms
-            self.metrics.gauge(
-                f"device.{device.device_id}.utilization"
-            ).set(value)
-        snapshot = self.metrics.snapshot()
+        utilization = {
+            f"device.{d.device_id}": d.utilization(makespan)
+            for d in self.devices
+        }
+        busy = {f"device.{d.device_id}": d.busy_ms for d in self.devices}
+        snapshot = replay_metrics(
+            offered=self.offered,
+            outcomes=self.outcome_log,
+            spans=self.tracer.spans(),
+            utilization=utilization,
+            queue_depth=self.queue.depth,
+            engine=self.config.engine,
+        )
+        counters = snapshot["counters"]
+        completed = counters.get("requests.completed", 0)
         throughput = (
             completed / (makespan / 1e3) if makespan > 0.0 else 0.0
         )
         return ServeReport(
-            offered=self._offered,
+            offered=self.offered,
             completed=completed,
-            rejected=rejected,
-            failed=failed,
+            rejected=counters.get("requests.rejected", 0),
+            failed=counters.get("requests.failed", 0),
             makespan_ms=makespan,
             throughput_rps=throughput,
             latency_ms=snapshot["histograms"].get(
@@ -524,7 +508,7 @@ class ServeRuntime:
             device_utilization=utilization,
             metrics=snapshot,
             engine=self.config.engine,
-            outcomes=outcomes,
+            outcomes=self.outcomes,
             device_busy_ms=busy,
             trace=self.tracer,
         )

@@ -1,17 +1,11 @@
 """Runtime lock-order sanitizer: order checks, strict mode,
-self-deadlock, Condition compatibility, and runtime instrumentation."""
+self-deadlock and Condition compatibility."""
 
 import threading
 
 import pytest
 
-from repro.analysis.concurrency import (
-    LockOrderSanitizer,
-    SanitizedLock,
-    analyze_paths,
-    sanitizer_for_report,
-)
-from repro.analysis.concurrency.sanitizer import instrument_runtime
+from repro.analysis.concurrency import LockOrderSanitizer
 
 
 def make_sanitizer(strict=False, edges=()):
@@ -166,41 +160,3 @@ class TestConditionCompatibility:
         with b:
             pass
         assert sanitizer.violations == []
-
-
-class TestInstrumentedRuntime:
-    def test_soak_scenario_with_sanitizer(self, small_artifact,
-                                          digits_small):
-        """A replay through a fully instrumented runtime: the
-        statically derived order holds, strictly (no serve lock is ever
-        nested inside another)."""
-        from pathlib import Path
-
-        import repro
-        from repro.serve import (
-            ServeConfig,
-            ServeRuntime,
-            synthetic_trace,
-            verify_trace_invariants,
-        )
-
-        report = analyze_paths([Path(repro.__file__).parent / "serve"])
-        sanitizer = sanitizer_for_report(report, strict=True)
-        runtime = ServeRuntime(
-            small_artifact,
-            ServeConfig(n_devices=2, max_queue_depth=64,
-                        max_queue_wait_ms=None),
-        )
-        instrument_runtime(runtime, sanitizer)
-        assert isinstance(runtime.metrics._lock, SanitizedLock)
-        trace = synthetic_trace(
-            48, 500.0, 64, seed=3, inputs=digits_small.x_test,
-        )
-        serve_report = runtime.replay(trace)
-        assert isinstance(
-            runtime.metrics.counter("requests.offered")._lock,
-            SanitizedLock,
-        )
-        assert serve_report.offered == 48
-        assert verify_trace_invariants(serve_report) == []
-        assert sanitizer.violations == [], sanitizer.report()

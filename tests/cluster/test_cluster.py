@@ -30,6 +30,11 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ClusterConfig(tick_ms=0.0)
 
+    def test_signal_window_validation(self):
+        for window_ms in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                ClusterConfig(signal_window_ms=window_ms)
+
 
 class TestReplayConservation:
     @pytest.mark.parametrize(

@@ -91,6 +91,52 @@ class TestSerialization:
             load_quantized_model(path)
 
 
+class TestMalformedModelFiles:
+    """A truncated, junk or ill-typed file raises a typed error that
+    names it, never numpy's or zipfile's own exception."""
+
+    @pytest.fixture()
+    def saved(self, trained_neuroc, tmp_path):
+        return save_quantized_model(trained_neuroc.quantized,
+                                    tmp_path / "m")
+
+    def _rejected(self, path):
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_quantized_model(path)
+        assert str(path) in str(excinfo.value)
+        assert "\n" not in str(excinfo.value)
+
+    def test_every_truncation_is_rejected(self, saved):
+        raw = saved.read_bytes()
+        cuts = sorted(set(np.linspace(1, len(raw) - 1, 60).astype(int)))
+        assert len(cuts) == 60
+        for cut in cuts:
+            saved.write_bytes(raw[:cut])
+            self._rejected(saved)
+
+    def test_empty_file_is_rejected(self, saved):
+        saved.write_bytes(b"")
+        self._rejected(saved)
+
+    def test_junk_bytes_are_rejected(self, saved):
+        saved.write_bytes(b"not a model!")
+        self._rejected(saved)
+
+    @pytest.mark.parametrize("key, value", [
+        ("layer0_bias", np.array([None, 1], dtype=object)),
+        ("__meta__", np.array([FORMAT_VERSION, 2], dtype=np.int32)),
+        ("layer0_flags", np.array([8, 8, 1], dtype=np.int32)),
+        ("__input_scale__", np.array([], dtype=np.float64)),
+    ], ids=["object-array", "meta-2-entries", "flags-3-entries",
+            "empty-input-scale"])
+    def test_ill_typed_member_is_rejected(self, saved, key, value):
+        with np.load(saved) as data:
+            arrays = dict(data)
+        arrays[key] = value
+        np.savez(saved, **arrays)
+        self._rejected(saved)
+
+
 class TestFirmware:
     @pytest.fixture(scope="class")
     def image(self, trained_neuroc) -> FirmwareImage:

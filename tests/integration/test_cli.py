@@ -186,6 +186,31 @@ class TestServeBench:
         assert "offered 30" in out
 
 
+class TestMalformedModelFile:
+    """Every model-reading subcommand turns a malformed file into one
+    ``error:`` line and exit 1, with no traceback."""
+
+    @pytest.fixture(params=["truncated", "junk"])
+    def bad_model(self, request, model_file, tmp_path):
+        path = tmp_path / "model.npz"
+        if request.param == "truncated":
+            raw = open(model_file, "rb").read()
+            path.write_bytes(raw[: len(raw) // 2])
+        else:
+            path.write_bytes(b"not a model!")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command", ["verify", "deploy", "encodings", "serve-bench"]
+    )
+    def test_one_error_line_and_exit_1(self, command, bad_model, capsys):
+        assert main([command, "--model", bad_model]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and bad_model in line
+
+
 class TestTrain:
     def test_train_writes_a_loadable_model(self, tmp_path, capsys):
         out_file = tmp_path / "trained.npz"

@@ -19,6 +19,7 @@ from repro.serve import (
     ServeConfig,
     ServeRuntime,
     SimulatedDevice,
+    TraceCollector,
     synthetic_trace,
 )
 
@@ -53,9 +54,11 @@ class TestFaultInjector:
 class TestDeviceBrownout:
     def test_execute_raises_typed_brownout(self, small_artifact,
                                            digits_small):
+        tracer = TraceCollector()
         device = SimulatedDevice(
             device_id=3, artifact=small_artifact,
             injector=FaultInjector(FaultPlan(brownout_rate=1.0)),
+            tracer=tracer,
         )
         request = InferenceRequest(
             request_id=0, x=digits_small.x_test[0], arrival_ms=0.0
@@ -63,7 +66,8 @@ class TestDeviceBrownout:
         with pytest.raises(DeviceBrownoutError) as excinfo:
             device.execute(request)
         assert excinfo.value.device_id == 3
-        assert device.brownouts == 1
+        [span] = tracer.device_spans(3)
+        assert (span.kind, span.detail) == ("retry", "brownout")
         assert device.clock_ms > 0.0        # wasted work is charged
 
     def test_starved_power_budget_browns_out(self, small_artifact,
