@@ -45,6 +45,7 @@ from repro.cluster.router import ROUTER_POLICIES, Router
 from repro.errors import ConfigurationError, ServeError
 from repro.serve.events import EventLoop
 from repro.serve.metrics import summarize
+from repro.serve.pool import Answers
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import COMPLETED, InferenceRequest
 from repro.serve.runtime import ServeConfig, ServeReport, arrival_order
@@ -163,6 +164,8 @@ class Cluster:
             if not self._artifacts:
                 raise ServeError("cluster needs at least one artifact")
         self.loop = EventLoop()
+        #: The replay's answer tables, shared by every generation.
+        self._answers = Answers()
         self._fleets: list[Fleet] = []
         self._retired_fleets: list[Fleet] = []
         self._next_fleet_id = 0
@@ -188,6 +191,7 @@ class Cluster:
             loop=self.loop,
             registry=self.registry,
             signal_window_ms=self.config.signal_window_ms,
+            answers=self._answers,
         )
         self._fleets.append(fleet)
         return fleet
@@ -294,7 +298,13 @@ class Cluster:
         simulate, and until every scheduled deploy has fired and
         finished.  Every request arrives at its trace time on the
         simulated clock, so ``pace`` has no effect.
+
+        Every generation, live or built later by a deploy or scale-up,
+        answers from the trace: one table per (artifact, engine), built
+        when a generation on that artifact first serves.  Request ids
+        must be distinct (``ConfigurationError`` otherwise).
         """
+        self._answers.load(trace)
         self._submitted_ids.extend(request.request_id for request in trace)
         for request in sorted(trace, key=arrival_order):
             self.loop.at(request.arrival_ms, self._arrive, request)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.serve.events import EventLoop
+from repro.serve.pool import Answers
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import REJECTED, InferenceRequest
 from repro.serve.runtime import ServeConfig, ServeReport, ServeRuntime
@@ -127,8 +128,8 @@ class FleetGeneration:
 class Fleet:
     """One sharded fleet: generations of a serve runtime behind one id.
 
-    ``loop`` is the cluster's event loop; a fleet built on its own gets
-    a private one.
+    ``loop`` is the cluster's event loop, and ``answers`` its replay's
+    answer tables; a fleet built on its own gets private ones.
     """
 
     def __init__(
@@ -140,12 +141,14 @@ class Fleet:
         loop: EventLoop | None = None,
         registry=None,
         signal_window_ms: float = 250.0,
+        answers: Answers | None = None,
     ) -> None:
         self.fleet_id = fleet_id
         self.name = f"fleet-{fleet_id}"
         self.config = config
         self.signal_window_ms = signal_window_ms
         self.loop = loop or EventLoop()
+        self._answers = answers if answers is not None else Answers()
         self._registry = registry
         self._gen_count = 0
         self._retired: list[FleetGeneration] = []
@@ -164,7 +167,9 @@ class Fleet:
         config = dataclasses.replace(
             self.config, trace_namespace=namespace
         )
-        runtime = ServeRuntime(artifact, config, loop=self.loop)
+        runtime = ServeRuntime(
+            artifact, config, loop=self.loop, answers=self._answers
+        )
         if self._registry is not None:
             self._registry.acquire(artifact.model_id)
         return FleetGeneration(

@@ -18,7 +18,9 @@ all.  Every kernel has input-independent control flow, so the verifier
 proves each layer's WCET bound equal to its measured cycles, and the
 NumPy reference (:mod:`repro.kernels.ref`) is bit-exact with the
 device.  The engine therefore returns the reference logits and charges
-the per-layer bounds.  A row the reference's range audits reject (an
+the per-layer bounds.  A batch is one reference forward whose range
+audits run per row, and :meth:`DeployedModel.infer_rows` answers a
+serve replay's whole trace with it.  A row those audits reject (an
 input outside the calibrated range, where only the device's wraparound
 arithmetic is authoritative) runs on the tier-1 CPU instead, so every
 result stays device-exact.  Device RAM and traffic counters are left
@@ -28,6 +30,7 @@ untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,12 +38,11 @@ from repro.errors import (
     BudgetExceededError,
     ConfigurationError,
     InvalidInputError,
-    QuantizationError,
 )
 from repro.kernels.codegen_common import KernelImage
 from repro.kernels.layer import layer_kernel, layer_opcount
 from repro.kernels.opcount import OpCount
-from repro.kernels.ref import model_forward
+from repro.kernels.ref import model_forward_batch
 from repro.kernels.spec import LayerKernelSpec
 from repro.mcu.board import BoardProfile, STM32F072RB
 from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES, make_cpu
@@ -239,24 +241,23 @@ class DeployedModel:
             self.record_verification(verify_deployed_model(self))
         return self._layer_cycles
 
-    def _infer_verified(self, x_int: np.ndarray) -> InferenceResult | None:
-        """The reference's device-dtype logits, timed at the WCET bounds;
-        ``None`` when one of the reference's range audits rejects the
-        input."""
-        try:
-            logits = model_forward(self.quantized.specs, x_int)
-        except QuantizationError:
-            return None
-        logits = logits.astype(_WIDTH_DTYPES[self.images[-1].output_width])
+    def _reference(
+        self, x_int: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """The reference's device-dtype logits for ``(batch, n_in)``
+        rows and their ``ok`` mask (false where a range audit rejects
+        the row), plus one inference's cycles and latency at the WCET
+        bounds."""
+        logits, ok = model_forward_batch(self.quantized.specs, x_int)
         bounds = self.layer_cycle_bounds()
         self.timer.start()
         for cycles in bounds:
             self.timer.advance(cycles)
-        return InferenceResult(
-            logits=logits,
-            label=int(np.argmax(logits)),
-            cycles=sum(bounds),
-            latency_ms=self.timer.elapsed_ms(),
+        return (
+            logits.astype(_WIDTH_DTYPES[self.images[-1].output_width]),
+            ok,
+            sum(bounds),
+            self.timer.elapsed_ms(),
         )
 
     # -- batch fusion -------------------------------------------------------
@@ -323,14 +324,28 @@ class DeployedModel:
 
         Bit-exact with ``len(x_batch)`` sequential :meth:`infer` calls:
         identical per-row logits/labels and per-request cycle and
-        latency charges.  On ``fastpath-v2`` the batch runs fused, with
-        identical final RAM and per-region traffic counters too.  Other
-        engines, and fastpath-v2 pipelines with a declined layer, run
-        the sequential path (``fused=False``).
+        latency charges.  On ``verified`` the batch is one reference
+        forward audited per row.  On ``fastpath-v2`` the batch runs
+        fused, with identical final RAM and per-region traffic counters
+        too.  Other engines, and fastpath-v2 pipelines with a declined
+        layer, run the sequential path (``fused=False``).
         """
         x_batch = self._validate_input(x_batch, batch=True)
         if len(x_batch) == 0:
             raise InvalidInputError("batch is empty")
+        if self.engine == VERIFIED_ENGINE:
+            logits, ok, cycles, latency_ms = self._reference(
+                self.quantized.quantize_input(x_batch)
+            )
+            for i in np.flatnonzero(~ok):   # the tier-1 fallback
+                logits[i] = self.infer(x_batch[i]).logits
+            return BatchInferenceResult(
+                logits=logits,
+                labels=logits.argmax(axis=1),
+                cycles_per_inference=cycles,
+                latency_ms=latency_ms,
+                fused=False,
+            )
         sps = self._fused_pipeline()
         if sps is None:
             rows = [self.infer(row) for row in x_batch]
@@ -431,9 +446,14 @@ class DeployedModel:
             self._validate_input(x, batch=False)
         )
         if self.engine == VERIFIED_ENGINE:
-            result = self._infer_verified(x_int)
-            if result is not None:
-                return result
+            logits, ok, cycles, latency_ms = self._reference(x_int[None])
+            if ok[0]:
+                return InferenceResult(
+                    logits=logits[0],
+                    label=int(np.argmax(logits[0])),
+                    cycles=cycles,
+                    latency_ms=latency_ms,
+                )
         self.images[0].write_input(x_int)
         self.timer.start()
         total_cycles = 0
@@ -448,6 +468,52 @@ class DeployedModel:
             cycles=total_cycles,
             latency_ms=self.timer.elapsed_ms(),
         )
+
+    def infer_rows(
+        self, xs: Sequence
+    ) -> list[tuple[int, int] | InvalidInputError]:
+        """``(label, cycles)`` of :meth:`infer` on each input, from one
+        :meth:`infer_batch` call.
+
+        A row :meth:`infer` rejects holds the ``InvalidInputError`` it
+        raises for that row instead.  The inputs are validated once,
+        stacked, when they are arrays of one shape and dtype; only when
+        that fails are they validated row by row.
+        """
+        if not len(xs):
+            return []
+        like = xs[0]
+        if isinstance(like, np.ndarray) and all(
+            isinstance(x, np.ndarray)
+            and x.dtype == like.dtype and x.shape == like.shape
+            for x in xs
+        ):
+            try:
+                batch = self.infer_batch(np.stack(xs))
+            except InvalidInputError:
+                pass                    # some row is invalid
+            else:
+                return list(zip(
+                    batch.labels.tolist(),
+                    [batch.cycles_per_inference] * len(xs),
+                ))
+        rows: list = []
+        for x in xs:
+            try:
+                # float64 is what quantize_input reads, so the valid
+                # rows stack into one batch exactly.
+                rows.append(
+                    self._validate_input(x, batch=False).astype(np.float64)
+                )
+            except InvalidInputError as exc:
+                rows.append(exc)
+        answers = iter(self.infer_rows([
+            row for row in rows if not isinstance(row, InvalidInputError)
+        ]))
+        return [
+            row if isinstance(row, InvalidInputError) else next(answers)
+            for row in rows
+        ]
 
     def predict(
         self, x_batch: np.ndarray, *, vectorized: bool = False

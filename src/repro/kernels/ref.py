@@ -17,33 +17,48 @@ from repro.errors import QuantizationError
 from repro.kernels.spec import INT32_MAX, INT32_MIN, LayerKernelSpec
 
 
-def _check_int32(values: np.ndarray, what: str) -> None:
-    if values.size == 0:
-        return
-    lo, hi = int(values.min()), int(values.max())
-    if lo < INT32_MIN or hi > INT32_MAX:
-        raise QuantizationError(
-            f"{what} overflows int32: range [{lo}, {hi}]"
-        )
+#: Message tail of the int32 audits; ``{lo}``/``{hi}`` are the observed
+#: extremes.
+_INT32_OVERFLOW = " overflows int32: range [{lo}, {hi}]"
 
 
-def _check_act_in(spec: LayerKernelSpec, x: np.ndarray) -> np.ndarray:
+def _raise_outside(
+    values: np.ndarray, lo: int, hi: int, message: str
+) -> None:
+    """The raising audit: ``QuantizationError`` when any value of the
+    whole array leaves ``[lo, hi]``."""
+    if values.size:
+        vmin, vmax = int(values.min()), int(values.max())
+        if vmin < lo or vmax > hi:
+            raise QuantizationError(message.format(lo=vmin, hi=vmax))
+
+
+def _as_input(spec: LayerKernelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.int64)
     if x.shape[-1] != spec.n_in:
         raise QuantizationError(
             f"input has {x.shape[-1]} features, spec expects {spec.n_in}"
         )
-    lo, hi = spec.act_in_range()
-    if x.size and (int(x.min()) < lo or int(x.max()) > hi):
-        raise QuantizationError(
-            f"input activations outside {spec.act_in_width}-byte range"
-        )
     return x
 
 
-def _finish(spec: LayerKernelSpec, acc: np.ndarray) -> np.ndarray:
-    """Shared epilogue per Eq. 1: requantize, add bias, ReLU, range-check."""
-    _check_int32(acc, "accumulator")
+def _layer(spec: LayerKernelSpec, x: np.ndarray, audit) -> np.ndarray:
+    """One layer per Eq. 1: accumulate, requantize, add bias, ReLU.
+
+    ``audit(values, lo, hi, message)`` checks one intermediate against
+    ``[lo, hi]``.  This is the one place the reference's limits and the
+    order of its checks live; the raising audit of
+    :func:`layer_forward` and the per-row audit of
+    :func:`model_forward_batch` both run through it.
+    """
+    lo, hi = spec.act_in_range()
+    audit(x, lo, hi,
+          f"input activations outside {spec.act_in_width}-byte range")
+    matrix = (
+        spec.weights if spec.is_dense else spec.adjacency
+    ).astype(np.int64)
+    acc = x @ matrix
+    audit(acc, INT32_MIN, INT32_MAX, "accumulator" + _INT32_OVERFLOW)
     if spec.mult is None:
         z = acc + spec.bias.astype(np.int64)
     else:
@@ -53,10 +68,11 @@ def _finish(spec: LayerKernelSpec, acc: np.ndarray) -> np.ndarray:
             else np.int64(spec.mult)
         )
         product = acc * mult
-        _check_int32(product, "requantization product")
+        audit(product, INT32_MIN, INT32_MAX,
+              "requantization product" + _INT32_OVERFLOW)
         # Arithmetic shift == floor division by 2^shift.
         z = (product >> spec.shift) + spec.bias.astype(np.int64)
-    _check_int32(z, "post-bias value")
+    audit(z, INT32_MIN, INT32_MAX, "post-bias value" + _INT32_OVERFLOW)
     if spec.relu:
         z = np.maximum(z, 0)
     lo, hi = spec.act_out_range()
@@ -64,11 +80,10 @@ def _finish(spec: LayerKernelSpec, acc: np.ndarray) -> np.ndarray:
         # Requantized ReLU outputs saturate at the top of their storage
         # width (the kernels' branchless clamp); the bottom is 0 via ReLU.
         z = np.minimum(z, hi)
-    elif z.size and (int(z.min()) < lo or int(z.max()) > hi):
-        raise QuantizationError(
-            f"output activations outside {spec.act_out_width}-byte range "
-            f"[{int(z.min())}, {int(z.max())}]"
-        )
+    else:
+        audit(z, lo, hi,
+              f"output activations outside {spec.act_out_width}-byte "
+              "range [{lo}, {hi}]")
     return z.astype(np.int64)
 
 
@@ -83,12 +98,7 @@ def layer_forward(spec: LayerKernelSpec, x: np.ndarray) -> np.ndarray:
     sum.  The encoding-specific behaviour (cycle counts, flash bytes) lives
     in the ``count_*`` cost models and :mod:`repro.deploy.size`.
     """
-    x = _check_act_in(spec, x)
-    matrix = (
-        spec.weights if spec.is_dense else spec.adjacency
-    ).astype(np.int64)
-    acc = x @ matrix
-    return _finish(spec, acc)
+    return _layer(spec, _as_input(spec, x), _raise_outside)
 
 
 def model_forward(
@@ -99,6 +109,28 @@ def model_forward(
     for spec in specs:
         out = layer_forward(spec, out)
     return out
+
+
+def model_forward_batch(
+    specs: list[LayerKernelSpec], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`model_forward` over ``(batch, n_in)`` rows, audited per row.
+
+    Returns ``(logits, ok)``: ``ok[i]`` is true exactly when
+    ``model_forward(specs, x[i])`` would not raise, and then
+    ``logits[i]`` equals its result.  The logits of other rows are
+    unspecified.  A feature-count mismatch still raises, since it holds
+    for every row.
+    """
+    out = np.asarray(x, dtype=np.int64)
+    ok = np.ones(len(out), dtype=bool)
+
+    def audit(values, lo, hi, message):
+        ok[:] &= (values.min(axis=1) >= lo) & (values.max(axis=1) <= hi)
+
+    for spec in specs:
+        out = _layer(spec, _as_input(spec, out), audit)
+    return out, ok
 
 
 def model_predict(specs: list[LayerKernelSpec], x: np.ndarray) -> np.ndarray:
@@ -154,7 +186,8 @@ def conv2d_forward(
     columns = im2col(np.asarray(x, dtype=np.int64), image_size, s)
     weights = kernels.reshape(k, s * s)  # Eq. 5: K × (C·S²)
     acc = weights @ columns + np.asarray(bias, dtype=np.int64)[:, None]
-    _check_int32(acc, "conv accumulator")
+    _raise_outside(acc, INT32_MIN, INT32_MAX,
+                   "conv accumulator" + _INT32_OVERFLOW)
     if relu:
         acc = np.maximum(acc, 0)
     return acc

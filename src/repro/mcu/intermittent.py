@@ -47,16 +47,27 @@ class PowerBudget:
 
 
 @dataclass(frozen=True)
-class IntermittentRun:
-    """Outcome of one inference across power failures."""
+class IntermittentCharge:
+    """What one inference costs under a charge budget.
 
-    logits: np.ndarray
-    label: int
+    A function of the budget alone: every kernel's cost is its
+    input-independent WCET bound, so each inference of a model under one
+    budget pays the same.
+    """
+
     power_cycles_used: int
     total_cycles: int            # compute + checkpoints + restores
     compute_cycles: int          # useful work (incl. re-execution)
     checkpoint_cycles: int
     wasted_cycles: int           # progress lost to mid-layer power loss
+
+
+@dataclass(frozen=True)
+class IntermittentRun(IntermittentCharge):
+    """Outcome of one inference across power failures."""
+
+    logits: np.ndarray
+    label: int
     completed: bool
 
 
@@ -80,17 +91,17 @@ class IntermittentDeployment:
             costs.append(state_bytes * CHECKPOINT_CYCLES_PER_BYTE)
         return costs
 
-    def run(
+    def charge(
         self,
-        x: np.ndarray,
         budget: PowerBudget,
         max_power_cycles: int = 10_000,
-    ) -> IntermittentRun:
-        """One inference under the given charge budget.
+    ) -> IntermittentCharge:
+        """What one inference costs under the given charge budget.
 
         The smallest layer+checkpoint unit must fit one charge, or the
         device can never make forward progress (the classic intermittent-
-        computing non-termination hazard) — detected and reported.
+        computing non-termination hazard) — detected and reported as an
+        ``ExecutionError``.
 
         The guard threshold is exactly :meth:`minimum_charge_cycles` (one
         definition, not a re-derivation): it must include the restore
@@ -132,18 +143,33 @@ class IntermittentDeployment:
             remaining = budget.cycles_per_charge - RESTORE_OVERHEAD_CYCLES
             checkpointed += RESTORE_OVERHEAD_CYCLES
 
-        # The numeric result is charge-schedule independent: layers are
-        # idempotent over their checkpointed inputs.  Compute it with the
-        # deployed model's normal path.
-        result = self.deployed.infer(x)
-        return IntermittentRun(
-            logits=result.logits,
-            label=result.label,
+        return IntermittentCharge(
             power_cycles_used=power_cycles,
             total_cycles=compute + checkpointed + wasted,
             compute_cycles=compute,
             checkpoint_cycles=checkpointed,
             wasted_cycles=wasted,
+        )
+
+    def run(
+        self,
+        x: np.ndarray,
+        budget: PowerBudget,
+        max_power_cycles: int = 10_000,
+    ) -> IntermittentRun:
+        """One inference under the given charge budget: :meth:`charge`
+        plus the label.
+
+        The numeric result is charge-schedule independent: layers are
+        idempotent over their checkpointed inputs.  So it comes from the
+        deployed model's normal path.
+        """
+        charge = self.charge(budget, max_power_cycles)
+        result = self.deployed.infer(x)
+        return IntermittentRun(
+            **vars(charge),
+            logits=result.logits,
+            label=result.label,
             completed=True,
         )
 

@@ -2,7 +2,8 @@
 
 The subsystem turns single-shot ``DeployedModel.infer()`` calls into a
 serving stack: content-addressed model registry with a compiled-kernel
-cache (`registry`), a pool of replica boards (`pool`), bounded
+cache (`registry`), a pool of simulated boards answering from one
+batched reference forward per trace (`pool`), bounded
 policy-ordered scheduling with admission control and batching
 (`scheduler`), fault injection plus retry-with-backoff (`faults`,
 `runtime`), fleet metrics derived from each replay's records
@@ -15,6 +16,7 @@ from repro.serve.events import EventLoop
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.pool import (
     DISPATCH_OVERHEAD_CYCLES,
+    Answers,
     DeviceExecution,
     SimulatedDevice,
     build_pool,
@@ -48,6 +50,7 @@ from repro.serve.tracing import (
 )
 
 __all__ = [
+    "Answers",
     "BoundedRequestQueue",
     "COMPLETED",
     "DEVICE_BUSY_KINDS",

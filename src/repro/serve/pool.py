@@ -1,13 +1,18 @@
-"""Simulated device pool: N boards flashed from one verified artifact.
+"""Simulated device pool: N boards serving one verified artifact.
 
-Each :class:`SimulatedDevice` owns a full replica of the deployed model
-(its own RAM, CPU, and TIM2 timer — see
-:meth:`~repro.serve.registry.ModelArtifact.replica`) plus a simulated
-clock in milliseconds.  The clock advances by exactly the cycle counts
-the replica charges (on every engine, the interpreter's), converted at
-the board's frequency, so latency and utilization are reported in the
-same simulated-time domain as every other number in this repository.
-Every request runs through the one per-request :meth:`execute`.
+Each :class:`SimulatedDevice` is a board's simulated clock in
+milliseconds, plus its fault and power state.  It holds no replica of
+the model.  A request's cycles never depend on its input: every kernel
+has input-independent control flow, the verifier proves the WCET bound
+equal to the measured cycles, and the reference matches the device bit
+for bit.  So a device charges a proven constant, and reads the label
+from :class:`Answers`: one batched reference forward over the replay's
+trace on the ``verified`` engine, or one ``infer`` when the request
+executes on a CPU engine.  The clock advances by exactly the cycles
+charged, converted at the board's frequency, so latency and
+utilization are reported in the same simulated-time domain as every
+other number in this repository.  Every request runs through the one
+per-request :meth:`SimulatedDevice.execute`.
 
 Devices are driven by the runtime's single-threaded event loop, so
 their mutable state needs no locking.
@@ -16,8 +21,16 @@ their mutable state needs no locking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Sequence
 
-from repro.errors import DeviceBrownoutError, ExecutionError
+from repro.deploy.artifact import VERIFIED_ENGINE, DeployedModel
+from repro.errors import (
+    ConfigurationError,
+    DeviceBrownoutError,
+    ExecutionError,
+    InvalidInputError,
+)
 from repro.mcu.board import BoardProfile
 from repro.mcu.intermittent import IntermittentDeployment, PowerBudget
 from repro.serve.faults import BROWNOUT_WASTE_FRACTION, FaultInjector
@@ -40,8 +53,73 @@ class DeviceExecution:
     end_ms: float
 
 
+class Answers:
+    """Each request's ``(label, cycles)`` on one replay's trace.
+
+    :meth:`load` takes the trace.  On the ``verified`` engine, the first
+    request an artifact serves builds its table: one
+    :meth:`~repro.deploy.artifact.DeployedModel.infer_rows` call over
+    every input of the trace, keyed by request id.  Every later runtime
+    on the same artifact (a cluster's generations) reads the same
+    table.  A request with no row, from a direct ``admit`` or
+    ``execute`` caller, is answered by the same method with a batch of
+    one.  CPU engines answer when a request executes, with one
+    ``infer``: precomputing would pay for the rows an overloaded
+    replay sheds.
+    """
+
+    def __init__(self) -> None:
+        self._trace: Sequence[InferenceRequest] = ()
+        #: Per ``verified`` artifact id: request id -> row.
+        self._tables: dict[str, dict] = {}
+
+    def load(self, trace: Sequence[InferenceRequest]) -> None:
+        """Take a replay's trace; its request ids must be distinct."""
+        seen: set[int] = set()
+        for request in trace:
+            if request.request_id in seen:
+                raise ConfigurationError(
+                    f"trace repeats request id {request.request_id}"
+                )
+            seen.add(request.request_id)
+        self._trace = trace
+        self._tables = {}
+
+    def source(
+        self, artifact: ModelArtifact, engine: str | None = None
+    ) -> Callable[[InferenceRequest], tuple[int, int]]:
+        """Answer requests on one replica flashed from ``artifact`` now."""
+        return partial(self.row, artifact.model_id, artifact.replica(engine))
+
+    def row(
+        self, model_id: str, model: DeployedModel, request: InferenceRequest
+    ) -> tuple[int, int]:
+        """``(label, cycles)`` of ``request`` on ``model``; raises the
+        ``InvalidInputError`` its input carries."""
+        if model.engine != VERIFIED_ENGINE:
+            result = model.infer(request.x)
+            return result.label, result.cycles
+        table = self._tables.get(model_id)
+        if table is None:
+            table = self._tables[model_id] = dict(zip(
+                (request.request_id for request in self._trace),
+                model.infer_rows([request.x for request in self._trace]),
+            ))
+        row = table.get(request.request_id)
+        if row is None:
+            (row,) = model.infer_rows([request.x])
+        if isinstance(row, InvalidInputError):
+            raise row
+        return row
+
+
 class SimulatedDevice:
-    """One board of the fleet, with its own replica and sim clock."""
+    """One board of the fleet: its sim clock, faults and power budget.
+
+    ``answer`` gives a request's ``(label, cycles)``; a runtime passes
+    the one its devices share.  A device built on its own answers from
+    a replica flashed for it.
+    """
 
     def __init__(
         self,
@@ -50,19 +128,26 @@ class SimulatedDevice:
         *,
         power_budget: PowerBudget | None = None,
         injector: FaultInjector | None = None,
-        engine: str | None = None,
         tracer: TraceCollector | None = None,
+        answer: Callable[[InferenceRequest], tuple[int, int]] | None = None,
     ) -> None:
         self.device_id = device_id
         self.board: BoardProfile = artifact.board
-        self.deployed = artifact.replica(engine=engine)
+        self._answer = answer or Answers().source(artifact)
         self.injector = injector
         self.tracer = tracer
         self.power_budget = power_budget
-        self._intermittent = (
-            IntermittentDeployment(self.deployed)
-            if power_budget is not None else None
-        )
+        #: What every inference costs under the budget
+        #: (``IntermittentCharge``), priced once; the ``ExecutionError``
+        #: instead when the budget can never finish the model.
+        self._charge = None
+        if power_budget is not None:
+            try:
+                self._charge = IntermittentDeployment(
+                    artifact.deployed
+                ).charge(power_budget)
+            except ExecutionError as exc:
+                self._charge = exc
         # -- simulated-time accounting: ``clock_ms`` is when the device
         #    finishes the work dispatched to it so far ------------------
         self.clock_ms = 0.0
@@ -90,6 +175,7 @@ class SimulatedDevice:
                 device_id=self.device_id,
                 attempt=(request.attempts + 1) if request is not None else 0,
                 detail=detail,
+                fleet=self.tracer.namespace,
             )
         )
 
@@ -130,27 +216,23 @@ class SimulatedDevice:
                 f"{request.request_id}",
                 device_id=self.device_id,
             )
-        if self._intermittent is not None:
-            try:
-                run = self._intermittent.run(request.x, self.power_budget)
-            except ExecutionError as exc:
-                # Budget below the minimum viable charge (or power-cycle
-                # cap): the device can never finish this model.
-                waste_ms = self.board.cycles_to_ms(
-                    self.power_budget.cycles_per_charge
-                )
-                self.clock_ms = start + waste_ms
-                self.busy_ms += waste_ms
-                self._emit("retry", start, self.clock_ms, request,
-                           detail="budget_brownout")
-                raise DeviceBrownoutError(
-                    f"device {self.device_id} browned out: {exc}",
-                    device_id=self.device_id,
-                ) from exc
-            label, cycles = run.label, run.total_cycles
-        else:
-            result = self.deployed.infer(request.x)
-            label, cycles = result.label, result.cycles
+        if isinstance(self._charge, ExecutionError):
+            # Budget below the minimum viable charge (or power-cycle
+            # cap): the device can never finish this model.
+            waste_ms = self.board.cycles_to_ms(
+                self.power_budget.cycles_per_charge
+            )
+            self.clock_ms = start + waste_ms
+            self.busy_ms += waste_ms
+            self._emit("retry", start, self.clock_ms, request,
+                       detail="budget_brownout")
+            raise DeviceBrownoutError(
+                f"device {self.device_id} browned out: {self._charge}",
+                device_id=self.device_id,
+            ) from self._charge
+        label, cycles = self._answer(request)
+        if self._charge is not None:
+            cycles = self._charge.total_cycles
         exec_ms = self.board.cycles_to_ms(cycles)
         self.clock_ms = start + exec_ms
         self.busy_ms += exec_ms
@@ -172,18 +254,20 @@ def build_pool(
     *,
     power_budget: PowerBudget | None = None,
     injector: FaultInjector | None = None,
-    engine: str | None = None,
     tracer: TraceCollector | None = None,
+    answer: Callable[[InferenceRequest], tuple[int, int]] | None = None,
 ) -> list[SimulatedDevice]:
-    """Flash ``n_devices`` replicas of one verified artifact."""
+    """``n_devices`` boards serving one verified artifact, all reading
+    ``answer`` (by default one replica flashed for the pool)."""
+    answer = answer or Answers().source(artifact)
     return [
         SimulatedDevice(
             device_id=i,
             artifact=artifact,
             power_budget=power_budget,
             injector=injector,
-            engine=engine,
             tracer=tracer,
+            answer=answer,
         )
         for i in range(n_devices)
     ]

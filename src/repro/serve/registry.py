@@ -8,11 +8,12 @@ content twice therefore hits the compiled-kernel cache — codegen and the
 full static-verification suite run exactly once per distinct artifact,
 no matter how many callers or devices ask for it.
 
-Device replicas are produced by deep-copying the cached
+Replicas are produced by deep-copying the cached
 :class:`~repro.deploy.artifact.DeployedModel`: the flashed memory image
-and assembled programs are duplicated byte-for-byte onto each simulated
+and assembled programs are duplicated byte-for-byte onto a simulated
 board without re-running code generation or verification (the simulator
-analogue of flashing N boards from one signed firmware image).
+analogue of flashing a board from one signed firmware image).  A serve
+runtime flashes one, which answers for all of its devices.
 """
 
 from __future__ import annotations
@@ -92,12 +93,12 @@ class ModelArtifact:
     def replica(self, engine: str | None = None) -> DeployedModel:
         """A fresh board flashed with this artifact (no re-codegen).
 
-        Each simulated device needs its own RAM, CPU, and timer state;
-        the compiled programs and flash contents are copied verbatim,
-        and fastpath translations are shared (they are immutable and
-        cached process-wide by program content, so N replicas compile
-        each layer exactly once).  ``engine`` overrides the execution
-        engine for this replica only.  A ``verified`` replica copies the
+        A replica has its own RAM, CPU, and timer state; the compiled
+        programs and flash contents are copied verbatim, and fastpath
+        translations are shared (they are immutable and cached
+        process-wide by program content, so N replicas compile each
+        layer exactly once).  ``engine`` overrides the execution engine
+        for this replica only.  A ``verified`` replica copies the
         artifact's WCET bounds, so an unverified artifact verifies once
         here rather than once per replica.
         """

@@ -1,15 +1,17 @@
 """The serving runtime: request streams over a pool of simulated MCUs.
 
 :class:`ServeRuntime` wires the subsystem together: a verified
-:class:`~repro.serve.registry.ModelArtifact` is replicated onto
-``n_devices`` simulated boards; requests enter through admission control
-into one policy-ordered queue; idle devices take batches, execute them
-cycle-exactly one request at a time, and retry brown-outs on healthy
-devices with capped exponential backoff.  Devices run the ``verified``
-engine by default: reference logits plus the verifier's per-layer WCET
-cycles, device-exact by construction (see
-:mod:`repro.deploy.artifact`).  ``ServeConfig.engine`` selects a CPU
-engine instead (``"fastpath"``, ``"interpreter"``, ...); simulated
+:class:`~repro.serve.registry.ModelArtifact` is flashed once and
+served by ``n_devices`` simulated boards; requests enter through
+admission control into one policy-ordered queue; idle devices take
+batches, execute them cycle-exactly one request at a time, and retry
+brown-outs on healthy devices with capped exponential backoff.  The
+runtime serves on the ``verified`` engine by default: reference logits
+plus the verifier's per-layer WCET cycles, device-exact by construction
+(see :mod:`repro.deploy.artifact`), computed for the whole trace in one
+batched forward before any request executes (see
+:class:`~repro.serve.pool.Answers`).  ``ServeConfig.engine`` selects a
+CPU engine instead (``"fastpath"``, ``"interpreter"``, ...); simulated
 results are identical on every engine.
 Every offered request ends in exactly one terminal outcome — completed,
 rejected, or failed — so the conservation law
@@ -48,7 +50,7 @@ from repro.mcu.intermittent import PowerBudget
 from repro.serve.events import EventLoop
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.metrics import replay_metrics, summarize
-from repro.serve.pool import SimulatedDevice, build_pool
+from repro.serve.pool import Answers, SimulatedDevice, build_pool
 from repro.serve.registry import ModelArtifact
 from repro.serve.request import (
     COMPLETED,
@@ -82,9 +84,9 @@ class ServeConfig:
     max_queue_wait_ms: float | None = None
     power_budget: PowerBudget | None = None
     fault_plan: FaultPlan | None = None
-    #: Execution engine for every device replica: ``"verified"``
-    #: (reference forward + WCET cycles, default), or a CPU engine:
-    #: ``"fastpath"``, ``"fastpath-v2"``, ``"interpreter"``.
+    #: Execution engine of the replica the devices answer from:
+    #: ``"verified"`` (reference forward + WCET cycles, default), or a
+    #: CPU engine: ``"fastpath"``, ``"fastpath-v2"``, ``"interpreter"``.
     engine: str = VERIFIED_ENGINE
     #: Track namespace stamped on every span (``"fleet-0"``), so multiple
     #: runtimes tracing in one process export distinguishable tracks.
@@ -175,7 +177,10 @@ class ServeRuntime:
     """Multi-device inference server over one registered model.
 
     ``loop`` is the event loop the runtime schedules on; a cluster
-    passes its own so every fleet shares one simulated clock.
+    passes its own so every fleet shares one simulated clock.  The
+    devices read each request's label and cycles from ``answers``; a
+    cluster passes its own so every generation on one artifact reads
+    one table.  The runtime flashes one replica for its devices, here.
     """
 
     def __init__(
@@ -184,11 +189,13 @@ class ServeRuntime:
         config: ServeConfig | None = None,
         *,
         loop: EventLoop | None = None,
+        answers: Answers | None = None,
     ) -> None:
         self.artifact = artifact
         self.config = config or ServeConfig()
         self.loop = loop or EventLoop()
         self.tracer = TraceCollector(namespace=self.config.trace_namespace)
+        self.answers = answers if answers is not None else Answers()
         injector = (
             FaultInjector(self.config.fault_plan)
             if self.config.fault_plan is not None else None
@@ -198,8 +205,8 @@ class ServeRuntime:
             self.config.n_devices,
             power_budget=self.config.power_budget,
             injector=injector,
-            engine=self.config.engine,
             tracer=self.tracer,
+            answer=self.answers.source(artifact, self.config.engine),
         )
         self.queue = BoundedRequestQueue(
             policy=self.config.policy,
@@ -220,8 +227,11 @@ class ServeRuntime:
 
         Arrivals are scheduled in :func:`arrival_order`, whatever the
         order of ``trace``, and the loop runs until every request has a
-        terminal outcome.
+        terminal outcome.  Request ids must be distinct
+        (``ConfigurationError`` otherwise): each request's answer is
+        keyed by its id.
         """
+        self.answers.load(trace)
         for request in sorted(trace, key=arrival_order):
             self.loop.at(request.arrival_ms, self.admit, request)
         self.loop.run()
@@ -460,6 +470,7 @@ class ServeRuntime:
                 request_id=request.request_id,
                 attempt=request.attempts + 1,
                 detail=detail,
+                fleet=self.config.trace_namespace,
             )
         )
 

@@ -1,6 +1,10 @@
-"""Shared fixtures: small datasets and trained models, built once."""
+"""Shared fixtures: small datasets and trained models, built once, a
+counter of the deployed model's inference calls, and the overflowing
+model builder."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from repro.core.neuroc import NeuroCConfig, train_neuroc
 from repro.core.mlp import MLPConfig, train_mlp
 from repro.datasets import load
+from repro.deploy.artifact import DeployedModel
+from repro.quantize.ptq import QuantizedModel
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +45,33 @@ def trained_mlp(digits_small):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def infer_calls(monkeypatch):
+    """Counts of ``DeployedModel.infer_batch`` (on ``verified``, one
+    batched reference forward) and ``DeployedModel.infer`` calls."""
+    counts = {"infer_batch": 0, "infer": 0}
+    for name in counts:
+        original = getattr(DeployedModel, name)
+
+        def counting(self, x, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(self, x)
+
+        monkeypatch.setattr(DeployedModel, name, counting)
+    return counts
+
+
+def overflowing(quantized, rows):
+    """``quantized`` with class 0's bias raised so that about half of
+    ``rows`` push its logit past the int16 output range: the reference
+    rejects those rows and the device wraps them."""
+    last = quantized.specs[-1]
+    assert last.act_out_width == 2
+    logit = quantized.forward(rows)[:, 0]
+    bias = last.bias.astype(np.int64)
+    bias[0] += 32767 - int(np.median(logit))
+    specs = [*quantized.specs[:-1],
+             dataclasses.replace(last, bias=bias.astype(np.int32))]
+    return QuantizedModel(specs, quantized.input_scale, quantized.act_width)

@@ -15,23 +15,26 @@ the interpreter's final RAM.
 from __future__ import annotations
 
 import copy
-import dataclasses
 
 import numpy as np
 import pytest
 
 import repro.analysis.report as report_module
 from repro.deploy import DeployedModel, deploy
-from repro.errors import ConfigurationError, QuantizationError
+from repro.errors import (
+    ConfigurationError,
+    InvalidInputError,
+    QuantizationError,
+)
 from repro.kernels.codegen_sparse import SPARSE_FORMATS
 from repro.mcu.board import BOARD_PROFILES
-from repro.quantize.ptq import QuantizedModel
 from repro.serve import (
     ModelRegistry,
     ServeConfig,
     ServeRuntime,
     synthetic_trace,
 )
+from tests.conftest import overflowing
 
 ROWS = 6
 
@@ -90,23 +93,10 @@ def test_equals_interpreter_on_dense_layers(trained_mlp, rows, board_name,
     _assert_matches_interpreter(deployment.model, rows, engine)
 
 
-def _overflowing(quantized, rows):
-    """``quantized`` with class 0's bias raised so that about half of
-    ``rows`` push its logit past the int16 output range."""
-    last = quantized.specs[-1]
-    assert last.act_out_width == 2
-    logit = quantized.forward(rows)[:, 0]
-    bias = last.bias.astype(np.int64)
-    bias[0] += 32767 - int(np.median(logit))
-    specs = [*quantized.specs[:-1],
-             dataclasses.replace(last, bias=bias.astype(np.int32))]
-    return QuantizedModel(specs, quantized.input_scale, quantized.act_width)
-
-
 @pytest.mark.parametrize("engine", ENGINES)
 def test_rows_the_reference_rejects_run_on_the_cpu(trained_neuroc, rows,
                                                    engine):
-    quantized = _overflowing(trained_neuroc.quantized, rows)
+    quantized = overflowing(trained_neuroc.quantized, rows)
     rejected = []
     for x in rows:
         try:
@@ -119,6 +109,48 @@ def test_rows_the_reference_rejects_run_on_the_cpu(trained_neuroc, rows,
     # The fallback ran the device: its wrapped int16 logit, not a
     # saturated or raised one.
     assert model.infer(rejected[0]).logits[0] < 0
+
+
+def _infer_or_error(model, x):
+    try:
+        result = model.infer(x)
+    except InvalidInputError as exc:
+        return ("error", str(exc))
+    return (result.label, result.cycles)
+
+
+@pytest.mark.parametrize("engine", ["verified", "fastpath"])
+def test_infer_rows_answers_each_row_as_infer(trained_neuroc, rows,
+                                              engine):
+    """Stacked when the rows allow it, row by row when not: each row
+    gets ``infer``'s label and cycles, or the error ``infer`` raises."""
+    model = DeployedModel(overflowing(trained_neuroc.quantized, rows),
+                          engine=engine)
+    bad = [
+        np.full(64, np.nan),
+        rows[0][:7],
+        rows[1] > 0.5,                   # bool: a float once stacked
+        np.array(["x"] * 64),
+        [0.0] * 63,
+    ]
+    mixed = [rows[0], *bad, rows[1].reshape(8, 8), list(rows[2]), *rows]
+
+    def expected(xs):
+        return [_infer_or_error(model, x) for x in xs]
+
+    def answered(xs):
+        return [
+            ("error", str(row)) if isinstance(row, InvalidInputError)
+            else row
+            for row in model.infer_rows(xs)
+        ]
+
+    assert answered(mixed) == expected(mixed)
+    assert answered(list(rows)) == expected(rows)
+    same_shape = [rows[0], bad[2], rows[2]]
+    assert answered(same_shape) == expected(same_shape)
+    assert answered([bad[0]]) == expected([bad[0]])
+    assert model.infer_rows([]) == []
 
 
 def test_predict_matches_the_reference(trained_neuroc, digits_small):

@@ -9,11 +9,13 @@ budgets, EDF, deadlines and both shed bounds.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mcu.intermittent import IntermittentDeployment, PowerBudget
 from repro.serve import FaultPlan, ServeConfig, ServeRuntime, synthetic_trace
+from tests.serve.conftest import spoil_inputs
 
 ENGINES = ("verified", "fastpath", "fastpath-v2", "interpreter")
 
@@ -82,5 +84,38 @@ def test_replay_identical_across_repeats_and_engines(
 
     first = replay(ENGINES[0])
     assert replay(ENGINES[0]) == first
+    for engine in ENGINES[1:]:
+        assert replay(engine) == first, engine
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+def test_rejected_rows_and_bad_inputs_identical_across_engines(
+    overflowing_artifact, digits_small, budget
+):
+    """Rows the reference's audits reject (the device wraps them) and
+    inputs ``infer`` refuses (NaN, 7 features) answer alike on every
+    engine, with and without a charge budget."""
+    config = dict(n_devices=3, max_queue_wait_ms=None,
+                  fault_plan=FaultPlan(brownout_rate=0.2, seed=1))
+    if budget is not None:
+        minimum = IntermittentDeployment(
+            overflowing_artifact.replica()
+        ).minimum_charge_cycles()
+        config["power_budget"] = PowerBudget(minimum * budget)
+
+    def replay(engine):
+        trace = spoil_inputs(synthetic_trace(
+            60, 3000.0, 64, seed=4, inputs=digits_small.x_test
+        ))
+        report = ServeRuntime(
+            overflowing_artifact, ServeConfig(engine=engine, **config)
+        ).replay(trace)
+        reasons = {o.reason for o in report.outcomes if o.reason}
+        assert any(r.startswith("invalid_input: input contains NaN")
+                   for r in reasons)
+        assert any("has 7 values" in r for r in reasons)
+        return sim_json(report)
+
+    first = replay(ENGINES[0])
     for engine in ENGINES[1:]:
         assert replay(engine) == first, engine
