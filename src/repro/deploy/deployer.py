@@ -8,7 +8,7 @@ from repro.analysis.report import (
     ModelVerificationReport,
     verify_deployed_model,
 )
-from repro.deploy.artifact import DeployedModel, analytic_model_latency_ms
+from repro.deploy.artifact import DeployedModel, analytic_model_cycles
 from repro.deploy.size import ProgramMemoryReport, model_program_memory
 from repro.errors import BudgetExceededError
 from repro.mcu.board import BoardProfile, STM32F072RB
@@ -22,12 +22,19 @@ class Deployment:
 
     model: DeployedModel | None       # None when the model does not fit
     program_memory: ProgramMemoryReport
-    latency_ms: float
+    #: Cycles of one inference: input-independent, so a static count
+    #: of the kernels' operations (what the CPU measures; tests hold
+    #: the two equal on every board and encoding).
+    cycles: int
     board: BoardProfile
     format_name: str
     #: Static-verification verdict of every layer kernel; ``None`` when
     #: the model was not built (does not fit) or verification was skipped.
     verification: ModelVerificationReport | None = None
+
+    @property
+    def latency_ms(self) -> float:
+        return self.board.cycles_to_ms(self.cycles)
 
     @property
     def deployable(self) -> bool:
@@ -66,7 +73,7 @@ def deploy(
     memory_report = model_program_memory(
         quantized.specs, format_name=format_name, block_size=block_size
     )
-    latency = analytic_model_latency_ms(
+    cycles = analytic_model_cycles(
         quantized, format_name, board, block_size
     )
     model: DeployedModel | None = None
@@ -87,7 +94,7 @@ def deploy(
     return Deployment(
         model=model,
         program_memory=memory_report,
-        latency_ms=latency,
+        cycles=cycles,
         board=board,
         format_name=format_name,
         verification=verification,

@@ -294,7 +294,7 @@ def plan_from_catalog(
 
     ``entries`` are frontier rows as a ``repro search`` artifact stores
     them (see :func:`repro.search.frontier.catalog_entries`): each names
-    its own board, measured cycles, and flash footprint.  Admission is
+    its own board, exact cycle count, and flash footprint.  Admission is
     :func:`plan_deployment`'s :func:`rejection_reason`, but the
     objective flips: a catalog spans models of different accuracies, so the
     planner maximizes accuracy first, then minimizes cycles, then

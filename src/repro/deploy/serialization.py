@@ -148,8 +148,8 @@ def _read_model(path: Path) -> QuantizedModel:
                 raise ConfigurationError(
                     f"{path}: unknown multiplier kind {mult_kind}"
                 )
-            specs.append(
-                LayerKernelSpec(
+            try:
+                spec = LayerKernelSpec(
                     n_in=matrix.shape[0],
                     n_out=matrix.shape[1],
                     act_in_width=act_in_w,
@@ -161,7 +161,15 @@ def _read_model(path: Path) -> QuantizedModel:
                     weights=matrix if kind == _KIND_DENSE else None,
                     adjacency=matrix if kind == _KIND_TERNARY else None,
                 )
-            )
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{path}: layer {i}: {exc}") \
+                    from None
+            if not spec.is_dense and np.any((matrix < -1) | (matrix > 1)):
+                raise ConfigurationError(
+                    f"{path}: layer {i} is ternary but has entries "
+                    "outside {-1, 0, 1}"
+                )
+            specs.append(spec)
     return QuantizedModel(
         specs=specs, input_scale=input_scale, act_width=act_width
     )

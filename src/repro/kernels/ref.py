@@ -4,9 +4,26 @@ These functions define the *numeric* ground truth: the generated ISA
 programs must produce identical outputs (asserted by the validation tests),
 and the float training stack is compared against them with a tolerance.
 
-All arithmetic is done in int64 with explicit int32-overflow checks — the
-reference detects rather than emulates wraparound, because the deployment
-pipeline guarantees (via calibration) that no intermediate overflows.
+Arithmetic is int64 with explicit int32-overflow checks — the reference
+detects rather than emulates wraparound, because the deployment pipeline
+guarantees (via calibration) that no intermediate overflows.
+
+The one exception is the matrix product, which runs on float64 operands
+through the BLAS NumPy links (NumPy multiplies int64 matrices in a
+generic loop, several times slower) and casts the result back to int64.
+It is still exact:
+
+- after the input audit |x| <= 2^15, because activations are 1 or 2
+  bytes;
+- the matrix is int8 (checked by :class:`LayerKernelSpec`), so
+  |w| <= 2^7;
+- so every partial sum is an integer with |acc| <= n_in * 2^22, which
+  is below 2^53 for any n_in < 2^31;
+- float64 represents every integer below 2^53 exactly, so every partial
+  sum is exact, whatever order BLAS adds them in.
+
+The requantization product, the shift, the bias and the clamp stay in
+int64.
 """
 
 from __future__ import annotations
@@ -24,13 +41,22 @@ _INT32_OVERFLOW = " overflows int32: range [{lo}, {hi}]"
 
 def _raise_outside(
     values: np.ndarray, lo: int, hi: int, message: str
-) -> None:
+) -> np.ndarray:
     """The raising audit: ``QuantizationError`` when any value of the
-    whole array leaves ``[lo, hi]``."""
+    whole array leaves ``[lo, hi]``; returns ``values`` otherwise."""
     if values.size:
         vmin, vmax = int(values.min()), int(values.max())
         if vmin < lo or vmax > hi:
             raise QuantizationError(message.format(lo=vmin, hi=vmax))
+    return values
+
+
+def _product(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``x @ matrix`` as int64, exact on float64 BLAS for operands
+    within the bound in the module docstring."""
+    return (x.astype(np.float64) @ matrix.astype(np.float64)).astype(
+        np.int64
+    )
 
 
 def _as_input(spec: LayerKernelSpec, x: np.ndarray) -> np.ndarray:
@@ -46,18 +72,17 @@ def _layer(spec: LayerKernelSpec, x: np.ndarray, audit) -> np.ndarray:
     """One layer per Eq. 1: accumulate, requantize, add bias, ReLU.
 
     ``audit(values, lo, hi, message)`` checks one intermediate against
-    ``[lo, hi]``.  This is the one place the reference's limits and the
-    order of its checks live; the raising audit of
-    :func:`layer_forward` and the per-row audit of
-    :func:`model_forward_batch` both run through it.
+    ``[lo, hi]`` and returns ``values`` with every row it has rejected
+    zeroed, so the product only sees operands within its exactness
+    bound.  This is the one place the reference's limits and the order
+    of its checks live; the raising audit of :func:`layer_forward` and
+    the per-row audit of :func:`model_forward_batch` both run through
+    it.
     """
     lo, hi = spec.act_in_range()
-    audit(x, lo, hi,
-          f"input activations outside {spec.act_in_width}-byte range")
-    matrix = (
-        spec.weights if spec.is_dense else spec.adjacency
-    ).astype(np.int64)
-    acc = x @ matrix
+    x = audit(x, lo, hi,
+              f"input activations outside {spec.act_in_width}-byte range")
+    acc = _product(x, spec.weights if spec.is_dense else spec.adjacency)
     audit(acc, INT32_MIN, INT32_MAX, "accumulator" + _INT32_OVERFLOW)
     if spec.mult is None:
         z = acc + spec.bias.astype(np.int64)
@@ -127,6 +152,7 @@ def model_forward_batch(
 
     def audit(values, lo, hi, message):
         ok[:] &= (values.min(axis=1) >= lo) & (values.max(axis=1) <= hi)
+        return values if ok.all() else np.where(ok[:, None], values, 0)
 
     for spec in specs:
         out = _layer(spec, _as_input(spec, out), audit)
@@ -177,15 +203,27 @@ def conv2d_forward(
     """Valid convolution as im2col + GEMM, returning (K, M²) accumulators.
 
     This is the computation the paper's Fig. 2 CNN kernel performs on the
-    MCU; the generated program must match it bit-exactly.
+    MCU; the generated program must match it bit-exactly.  Its product
+    has the layer product's operand bounds: int8 kernels and an image
+    within the 2-byte activation range.
     """
-    kernels = np.asarray(kernels, dtype=np.int64)
+    kernels = np.asarray(kernels)
+    if kernels.dtype != np.int8:
+        raise QuantizationError(
+            f"conv kernels must be int8, got {kernels.dtype}"
+        )
     k, s, s2 = kernels.shape
     if s != s2:
         raise QuantizationError("kernels must be square")
-    columns = im2col(np.asarray(x, dtype=np.int64), image_size, s)
+    image = _raise_outside(
+        np.asarray(x, dtype=np.int64), -(1 << 15), (1 << 15) - 1,
+        "conv input outside 2-byte range: range [{lo}, {hi}]",
+    )
+    columns = im2col(image, image_size, s)
     weights = kernels.reshape(k, s * s)  # Eq. 5: K × (C·S²)
-    acc = weights @ columns + np.asarray(bias, dtype=np.int64)[:, None]
+    acc = _product(weights, columns) + np.asarray(
+        bias, dtype=np.int64
+    )[:, None]
     _raise_outside(acc, INT32_MIN, INT32_MAX,
                    "conv accumulator" + _INT32_OVERFLOW)
     if relu:

@@ -73,6 +73,11 @@ class LayerKernelSpec:
                 "exactly one of weights/adjacency must be provided"
             )
         matrix = self.weights if self.weights is not None else self.adjacency
+        if matrix.dtype != np.int8:
+            # The reference's exact float64 product relies on |w| <= 2^7.
+            raise ConfigurationError(
+                f"matrix dtype must be int8, got {matrix.dtype}"
+            )
         if matrix.shape != (self.n_in, self.n_out):
             raise ConfigurationError(
                 f"matrix shape {matrix.shape} != ({self.n_in}, {self.n_out})"

@@ -1,8 +1,10 @@
 """Staged search engine: screen -> PTQ proxy -> QAT, over the runner.
 
 Every stage-2/3 evaluation is one :class:`~repro.experiments.runner.
-WorkUnit` with a content-derived cache key (spec x dataset x board x
-stage x epochs x lr x seed), mapped over
+WorkUnit` per candidate, covering every board that admitted (stage 2) or
+promoted (stage 3) it: training never reads the board, so a candidate
+trains once per stage.  Each unit has a content-derived cache key (spec
+x dataset x boards x stage x epochs x lr x seed) and is mapped over
 :func:`~repro.experiments.runner.map_units`:
 
 - parallel at any ``--jobs`` (stage sweeps fan out over the process
@@ -39,7 +41,12 @@ from repro.search.space import CandidateSpec, sample_space
 
 #: Cache-key schema: bump when unit payloads or semantics change, then
 #: ``repro cache-prune --stale-schemas`` reclaims the dead entries.
-SCHEMA = "search-v1"
+SCHEMA = "search-v2"
+
+#: Namespace of the candidate training seeds.  Fixed on purpose, apart
+#: from :data:`SCHEMA`: a change to the cache format must not retrain
+#: different models.
+SEED_NAMESPACE = "search-v1"
 
 #: Defaults for the two sweep-budget knobs (overridable per run and via
 #: ``REPRO_SEARCH_COUNT`` / ``REPRO_SEARCH_STAGE2_EPOCHS`` — the knob
@@ -155,15 +162,19 @@ class SearchSettings:
         pools then share stage-3 results exactly).
         """
         return runner.unit_seed(
-            f"{SCHEMA}-seed-{self.seed}-{spec.key}"
+            f"{SEED_NAMESPACE}-seed-{self.seed}-{spec.key}"
         ) % (2 ** 31)
 
     def unit_key(
-        self, stage: int, spec: CandidateSpec, board: str, epochs: int
+        self,
+        stage: int,
+        spec: CandidateSpec,
+        boards: tuple[str, ...],
+        epochs: int,
     ) -> str:
         return (
-            f"{SCHEMA}-s{stage}-{self.dataset_tag}-{board}-{spec.key}"
-            f"-e{epochs}-lr{self.lr:g}-s{self.seed}"
+            f"{SCHEMA}-s{stage}-{self.dataset_tag}-{'+'.join(boards)}"
+            f"-{spec.key}-e{epochs}-lr{self.lr:g}-s{self.seed}"
         )
 
 
@@ -207,11 +218,15 @@ class SearchReport:
 
     @property
     def qat_units(self) -> int:
-        """Full-QAT trainings this sweep asked for (all boards)."""
+        """Stage-3 rows over all boards: one per (candidate, board that
+        promoted it).  A candidate promoted on several boards trains
+        once, so this counts rows, not trainings."""
         return sum(f.stage3_trained for f in self.funnels.values())
 
     @property
     def stage2_units(self) -> int:
+        """Stage-2 rows over all boards: one per (candidate, board that
+        admitted it); rows, not trainings, as :attr:`qat_units`."""
         return sum(f.stage2_evaluated for f in self.funnels.values())
 
     @property
@@ -293,8 +308,8 @@ def run_search(
     """Run one sweep: sample -> screen -> proxy -> promote -> QAT.
 
     Stage-2 and stage-3 units fan out over :func:`runner.map_units`
-    across *all* boards at once, so the pool stays full even when one
-    board's admission list is short.
+    across *all* boards at once, one unit per candidate, so the pool
+    stays full even when one board's admission list is short.
     """
     count = settings.resolved_count()
     stage2_epochs = settings.resolved_stage2_epochs()
@@ -308,6 +323,37 @@ def run_search(
 
     def dataset_setup():
         stages._dataset_from_key(settings.dataset_key)
+
+    def run_stage(stage, fn, epochs, chosen):
+        """Run one unit per candidate any board chose, in sweep order,
+        covering every board that chose it (in settings order); return
+        the rows by (spec key, board)."""
+        groups = []
+        for spec in specs:
+            boards = tuple(
+                name for name in settings.boards if spec in chosen[name]
+            )
+            if boards:
+                groups.append((spec, boards))
+        units = [
+            runner.WorkUnit(
+                key=settings.unit_key(stage, spec, boards, epochs),
+                fn=fn,
+                args=(
+                    spec.to_dict(), settings.dataset_key, list(boards),
+                    epochs, settings.lr, settings.candidate_seed(spec),
+                ),
+            )
+            for spec, boards in groups
+        ]
+        results = runner.map_units(
+            f"search-stage{stage}", units, jobs=jobs, setup=dataset_setup
+        )
+        return {
+            (spec.key, name): row
+            for (spec, boards), rows in zip(groups, results)
+            for name, row in zip(boards, rows)
+        }
 
     # Stage 1: inline analytic screen (milliseconds per candidate, no
     # training, no units — and in flat mode, no screen at all).  Each
@@ -341,27 +387,10 @@ def run_search(
     # Stage 2: the PTQ proxy sweep (staged mode only).
     promoted: dict[str, list[CandidateSpec]] = {}
     if settings.mode == "staged":
-        units = []
-        owners = []
-        for name in settings.boards:
-            for spec in survivors[name]:
-                units.append(runner.WorkUnit(
-                    key=settings.unit_key(2, spec, name, stage2_epochs),
-                    fn=stages.stage2_unit,
-                    args=(
-                        spec.to_dict(), settings.dataset_key, name,
-                        stage2_epochs, settings.lr,
-                        settings.candidate_seed(spec),
-                    ),
-                ))
-                owners.append(name)
-        results = runner.map_units(
-            "search-stage2", units, jobs=jobs, setup=dataset_setup
-        )
-        for name, row in zip(owners, results):
-            funnels[name].stage2.append(row)
+        rows = run_stage(2, stages.stage2_unit, stage2_epochs, survivors)
         for name in settings.boards:
             funnel = funnels[name]
+            funnel.stage2 = [rows[spec.key, name] for spec in survivors[name]]
             funnel.stage2_evaluated = len(funnel.stage2)
             keys = promote(
                 funnel.stage2,
@@ -376,27 +405,10 @@ def run_search(
             funnels[name].promoted = len(survivors[name])
 
     # Stage 3: full QAT for the promoted set.
-    units = []
-    owners = []
-    for name in settings.boards:
-        for spec in promoted[name]:
-            units.append(runner.WorkUnit(
-                key=settings.unit_key(3, spec, name, qat_epochs),
-                fn=stages.stage3_unit,
-                args=(
-                    spec.to_dict(), settings.dataset_key, name,
-                    qat_epochs, settings.lr,
-                    settings.candidate_seed(spec),
-                ),
-            ))
-            owners.append(name)
-    results = runner.map_units(
-        "search-stage3", units, jobs=jobs, setup=dataset_setup
-    )
-    for name, row in zip(owners, results):
-        funnels[name].stage3.append(row)
+    rows = run_stage(3, stages.stage3_unit, qat_epochs, promoted)
     for name in settings.boards:
         funnel = funnels[name]
+        funnel.stage3 = [rows[spec.key, name] for spec in promoted[name]]
         funnel.stage3_trained = len(funnel.stage3)
         funnel.frontier = pareto_points(
             FrontierPoint.from_stage3(row)

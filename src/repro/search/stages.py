@@ -9,14 +9,16 @@ Cheap to expensive, each stage prices a :class:`CandidateSpec`:
    every board of the sweep.
 2. :func:`stage2_unit` — short-budget *float* training followed by
    post-training ternarization + int8 export
-   (:func:`repro.quantize.ptq.ternarize_float_model`), scored on real
-   interpreter cycles.  A low-fidelity accuracy proxy: wrong in absolute
-   terms, cheap, and rank-correlated with full QAT (pinned by
+   (:func:`repro.quantize.ptq.ternarize_float_model`), priced by
+   :func:`measure_on_board`.  A low-fidelity accuracy proxy: wrong in
+   absolute terms, cheap, and rank-correlated with full QAT (pinned by
    ``tests/search/test_proxy_fidelity.py``).
 3. :func:`stage3_unit` — the figures' full QAT pipeline
    (:func:`repro.core.neuroc.train_neuroc`), spent only on candidates
    the promotion rule selects.
 
+Training never reads the board, so a stage-2/3 unit trains a candidate
+once and returns one row for each board that admitted or promoted it.
 Stage-2/3 functions are module-level and JSON-in/JSON-out: they are the
 ``fn`` of a :class:`~repro.experiments.runner.WorkUnit` and must be
 importable by pool workers and round-trippable through the disk cache.
@@ -24,18 +26,18 @@ importable by pool workers and round-trippable through the disk cache.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.core.mlp import MLPConfig, train_mlp
 from repro.core.neuroc import build_neuroc, train_neuroc
 from repro.datasets import load
-from repro.deploy.artifact import analytic_model_cycles, model_opcount
+from repro.deploy.artifact import model_opcount
 from repro.deploy.deployer import deploy
 from repro.deploy.planner import DeploySLO, rejection_reason
 from repro.deploy.size import model_program_memory
-from repro.errors import QuantizationError, ReproError
+from repro.errors import ReproError
 from repro.kernels.spec import make_neuroc_spec
 from repro.mcu.board import BoardProfile, board_by_name
 from repro.quantize.ptq import (
@@ -68,29 +70,66 @@ def _dataset_from_key(dataset_key: dict):
 def measure_on_board(
     quantized: QuantizedModel, encoding: str, board: BoardProfile
 ) -> dict:
-    """Deploy-and-run metrics of an exported model on one board.
+    """Deployment metrics of an exported model on one board.
 
-    Cycles are *measured* — one inference on the cycle-exact simulated
-    CPU (inference cost is input-independent, so one zero-input run is
-    the true per-request cost; the latency-agreement tests hold measured
-    equal to analytic).  When the program does not fit the board's
-    flash, the analytic count stands in and ``fits`` is False.
+    Cycles are the deployer's static count, priced from the kernels'
+    operation counts and nothing is run: inference cost is
+    input-independent, and ``tests/search/test_stages.py`` holds this
+    count equal to the tier-1 CPU's measured cycles on every board and
+    encoding.  ``fits`` is whether the deployer places the program and
+    its activation buffers on the board.
     """
     deployment = deploy(
         quantized, format_name=encoding, board=board, verify=False
     )
-    if deployment.deployable:
-        cycles = deployment.model.infer(
-            np.zeros(quantized.n_in, dtype=np.float32)
-        ).cycles
-    else:
-        cycles = analytic_model_cycles(quantized, encoding, board)
     return {
-        "cycles": int(cycles),
-        "latency_ms": board.cycles_to_ms(int(cycles)),
+        "cycles": deployment.cycles,
+        "latency_ms": deployment.latency_ms,
         "flash_kb": deployment.program_memory.total_kb,
-        "fits": bool(deployment.deployable),
+        "fits": deployment.deployable,
     }
+
+
+def _board_rows(
+    template: dict,
+    boards: Sequence[BoardProfile],
+    encoding: str,
+    export: Callable[[], tuple[QuantizedModel, Callable[[], dict]]],
+) -> list[dict]:
+    """One row per board of a candidate trained and exported once.
+
+    ``export()`` returns the quantized model and a function giving the
+    board-independent fields of a measured row, run once.  Each row is
+    the one a unit for that board alone would give, errors included: an
+    error in ``export`` marks every row, and one in measuring or scoring
+    marks only that board's row, which keeps the fields set before it.
+    """
+    rows = [dict(template, board=board.name) for board in boards]
+    try:
+        quantized, score = export()
+    except ReproError as exc:
+        for row in rows:
+            row["error"] = _describe(exc)
+        return rows
+    try:
+        fields: dict | ReproError = score()
+    except ReproError as exc:
+        fields = exc
+    for board, row in zip(boards, rows):
+        try:
+            row.update(measure_on_board(quantized, encoding, board))
+        except ReproError as exc:
+            row["error"] = _describe(exc)
+        else:
+            if isinstance(fields, ReproError):
+                row["error"] = _describe(fields)
+            else:
+                row.update(fields)
+    return rows
+
+
+def _describe(exc: ReproError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 # -- stage 1: analytic screen (no training) ---------------------------------
@@ -179,23 +218,25 @@ def _fixed_supports(config) -> list[np.ndarray] | None:
 def stage2_unit(
     spec_dict: dict,
     dataset_key: dict,
-    board_name: str,
+    board_names: Sequence[str],
     epochs: int,
     lr: float,
     cand_seed: int,
-) -> dict:
-    """One stage-2 evaluation: float train -> PTQ ternarize -> measure."""
+) -> list[dict]:
+    """One stage-2 evaluation: float train -> PTQ ternarize, once, then
+    measure on each board.  One row per board, in ``board_names``
+    order."""
     spec = CandidateSpec.from_dict(spec_dict)
     dataset = _dataset_from_key(dataset_key)
-    board = board_by_name(board_name)
+    boards = [board_by_name(name) for name in board_names]
     config = spec.to_config(
         dataset.num_features, dataset.num_classes, seed=cand_seed,
         image_shape=_plane(dataset),
     )
-    result = {
+    template = {
         "key": spec.key,
         "spec": spec.to_dict(),
-        "board": board.name,
+        "board": "",
         "stage": 2,
         "proxy_accuracy": 0.0,
         "float_accuracy": 0.0,
@@ -206,7 +247,8 @@ def stage2_unit(
         "fits": False,
         "error": "",
     }
-    try:
+
+    def export():
         float_config = MLPConfig(
             n_in=config.n_in, n_out=config.n_out, hidden=config.hidden,
             dropout=0.0, batch_norm=False, seed=cand_seed,
@@ -222,17 +264,15 @@ def stage2_unit(
             dataset.x_train[:STAGE2_CALIBRATION_ROWS],
             act_width=spec.act_width,
         )
-        result.update(measure_on_board(quantized, spec.encoding, board))
-        result["proxy_accuracy"] = quantized.accuracy(
-            dataset.x_test, dataset.y_test
-        )
-        result["float_accuracy"] = trained.float_accuracy
-        result["nnz"] = sum(
-            layer.nnz for layer in ternary.neuroc_layers()
-        )
-    except (QuantizationError, ReproError) as exc:
-        result["error"] = f"{type(exc).__name__}: {exc}"
-    return result
+        return quantized, lambda: {
+            "proxy_accuracy": quantized.accuracy(
+                dataset.x_test, dataset.y_test
+            ),
+            "float_accuracy": trained.float_accuracy,
+            "nnz": sum(layer.nnz for layer in ternary.neuroc_layers()),
+        }
+
+    return _board_rows(template, boards, spec.encoding, export)
 
 
 # -- stage 3: full QAT ------------------------------------------------------
@@ -240,23 +280,25 @@ def stage2_unit(
 def stage3_unit(
     spec_dict: dict,
     dataset_key: dict,
-    board_name: str,
+    board_names: Sequence[str],
     epochs: int,
     lr: float,
     cand_seed: int,
-) -> dict:
-    """One stage-3 evaluation: the full train_neuroc pipeline + measure."""
+) -> list[dict]:
+    """One stage-3 evaluation: the full train_neuroc pipeline, once, then
+    measure on each board.  One row per board, in ``board_names``
+    order."""
     spec = CandidateSpec.from_dict(spec_dict)
     dataset = _dataset_from_key(dataset_key)
-    board = board_by_name(board_name)
+    boards = [board_by_name(name) for name in board_names]
     config = spec.to_config(
         dataset.num_features, dataset.num_classes, seed=cand_seed,
         image_shape=_plane(dataset),
     )
-    result = {
+    template = {
         "key": spec.key,
         "spec": spec.to_dict(),
-        "board": board.name,
+        "board": "",
         "stage": 3,
         "accuracy": 0.0,
         "float_accuracy": 0.0,
@@ -267,22 +309,21 @@ def stage3_unit(
         "fits": False,
         "error": "",
     }
-    try:
+
+    def export():
         trained = train_neuroc(
             config, dataset, epochs=epochs, lr=lr,
             act_width=spec.act_width,
         )
-        result.update(
-            measure_on_board(trained.quantized, spec.encoding, board)
-        )
-        result["accuracy"] = trained.quantized_accuracy
-        result["float_accuracy"] = trained.float_accuracy
-        result["nnz"] = sum(
-            layer.nnz for layer in trained.model.neuroc_layers()
-        )
-    except (QuantizationError, ReproError) as exc:
-        result["error"] = f"{type(exc).__name__}: {exc}"
-    return result
+        return trained.quantized, lambda: {
+            "accuracy": trained.quantized_accuracy,
+            "float_accuracy": trained.float_accuracy,
+            "nnz": sum(
+                layer.nnz for layer in trained.model.neuroc_layers()
+            ),
+        }
+
+    return _board_rows(template, boards, spec.encoding, export)
 
 
 def _plane(dataset) -> tuple[int, int] | None:

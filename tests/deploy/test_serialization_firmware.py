@@ -136,6 +136,22 @@ class TestMalformedModelFiles:
         np.savez(saved, **arrays)
         self._rejected(saved)
 
+    @pytest.mark.parametrize("dtype, entry", [
+        (np.int16, 300), (np.int8, 5),
+    ], ids=["int16-matrix", "ternary-entry-5"])
+    def test_matrix_outside_the_kernel_contract_is_rejected(
+        self, saved, dtype, entry
+    ):
+        # Kernels take int8 matrices, and a ternary layer's entries are
+        # -1, 0 or 1; the reference's exact product relies on both.
+        with np.load(saved) as data:
+            arrays = dict(data)
+        matrix = arrays["layer0_matrix"].astype(dtype)
+        matrix[0, 0] = entry
+        arrays["layer0_matrix"] = matrix
+        np.savez(saved, **arrays)
+        self._rejected(saved)
+
 
 class TestFirmware:
     @pytest.fixture(scope="class")

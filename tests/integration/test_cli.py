@@ -190,18 +190,32 @@ class TestMalformedModelFile:
     """Every model-reading subcommand turns a malformed file into one
     ``error:`` line and exit 1, with no traceback."""
 
-    @pytest.fixture(params=["truncated", "junk"])
+    @pytest.fixture(
+        params=["truncated", "junk", "int16-matrix", "ternary-entry-5"]
+    )
     def bad_model(self, request, model_file, tmp_path):
         path = tmp_path / "model.npz"
         if request.param == "truncated":
             raw = open(model_file, "rb").read()
             path.write_bytes(raw[: len(raw) // 2])
-        else:
+        elif request.param == "junk":
             path.write_bytes(b"not a model!")
+        else:
+            # Well-formed files whose matrix breaks the kernel contract.
+            with np.load(model_file) as data:
+                arrays = dict(data)
+            int16 = request.param == "int16-matrix"
+            matrix = arrays["layer0_matrix"].astype(
+                np.int16 if int16 else np.int8
+            )
+            matrix[0, 0] = 300 if int16 else 5
+            arrays["layer0_matrix"] = matrix
+            np.savez(path, **arrays)
         return str(path)
 
     @pytest.mark.parametrize(
-        "command", ["verify", "deploy", "encodings", "serve-bench"]
+        "command",
+        ["evaluate", "verify", "deploy", "encodings", "serve-bench"],
     )
     def test_one_error_line_and_exit_1(self, command, bad_model, capsys):
         assert main([command, "--model", bad_model]) == 1
@@ -247,7 +261,7 @@ class TestSearchCommand:
         assert "STM32F072RB" in out
         assert "frontier" in out
         payload = artifact.read_text()
-        assert '"schema"' in payload and "search-v1" in payload
+        assert '"schema"' in payload and "search-v2" in payload
 
     def test_search_env_count_knob(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))

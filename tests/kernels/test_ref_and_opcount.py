@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import QuantizationError
+from repro.errors import ConfigurationError, QuantizationError
 from repro.kernels.opcount import OpCount, countdown_loop
 from repro.kernels.ref import (
     conv_macc_count,
@@ -27,6 +27,14 @@ class TestSpecValidation:
             LayerKernelSpec(
                 n_in=2, n_out=2, act_in_width=1, act_out_width=1,
                 bias=np.zeros(2, np.int32), relu=True, mult=1,
+            )
+
+    def test_matrix_must_be_int8(self):
+        with pytest.raises(ConfigurationError, match="int8"):
+            LayerKernelSpec(
+                n_in=2, n_out=2, act_in_width=1, act_out_width=1,
+                bias=np.zeros(2, np.int32), relu=True, mult=1,
+                adjacency=np.ones((2, 2), dtype=np.int16),
             )
 
     def test_raw_output_requires_width_4(self):

@@ -8,6 +8,7 @@ from repro.deploy.planner import DeploySLO, plan_from_catalog
 from repro.errors import ConfigurationError
 from repro.experiments import runner
 from repro.experiments.cache import clear_memory_cache
+from repro.search import engine
 from repro.search import (
     SearchReport,
     SearchSettings,
@@ -22,6 +23,10 @@ SMALL = dict(
     dataset="digits_like", n_train=400, n_test=150,
     count=6, stage2_epochs=2, qat_epochs=3, lr=0.01,
 )
+
+#: The training seed every sweep so far gave the first sampled
+#: candidate at sweep seed 0.
+PINNED_SEED = 1258388023
 
 
 @pytest.fixture(autouse=True)
@@ -74,14 +79,27 @@ class TestSettings:
     def test_unit_keys_embed_identity(self):
         settings = SearchSettings(**SMALL)
         spec = sample_space(1, settings.seed)[0]
-        key = settings.unit_key(2, spec, "STM32F072RB", 2)
-        assert key.startswith("search-v1-s2-")
+        key = settings.unit_key(2, spec, ("STM32F072RB",), 2)
+        assert key.startswith("search-v2-s2-")
         assert settings.dataset_tag in key
         assert spec.key in key
+        assert "STM32F072RB+Kinetis-K64F" in settings.unit_key(
+            2, spec, ("STM32F072RB", "Kinetis-K64F"), 2
+        )
         # Seeds derive from spec identity, not sample position.
         assert settings.candidate_seed(spec) == SearchSettings(
             **SMALL
         ).candidate_seed(spec)
+
+    def test_candidate_seed_ignores_cache_schema(self, monkeypatch):
+        # A change to the cache format must not retrain different
+        # models: seeds stay what every earlier sweep trained with.
+        settings = SearchSettings(**SMALL)
+        spec = sample_space(1, settings.seed)[0]
+        assert spec.key == "quantization-256-t0.80-delta-w1"
+        assert settings.candidate_seed(spec) == PINNED_SEED
+        monkeypatch.setattr(engine, "SCHEMA", "search-v99")
+        assert settings.candidate_seed(spec) == PINNED_SEED
 
 
 class TestPromote:
@@ -164,13 +182,38 @@ class TestRunSearch:
         report = self.run(boards=("STM32F072RB", "Kinetis-K64F"),
                           count=3, mode="flat")
         assert set(report.funnels) == {"STM32F072RB", "Kinetis-K64F"}
-        # Same candidates trained per board; one map_units call served
-        # both boards' stage-3 sweeps.
+        # One map_units call served both boards' stage-3 sweeps, with
+        # one training per candidate for both boards.
         stage3_runs = [
             r for r in runner.runs() if r.figure == "search-stage3"
         ]
         assert len(stage3_runs) == 1
-        assert stage3_runs[0].units == 6
+        assert stage3_runs[0].units == 3
+        assert report.qat_units == 6
+
+    def test_board_subsets_get_one_board_sweep_rows(self):
+        # The 8 MHz STM32F072RB admits fewer candidates than the faster
+        # boards under a latency bound, so units cover different board
+        # subsets; each funnel must still equal its one-board sweep.
+        boards = ("STM32F072RB", "Kinetis-K64F", "FE310-G002")
+        params = dict(count=8, max_latency_ms=1.0)
+        report = self.run(boards=boards, **params)
+        admitted = {
+            name: report.funnels[name].stage1_admitted for name in boards
+        }
+        assert 0 < admitted["STM32F072RB"] < admitted["Kinetis-K64F"]
+        stage2_runs = [
+            r for r in runner.runs() if r.figure == "search-stage2"
+        ]
+        assert stage2_runs[0].units == max(admitted.values())
+        for name in boards:
+            alone = self.run(boards=(name,), **params).funnels[name]
+            funnel = report.funnels[name]
+            assert funnel.counts == alone.counts
+            assert funnel.stage1 == alone.stage1
+            assert funnel.stage2 == alone.stage2
+            assert funnel.stage3 == alone.stage3
+            assert funnel.frontier == alone.frontier
 
     def test_latency_slo_screens_before_training(self):
         report = self.run(max_latency_ms=0.2)
@@ -187,7 +230,7 @@ class TestArtifactAndCatalog:
         report.write_artifact(path)
 
         payload = json.loads(path.read_text())
-        assert payload["schema"] == "search-v1"
+        assert payload["schema"] == "search-v2"
         assert payload["qat_units"] == report.qat_units
 
         from repro.search import save_frontier

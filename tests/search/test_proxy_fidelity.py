@@ -73,12 +73,12 @@ def test_ptq_proxy_rank_correlates_with_qat():
         proxies, qats = [], []
         for rep in range(SEED_REPS):
             seed = unit_seed(f"fidelity-{spec.key}-r{rep}") % (2 ** 31)
-            row2 = stage2_unit(
-                spec.to_dict(), DATASET_KEY, BOARD,
+            (row2,) = stage2_unit(
+                spec.to_dict(), DATASET_KEY, [BOARD],
                 epochs=STAGE2_EPOCHS, lr=0.01, cand_seed=seed,
             )
-            row3 = stage3_unit(
-                spec.to_dict(), DATASET_KEY, BOARD,
+            (row3,) = stage3_unit(
+                spec.to_dict(), DATASET_KEY, [BOARD],
                 epochs=QAT_EPOCHS, lr=0.01, cand_seed=seed,
             )
             assert row2["error"] == "" and row3["error"] == ""

@@ -2,9 +2,15 @@
 
 import pytest
 
+from repro.deploy.deployer import deploy
 from repro.deploy.planner import DeploySLO
+from repro.errors import BudgetExceededError, QuantizationError
+from repro.kernels.codegen_sparse import SPARSE_FORMATS
 from repro.mcu.board import BOARD_PROFILES, STM32F072RB, board_by_name
+from repro.nn.trainer import Trainer
+from repro.quantize.ptq import quantize_model
 from repro.search import CandidateSpec, analytic_screen, measure_on_board
+from repro.search import stages
 from repro.search.stages import stage2_unit, stage3_unit
 
 DATASET_KEY = {"name": "digits_like", "n_train": 600, "n_test": 200,
@@ -83,8 +89,8 @@ class TestAnalyticScreen:
 
 class TestStage2Unit:
     def test_proxy_evaluation_end_to_end(self):
-        row = stage2_unit(
-            small_spec().to_dict(), DATASET_KEY, "STM32F072RB",
+        (row,) = stage2_unit(
+            small_spec().to_dict(), DATASET_KEY, ["STM32F072RB"],
             epochs=8, lr=0.01, cand_seed=7,
         )
         assert row["error"] == ""
@@ -99,15 +105,17 @@ class TestStage2Unit:
 
     def test_deterministic(self):
         args = (
-            small_spec().to_dict(), DATASET_KEY, "STM32F072RB", 2, 0.01,
-            7,
+            small_spec().to_dict(), DATASET_KEY,
+            ["STM32F072RB", "FE310-G002"], 2, 0.01, 7,
         )
-        assert stage2_unit(*args) == stage2_unit(*args)
+        rows = stage2_unit(*args)
+        assert [row["board"] for row in rows] == list(args[2])
+        assert rows == stage2_unit(*args)
 
     def test_fixed_strategy_uses_design_time_support(self):
-        row = stage2_unit(
+        (row,) = stage2_unit(
             small_spec(strategy="random").to_dict(), DATASET_KEY,
-            "STM32F072RB", epochs=2, lr=0.01, cand_seed=7,
+            ["STM32F072RB"], epochs=2, lr=0.01, cand_seed=7,
         )
         assert row["error"] == ""
         # density = (1 - 0.84) / 2 = 0.08 of the 64x48 + 48x10 grids,
@@ -117,8 +125,8 @@ class TestStage2Unit:
 
 class TestStage3Unit:
     def test_full_qat_end_to_end(self):
-        row = stage3_unit(
-            small_spec().to_dict(), DATASET_KEY, "STM32F072RB",
+        (row,) = stage3_unit(
+            small_spec().to_dict(), DATASET_KEY, ["STM32F072RB"],
             epochs=10, lr=0.01, cand_seed=7,
         )
         assert row["error"] == ""
@@ -128,18 +136,114 @@ class TestStage3Unit:
         assert row["cycles"] > 0 and row["nnz"] > 0
 
 
-class TestMeasureOnBoard:
-    def test_measured_cycles_match_analytic(self, trained_neuroc):
-        from repro.deploy.artifact import analytic_model_cycles
+BOARDS = list(BOARD_PROFILES)
 
-        quantized = trained_neuroc.quantized
-        metrics = measure_on_board(quantized, "block", STM32F072RB)
-        assert metrics["fits"] is True
-        # The repo's latency-agreement contract: the cycle-exact
-        # simulator measures exactly what the analytic model prices.
-        assert metrics["cycles"] == analytic_model_cycles(
-            quantized, "block", STM32F072RB
+
+class TestOneTrainingForEveryBoard:
+    """A unit trains its candidate once and measures it on each board;
+    each row is the one a unit for that board alone returns."""
+
+    @pytest.mark.parametrize("unit", [stage2_unit, stage3_unit],
+                             ids=["stage2", "stage3"])
+    def test_rows_equal_one_board_units(self, unit, monkeypatch):
+        fits = []
+        original = Trainer.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Trainer, "fit", counting_fit)
+        spec = small_spec(hidden=(24,), encoding="csc").to_dict()
+        rows = unit(spec, DATASET_KEY, BOARDS, 2, 0.01, 7)
+        assert len(fits) == 1
+        assert rows == [
+            row
+            for board in BOARDS
+            for row in unit(spec, DATASET_KEY, [board], 2, 0.01, 7)
+        ]
+        assert len({row["cycles"] for row in rows}) > 1
+
+    def test_training_error_marks_every_row(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuantizationError("dead layer")
+
+        monkeypatch.setattr(stages, "quantize_model", fail)
+        rows = stage2_unit(small_spec().to_dict(), DATASET_KEY, BOARDS,
+                           1, 0.01, 7)
+        assert [row["board"] for row in rows] == BOARDS
+        for row in rows:
+            assert row["error"] == "QuantizationError: dead layer"
+            assert row["cycles"] == 0 and row["fits"] is False
+
+    def test_measuring_error_marks_only_its_board(self, monkeypatch):
+        measure = stages.measure_on_board
+
+        def fail_on_k64f(quantized, encoding, board):
+            if board.name == "Kinetis-K64F":
+                raise BudgetExceededError("no room")
+            return measure(quantized, encoding, board)
+
+        monkeypatch.setattr(stages, "measure_on_board", fail_on_k64f)
+        rows = stage2_unit(small_spec().to_dict(), DATASET_KEY, BOARDS,
+                           1, 0.01, 7)
+        for board, row in zip(BOARDS, rows):
+            if board == "Kinetis-K64F":
+                assert row["error"] == "BudgetExceededError: no room"
+                assert row["cycles"] == 0 and row["proxy_accuracy"] == 0.0
+            else:
+                assert row["error"] == "" and row["cycles"] > 0
+
+    def test_scoring_error_keeps_measured_fields(self, monkeypatch):
+        export = stages.quantize_model
+
+        def unscorable(*args, **kwargs):
+            quantized = export(*args, **kwargs)
+
+            def fail(x, y):
+                raise QuantizationError("test row overflows")
+
+            quantized.accuracy = fail
+            return quantized
+
+        monkeypatch.setattr(stages, "quantize_model", unscorable)
+        rows = stage2_unit(small_spec().to_dict(), DATASET_KEY, BOARDS,
+                           1, 0.01, 7)
+        for row in rows:
+            assert row["error"] == "QuantizationError: test row overflows"
+            assert row["cycles"] > 0 and row["fits"] is True
+            assert row["proxy_accuracy"] == 0.0 and row["nnz"] == 0
+
+
+@pytest.fixture(scope="module")
+def two_byte_model(trained_neuroc, digits_small):
+    return quantize_model(
+        trained_neuroc.model, digits_small.x_train[:256], act_width=2
+    )
+
+
+class TestMeasureOnBoard:
+    @pytest.mark.parametrize("encoding", SPARSE_FORMATS)
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_static_cycles_equal_tier1_cycles(
+        self, width, encoding, trained_neuroc, two_byte_model,
+        digits_small,
+    ):
+        # The cycle contract behind the static count: the tier-1 CPU
+        # measures exactly what measure_on_board charges, on every
+        # board.
+        quantized = (
+            trained_neuroc.quantized if width == 1 else two_byte_model
         )
-        assert metrics["latency_ms"] == pytest.approx(
-            STM32F072RB.cycles_to_ms(metrics["cycles"])
-        )
+        assert quantized.act_width == width
+        x = digits_small.x_test[0]
+        for board in BOARD_PROFILES.values():
+            metrics = measure_on_board(quantized, encoding, board)
+            assert metrics["fits"] is True
+            deployment = deploy(quantized, format_name=encoding,
+                                board=board, verify=False,
+                                engine="fastpath")
+            assert deployment.model.infer(x).cycles == metrics["cycles"]
+            assert metrics["latency_ms"] == board.cycles_to_ms(
+                metrics["cycles"]
+            )
