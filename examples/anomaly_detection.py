@@ -16,7 +16,7 @@ Run:  python examples/anomaly_detection.py
 import numpy as np
 
 from repro.core import NeuroCConfig, train_neuroc
-from repro.datasets.base import Dataset, interleave_classes
+from repro.datasets.base import Dataset, generate_rows
 from repro.deploy import deploy
 
 SPECTRUM_BINS = 64
@@ -56,12 +56,11 @@ def make_vibration_dataset(n_train=2400, n_test=600, seed=0) -> Dataset:
     rng = np.random.default_rng(seed)
 
     def batch(count):
-        rows, labels = [], []
-        for i in range(count):
-            label = i % len(CLASSES)
-            rows.append(_render_spectrum(CLASSES[label], rng))
-            labels.append(label)
-        return interleave_classes(rows, labels)
+        return generate_rows(
+            count, len(CLASSES), SPECTRUM_BINS, rng,
+            lambda label, rng: _render_spectrum(CLASSES[label], rng),
+            lambda labels, rows: np.stack(rows),
+        )
 
     x_train, y_train = batch(n_train)
     x_test, y_test = batch(n_test)

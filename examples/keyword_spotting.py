@@ -17,7 +17,7 @@ Run:  python examples/keyword_spotting.py
 import numpy as np
 
 from repro.core import NeuroCConfig, train_neuroc
-from repro.datasets.base import Dataset, interleave_classes
+from repro.datasets.base import Dataset, generate_rows
 from repro.deploy import deploy
 from repro.mcu import STM32F072RB
 
@@ -63,12 +63,11 @@ def _render_keyword(word: str, rng: np.random.Generator) -> np.ndarray:
 def make_kws_dataset(n_train=2500, n_test=600, seed=0) -> Dataset:
     rng = np.random.default_rng(seed)
     def batch(count):
-        images, labels = [], []
-        for i in range(count):
-            label = i % len(KEYWORDS)
-            images.append(_render_keyword(KEYWORDS[label], rng))
-            labels.append(label)
-        return interleave_classes(images, labels)
+        return generate_rows(
+            count, len(KEYWORDS), FRAMES * BINS, rng,
+            lambda label, rng: _render_keyword(KEYWORDS[label], rng),
+            lambda labels, images: np.stack(images).reshape(len(images), -1),
+        )
 
     x_train, y_train = batch(n_train)
     x_test, y_test = batch(n_test)

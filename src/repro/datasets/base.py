@@ -1,4 +1,5 @@
-"""Dataset container, splits, and the generator registry.
+"""Dataset container, splits, chunked generation, and the generator
+registry.
 
 All datasets are procedural (see DESIGN.md §1 for the substitution
 argument): deterministic under a seed, normalized to [0, 1] float32, and
@@ -10,6 +11,7 @@ the locality adjacency strategy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -72,16 +74,32 @@ class Dataset:
         )
 
 
-def interleave_classes(
-    images: list[np.ndarray], labels: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-sample images, flatten, and return (x, y) float32/int64.
+#: Rows drawn and then rendered together.  A constant, so a generator's
+#: working set does not grow with the number of rows it is asked for.
+CHUNK_ROWS = 32
 
-    Generators emit samples round-robin over classes, so prefix subsets
-    remain class-balanced.
+
+def generate_rows(
+    count: int, num_classes: int, features: int,
+    rng: np.random.Generator,
+    draw: Callable[[int, np.random.Generator], Any],
+    render: Callable[[np.ndarray, list], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) float32/int64 for ``count`` rows, row ``i`` of class
+    ``i % num_classes``, so prefix subsets remain class-balanced.
+
+    ``draw(label, rng)`` takes every random value one row needs;
+    ``render(labels, draws)`` turns a chunk of draws into its
+    ``(rows, features)`` block and takes none.  Each chunk is drawn in
+    row order before it is rendered, so the stream of draws, and hence
+    the bytes, do not depend on the chunk size.
     """
-    x = np.stack([img.reshape(-1) for img in images]).astype(np.float32)
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.arange(count, dtype=np.int64) % num_classes
+    x = np.empty((count, features), dtype=np.float32)
+    for start in range(0, count, CHUNK_ROWS):
+        labels = y[start : start + CHUNK_ROWS]
+        draws = [draw(int(label), rng) for label in labels]
+        x[start : start + len(labels)] = render(labels, draws)
     return x, y
 
 
@@ -116,6 +134,11 @@ def load(
         raise ConfigurationError(
             f"unknown dataset {name!r}; known: {known}"
         ) from None
+    for role, size in (("n_train", n_train), ("n_test", n_test)):
+        if size is not None and size < 1:
+            raise ConfigurationError(
+                f"dataset {name!r} needs {role} >= 1, got {size}"
+            )
     key = (name, n_train, n_test, seed)
     if key not in _CACHE:
         _CACHE[key] = generator(n_train=n_train, n_test=n_test, seed=seed)

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import Dataset, interleave_classes, register_dataset
+from repro.datasets.base import Dataset, generate_rows, register_dataset
 from repro.datasets.shapes import (
     CIFAR5_COLORS,
     CIFAR5_SHAPES,
-    perlin_like_texture,
-    render_silhouette,
+    draw_silhouette,
+    draw_texture,
+    render_silhouettes,
+    render_textures,
 )
 
 IMAGE_SIZE = 32
@@ -37,48 +39,61 @@ _OCCLUSION_PROB = 0.25
 _SILHOUETTE_JITTER = 1.15
 
 
-def _render_sample(label: int, rng: np.random.Generator) -> np.ndarray:
-    bg_mean, fg_mean = CIFAR5_COLORS[label]
-    bg_color = np.clip(
-        bg_mean + rng.normal(0.0, _COLOR_JITTER_BG, 3), 0.0, 1.0
-    )
-    fg_color = np.clip(
-        fg_mean + rng.normal(0.0, _COLOR_JITTER_FG, 3), 0.0, 1.0
-    )
-
-    background_texture = perlin_like_texture(IMAGE_SIZE, rng, octaves=4)
-    image = (
-        bg_color[None, None, :]
-        * (0.6 + 0.5 * background_texture[:, :, None])
-    )
-
-    mask = render_silhouette(CIFAR5_SHAPES[label], IMAGE_SIZE, rng,
-                             jitter=_SILHOUETTE_JITTER)
-    foreground_texture = perlin_like_texture(IMAGE_SIZE, rng, octaves=3)
-    foreground = fg_color[None, None, :] * (
-        0.55 + 0.55 * foreground_texture[:, :, None]
-    )
-    image = np.where(mask[:, :, None] > 0, foreground, image)
-
-    # Occasional occluding patch over a random corner of the object.
+def _draw(label: int, rng: np.random.Generator):
+    background = rng.normal(0.0, _COLOR_JITTER_BG, 3)
+    foreground = rng.normal(0.0, _COLOR_JITTER_FG, 3)
+    background_texture = draw_texture(rng, octaves=4)
+    silhouette = draw_silhouette(rng, jitter=_SILHOUETTE_JITTER)
+    foreground_texture = draw_texture(rng, octaves=3)
+    # Occasional occluding patch over a random corner of the object:
+    # (size, top, left, colour), size 0 for none.
+    patch = (0, 0, 0, np.zeros(3))
     if rng.random() < _OCCLUSION_PROB:
         size = rng.integers(5, 9)
         top = rng.integers(0, IMAGE_SIZE - size)
         left = rng.integers(0, IMAGE_SIZE - size)
-        patch_color = rng.random(3)
-        image[top : top + size, left : left + size] = patch_color
+        patch = (size, top, left, rng.random(3))
+    noise = rng.normal(0.0, _NOISE_SIGMA, (IMAGE_SIZE, IMAGE_SIZE, 3))
+    return (background, foreground, background_texture, silhouette,
+            foreground_texture, patch, noise)
 
-    noise = rng.normal(0.0, _NOISE_SIGMA, image.shape)
-    return np.clip(image + noise, 0.0, 1.0).astype(np.float32)
+
+def _render(labels: np.ndarray, draws: list) -> np.ndarray:
+    (background, foreground, background_texture, silhouettes,
+     foreground_texture, patches, noise) = zip(*draws)
+    bg_mean, fg_mean = (
+        np.stack([CIFAR5_COLORS[int(label)][i] for label in labels])
+        for i in (0, 1)
+    )
+    bg_color = np.clip(bg_mean + np.stack(background), 0.0, 1.0)
+    fg_color = np.clip(fg_mean + np.stack(foreground), 0.0, 1.0)
+
+    texture = render_textures(background_texture, IMAGE_SIZE)
+    image = bg_color[:, None, None, :] * (0.6 + 0.5 * texture[..., None])
+
+    mask = render_silhouettes(
+        CIFAR5_SHAPES, labels, np.stack(silhouettes), IMAGE_SIZE
+    )
+    texture = render_textures(foreground_texture, IMAGE_SIZE)
+    shape = fg_color[:, None, None, :] * (0.55 + 0.55 * texture[..., None])
+    image = np.where(mask[..., None] > 0, shape, image)
+
+    size, top, left, colour = zip(*patches)
+    size, top, left = (np.array(v)[:, None] for v in (size, top, left))
+    pixels = np.arange(IMAGE_SIZE)
+    in_rows = (pixels >= top) & (pixels < top + size)
+    in_cols = (pixels >= left) & (pixels < left + size)
+    covered = in_rows[:, :, None, None] & in_cols[:, None, :, None]
+    image = np.where(covered, np.stack(colour)[:, None, None, :], image)
+
+    image = np.clip(image + np.stack(noise), 0.0, 1.0).astype(np.float32)
+    return image.reshape(len(draws), -1)
 
 
 def _generate(count: int, rng: np.random.Generator):
-    images, labels = [], []
-    for i in range(count):
-        label = i % NUM_CLASSES
-        images.append(_render_sample(label, rng))
-        labels.append(label)
-    return interleave_classes(images, labels)
+    return generate_rows(
+        count, NUM_CLASSES, IMAGE_SIZE * IMAGE_SIZE * 3, rng, _draw, _render
+    )
 
 
 @register_dataset("cifar5_like")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import Dataset, interleave_classes, register_dataset
-from repro.datasets.strokes import render_digit
+from repro.datasets.base import Dataset, generate_rows, register_dataset
+from repro.datasets.strokes import draw_digit, render_digits
 
 IMAGE_SIZE = 8
 NUM_CLASSES = 10
@@ -19,17 +19,22 @@ DEFAULT_TRAIN = 1200
 DEFAULT_TEST = 400
 
 
+def _draw(digit: int, rng: np.random.Generator):
+    strokes = draw_digit(digit, IMAGE_SIZE, rng, jitter=0.9)
+    return strokes, rng.normal(0.0, 0.08, IMAGE_SIZE * IMAGE_SIZE)
+
+
+def _render(labels: np.ndarray, draws: list) -> np.ndarray:
+    strokes, noise = zip(*draws)
+    images = render_digits(strokes, IMAGE_SIZE, pen_sigma=0.95 / IMAGE_SIZE)
+    noise = np.stack(noise).astype(np.float32)
+    return np.clip(images.reshape(len(draws), -1) + noise, 0.0, 1.0)
+
+
 def _generate(count: int, rng: np.random.Generator):
-    images, labels = [], []
-    for i in range(count):
-        digit = i % NUM_CLASSES
-        image = render_digit(
-            digit, IMAGE_SIZE, rng, pen_sigma=0.95 / IMAGE_SIZE, jitter=0.9
-        )
-        noise = rng.normal(0.0, 0.08, image.shape).astype(np.float32)
-        images.append(np.clip(image + noise, 0.0, 1.0))
-        labels.append(digit)
-    return interleave_classes(images, labels)
+    return generate_rows(
+        count, NUM_CLASSES, IMAGE_SIZE * IMAGE_SIZE, rng, _draw, _render
+    )
 
 
 @register_dataset("digits_like")

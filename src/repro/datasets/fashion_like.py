@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import Dataset, interleave_classes, register_dataset
+from repro.datasets.base import Dataset, generate_rows, register_dataset
 from repro.datasets.shapes import (
     FASHION_TEMPLATES,
-    perlin_like_texture,
-    render_silhouette,
+    draw_silhouette,
+    draw_texture,
+    render_silhouettes,
+    render_textures,
 )
 
 IMAGE_SIZE = 28
@@ -30,20 +32,31 @@ _JITTER = 1.5
 _NOISE_SIGMA = 0.16
 
 
+def _draw(label: int, rng: np.random.Generator):
+    return (
+        draw_silhouette(rng, jitter=_JITTER),
+        draw_texture(rng, octaves=3),
+        rng.uniform(0.45, 0.95),
+        rng.normal(0.0, _NOISE_SIGMA, IMAGE_SIZE * IMAGE_SIZE),
+    )
+
+
+def _render(labels: np.ndarray, draws: list) -> np.ndarray:
+    silhouettes, textures, brightness, noise = zip(*draws)
+    mask = render_silhouettes(
+        FASHION_TEMPLATES, labels, np.stack(silhouettes), IMAGE_SIZE
+    )
+    texture = render_textures(textures, IMAGE_SIZE)
+    brightness = np.array(brightness, dtype=np.float32)[:, None, None]
+    image = mask * (brightness * (0.5 + 0.5 * texture))
+    noise = np.stack(noise).astype(np.float32)
+    return np.clip(image.reshape(len(draws), -1) + noise, 0.0, 1.0)
+
+
 def _generate(count: int, rng: np.random.Generator):
-    images, labels = [], []
-    for i in range(count):
-        label = i % NUM_CLASSES
-        mask = render_silhouette(
-            FASHION_TEMPLATES[label], IMAGE_SIZE, rng, jitter=_JITTER
-        )
-        texture = perlin_like_texture(IMAGE_SIZE, rng, octaves=3)
-        brightness = rng.uniform(0.45, 0.95)
-        image = mask * (brightness * (0.5 + 0.5 * texture))
-        noise = rng.normal(0.0, _NOISE_SIGMA, image.shape).astype(np.float32)
-        images.append(np.clip(image + noise, 0.0, 1.0))
-        labels.append(label)
-    return interleave_classes(images, labels)
+    return generate_rows(
+        count, NUM_CLASSES, IMAGE_SIZE * IMAGE_SIZE, rng, _draw, _render
+    )
 
 
 @register_dataset("fashion_like")

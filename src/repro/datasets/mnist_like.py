@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import Dataset, interleave_classes, register_dataset
-from repro.datasets.strokes import render_digit
+from repro.datasets.base import Dataset, generate_rows, register_dataset
+from repro.datasets.strokes import draw_digit, render_digits
 
 IMAGE_SIZE = 28
 NUM_CLASSES = 10
@@ -34,20 +34,25 @@ _STROKE_DROPOUT = 0.35
 _DISTRACTOR_PROB = 0.35
 
 
+def _draw(digit: int, rng: np.random.Generator):
+    strokes = draw_digit(
+        digit, IMAGE_SIZE, rng, jitter=rng.uniform(*_JITTER_RANGE),
+        stroke_dropout=_STROKE_DROPOUT, distractor_prob=_DISTRACTOR_PROB,
+    )
+    return strokes, rng.normal(0.0, _NOISE_SIGMA, IMAGE_SIZE * IMAGE_SIZE)
+
+
+def _render(labels: np.ndarray, draws: list) -> np.ndarray:
+    strokes, noise = zip(*draws)
+    images = render_digits(strokes, IMAGE_SIZE, pen_sigma=_PEN_SIGMA)
+    noise = np.stack(noise).astype(np.float32)
+    return np.clip(images.reshape(len(draws), -1) + noise, 0.0, 1.0)
+
+
 def _generate(count: int, rng: np.random.Generator):
-    images, labels = [], []
-    for i in range(count):
-        digit = i % NUM_CLASSES
-        image = render_digit(
-            digit, IMAGE_SIZE, rng, pen_sigma=_PEN_SIGMA,
-            jitter=rng.uniform(*_JITTER_RANGE),
-            stroke_dropout=_STROKE_DROPOUT,
-            distractor_prob=_DISTRACTOR_PROB,
-        )
-        noise = rng.normal(0.0, _NOISE_SIGMA, image.shape).astype(np.float32)
-        images.append(np.clip(image + noise, 0.0, 1.0))
-        labels.append(digit)
-    return interleave_classes(images, labels)
+    return generate_rows(
+        count, NUM_CLASSES, IMAGE_SIZE * IMAGE_SIZE, rng, _draw, _render
+    )
 
 
 @register_dataset("mnist_like")

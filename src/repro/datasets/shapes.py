@@ -4,50 +4,22 @@
 coloured background, a foreground polygon, and texture.  Polygons are
 defined in the unit square and filled with a vectorized ray-casting
 point-in-polygon test — no plotting libraries involved.
+
+As in :mod:`repro.datasets.strokes`, ``draw_*`` takes one sample's random
+values from the generator's stream and ``render_*`` renders a chunk of
+draws in one pass: the silhouettes of one class are transformed and
+filled together, and the texture's gather indices and weights are built
+once per (grid, image) size.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 
-from repro.errors import ConfigurationError
-
 Polygon = list[tuple[float, float]]
-
-
-def fill_polygon(vertices: Polygon, size: int) -> np.ndarray:
-    """Binary mask of the polygon on a ``size``×``size`` grid (even-odd)."""
-    if len(vertices) < 3:
-        raise ConfigurationError("a polygon needs at least three vertices")
-    poly = np.asarray(vertices, dtype=np.float64)
-    grid = (np.arange(size) + 0.5) / size
-    gx, gy = np.meshgrid(grid, grid)
-    px, py = gx.ravel(), gy.ravel()
-    inside = np.zeros(px.shape, dtype=bool)
-    x0, y0 = poly[:, 0], poly[:, 1]
-    x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    for ax, ay, bx, by in zip(x0, y0, x1, y1):
-        crosses = (ay > py) != (by > py)
-        if not crosses.any():
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_at = ax + (py - ay) / (by - ay) * (bx - ax)
-        inside ^= crosses & (px < x_at)
-    return inside.reshape(size, size)
-
-
-def transform_polygon(
-    vertices: Polygon,
-    rotation: float = 0.0,
-    scale: float = 1.0,
-    translate: tuple[float, float] = (0.0, 0.0),
-) -> Polygon:
-    """Rotate/scale about (0.5, 0.5) then translate."""
-    c, s = np.cos(rotation), np.sin(rotation)
-    matrix = np.array([[c, -s], [s, c]]) * scale
-    center = np.array([0.5, 0.5])
-    pts = (np.asarray(vertices) - center) @ matrix.T + center
-    return [(float(x) + translate[0], float(y) + translate[1]) for x, y in pts]
 
 
 def _rect(x0, y0, x1, y1) -> Polygon:
@@ -148,47 +120,113 @@ CIFAR5_COLORS: dict[int, tuple[np.ndarray, np.ndarray]] = {
 }
 
 
-def render_silhouette(
-    polygons: list[Polygon],
+#: The four uniforms a silhouette draws, in stream order: rotation, scale,
+#: x and y translation.  All are scaled by the jitter.
+_SILHOUETTE_LOW = np.array([-0.12, -0.12, -0.05, -0.05])
+_SILHOUETTE_HIGH = np.array([0.12, 0.12, 0.05, 0.05])
+
+
+def draw_silhouette(
+    rng: np.random.Generator, jitter: float = 1.0
+) -> np.ndarray:
+    """One silhouette's (rotation, scale, x shift, y shift)."""
+    uniforms = rng.uniform(_SILHOUETTE_LOW, _SILHOUETTE_HIGH)
+    rotation, scale, dx, dy = uniforms * jitter
+    return np.array([rotation, 1.0 + scale, dx, dy])
+
+
+def render_silhouettes(
+    templates: dict[int, list[Polygon]],
+    labels: np.ndarray,
+    draws: np.ndarray,
     size: int,
-    rng: np.random.Generator,
-    jitter: float = 1.0,
 ) -> np.ndarray:
-    """Union of jittered filled polygons as a float image in [0, 1]."""
-    rotation = rng.uniform(-0.12, 0.12) * jitter
-    scale = 1.0 + rng.uniform(-0.12, 0.12) * jitter
-    translate = (
-        rng.uniform(-0.05, 0.05) * jitter,
-        rng.uniform(-0.05, 0.05) * jitter,
+    """Union of each row's jittered filled polygons, as ``(rows, size,
+    size)`` float32 in {0, 1}.
+
+    Every polygon is rotated and scaled about (0.5, 0.5), then translated.
+    Rows of one class share their polygons, so each class is transformed
+    and filled in one batch.
+    """
+    center = np.array([0.5, 0.5])
+    masks = np.zeros((len(labels), size * size), dtype=bool)
+    for label in np.unique(labels):
+        rows = np.flatnonzero(labels == label)
+        rotation, scale = draws[rows, 0], draws[rows, 1]
+        c, s = np.cos(rotation), np.sin(rotation)
+        matrix = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+        matrix = matrix * scale[:, None, None]
+        polygons = _vertex_array(templates[int(label)])
+        moved = (
+            (polygons.reshape(-1, 2) - center) @ matrix.transpose(0, 2, 1)
+            + center + draws[rows, None, 2:4]
+        )
+        masks[rows] = _fill(moved.reshape((len(rows),) + polygons.shape),
+                            size).any(axis=1)
+    return masks.reshape(-1, size, size).astype(np.float32)
+
+
+def _vertex_array(polygons: list[Polygon]) -> np.ndarray:
+    """``(polygons, vertices, 2)``, each polygon padded with copies of its
+    last vertex: a zero-length edge crosses no ray, so fills are
+    unchanged."""
+    width = max(len(polygon) for polygon in polygons)
+    return np.array([
+        polygon + [polygon[-1]] * (width - len(polygon))
+        for polygon in polygons
+    ])
+
+
+def _fill(polygons: np.ndarray, size: int) -> np.ndarray:
+    """Even-odd masks of ``(..., vertices, 2)`` polygons on a
+    ``size``×``size`` grid, flattened, by ray casting every edge at once."""
+    grid = (np.arange(size) + 0.5) / size
+    px, py = np.tile(grid, size), np.repeat(grid, size)
+    ax, ay = polygons[..., 0, None], polygons[..., 1, None]
+    bx, by = np.roll(ax, -1, axis=-2), np.roll(ay, -1, axis=-2)
+    crosses = (ay > py) != (by > py)
+    # Horizontal edges, the padding's zero-length ones included, divide
+    # by zero but never cross a pixel's ray.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_at = ax + (py - ay) / (by - ay) * (bx - ax)
+    return np.logical_xor.reduce(crosses & (px < x_at), axis=-2)
+
+
+def draw_texture(rng: np.random.Generator, octaves: int = 3) -> tuple:
+    """The coarse value grids of one multi-scale noise texture; octave
+    ``k`` is a ``2**k``-cell square grid."""
+    return tuple(rng.random((2**k, 2**k)) for k in range(1, octaves + 1))
+
+
+@lru_cache(maxsize=None)
+def _bilinear(cells: int, size: int) -> tuple:
+    """Upsample a ``cells``² grid to ``size``²: one (flat gather index,
+    weight) pair per corner, in the order the corners are summed."""
+    src = np.linspace(0, cells - 1, size)
+    i0 = np.floor(src).astype(int)
+    i1 = np.minimum(i0 + 1, cells - 1)
+    frac = src - i0
+    near, far = (i0, 1 - frac), (i1, frac)
+    return tuple(
+        (rows[:, None] * cells + cols, np.outer(row_weight, col_weight))
+        for (rows, row_weight), (cols, col_weight)
+        in product((near, far), repeat=2)
     )
-    mask = np.zeros((size, size), dtype=bool)
-    for polygon in polygons:
-        moved = transform_polygon(polygon, rotation, scale, translate)
-        mask |= fill_polygon(moved, size)
-    return mask.astype(np.float32)
 
 
-def perlin_like_texture(
-    size: int, rng: np.random.Generator, octaves: int = 3
-) -> np.ndarray:
-    """Cheap multi-scale value noise in [0, 1] (bilinear-upsampled grids)."""
-    texture = np.zeros((size, size), dtype=np.float64)
+def render_textures(draws: list[tuple], size: int) -> np.ndarray:
+    """Cheap multi-scale value noise in [0, 1], ``(rows, size, size)``
+    float32: each octave's grid bilinearly upsampled, at half the
+    amplitude of the octave before."""
+    texture = np.zeros((len(draws), size, size), dtype=np.float64)
     amplitude = 1.0
     total = 0.0
-    for octave in range(octaves):
-        cells = max(2, 2 ** (octave + 1))
-        coarse = rng.random((cells, cells))
-        # bilinear upsample to size×size
-        src = np.linspace(0, cells - 1, size)
-        i0 = np.floor(src).astype(int)
-        i1 = np.minimum(i0 + 1, cells - 1)
-        frac = src - i0
-        rows = (
-            coarse[i0][:, i0] * np.outer(1 - frac, 1 - frac)
-            + coarse[i0][:, i1] * np.outer(1 - frac, frac)
-            + coarse[i1][:, i0] * np.outer(frac, 1 - frac)
-            + coarse[i1][:, i1] * np.outer(frac, frac)
-        )
+    for grids in zip(*draws):
+        flat = np.stack(grids).reshape(len(grids), -1)
+        (index, weight), *corners = _bilinear(len(grids[0]), size)
+        rows = flat[:, index] * weight
+        for index, weight in corners:
+            rows += flat[:, index] * weight
         texture += amplitude * rows
         total += amplitude
         amplitude *= 0.5

@@ -6,11 +6,19 @@ Gaussian pen.  Per-sample variation comes from a random affine transform
 warp — a cheap stand-in for the elastic distortions of handwriting — and
 additive pixel noise applied by the dataset generators.
 
-This module is deliberately free of class logic: it renders whatever
-polylines it is given.  Digit templates live in :data:`DIGIT_TEMPLATES`.
+Rendering comes in two steps.  :func:`draw_digit` takes every random value
+one sample needs from the generator's stream, in a fixed order;
+:func:`render_digits` then renders a chunk of draws in one vectorised pass
+and takes none.  Templates are resampled once per (template, size).  The
+templates live in :data:`DIGIT_TEMPLATES` and
+:data:`DIGIT_STYLE_VARIANTS`; noise, sizes and class order belong to the
+generators.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,61 +98,6 @@ def sample_polyline(polyline: Polyline, spacing: float) -> np.ndarray:
     return np.concatenate(points)
 
 
-def affine_matrix(
-    rotation: float = 0.0,
-    scale_x: float = 1.0,
-    scale_y: float = 1.0,
-    shear: float = 0.0,
-) -> np.ndarray:
-    """2×2 linear part of an affine transform about the square's center."""
-    c, s = np.cos(rotation), np.sin(rotation)
-    rotate = np.array([[c, -s], [s, c]])
-    shear_m = np.array([[1.0, shear], [0.0, 1.0]])
-    scale = np.diag([scale_x, scale_y])
-    return rotate @ shear_m @ scale
-
-
-def transform_points(
-    points: np.ndarray,
-    matrix: np.ndarray,
-    translate: tuple[float, float] = (0.0, 0.0),
-) -> np.ndarray:
-    """Apply the linear ``matrix`` about (0.5, 0.5), then translate."""
-    center = np.array([0.5, 0.5])
-    return (points - center) @ matrix.T + center + np.asarray(translate)
-
-
-def sinusoidal_warp(
-    points: np.ndarray, amplitude: float, phase: tuple[float, float]
-) -> np.ndarray:
-    """Smooth non-rigid wobble: each axis shifted by a sine of the other."""
-    x, y = points[:, 0], points[:, 1]
-    warped = points.copy()
-    warped[:, 0] = x + amplitude * np.sin(2.0 * np.pi * y + phase[0])
-    warped[:, 1] = y + amplitude * np.sin(2.0 * np.pi * x + phase[1])
-    return warped
-
-
-def rasterize_points(
-    points: np.ndarray, size: int, pen_sigma: float
-) -> np.ndarray:
-    """Render unit-square points as a Gaussian-pen image of ``size``².
-
-    Uses a max-composite so stroke crossings do not bloom brighter than the
-    pen itself.  Returns float32 in [0, 1].
-    """
-    if size < 2:
-        raise ConfigurationError(f"image size must be >= 2, got {size}")
-    grid = (np.arange(size) + 0.5) / size
-    gx, gy = np.meshgrid(grid, grid)  # gy indexes rows (y down)
-    # distances: (size*size, n_points)
-    dx = gx.reshape(-1, 1) - points[None, :, 0].reshape(1, -1)
-    dy = gy.reshape(-1, 1) - points[None, :, 1].reshape(1, -1)
-    intensity = np.exp(-(dx * dx + dy * dy) / (2.0 * pen_sigma**2))
-    image = intensity.max(axis=1).reshape(size, size)
-    return image.astype(np.float32)
-
-
 #: Alternative handwriting styles for digits that humans write multiple
 #: ways.  Style diversity is what forces model capacity: each extra mode
 #: per class adds decision-boundary structure small models cannot fit.
@@ -171,10 +124,36 @@ DIGIT_STYLE_VARIANTS: dict[int, list[list[Polyline]]] = {
 }
 
 
-def _digit_strokes(digit: int, rng: np.random.Generator) -> list[Polyline]:
-    variants = [DIGIT_TEMPLATES[digit]]
-    variants.extend(DIGIT_STYLE_VARIANTS.get(digit, []))
-    return variants[int(rng.integers(0, len(variants)))]
+#: The nine uniforms a rendering draws first, in stream order: rotation,
+#: x and y scale, shear, x and y translation, the warp's two phases, and
+#: its amplitude.  All but the phases are scaled by the jitter.
+_UNIFORM_LOW = np.array(
+    [-0.2, -0.15, -0.15, -0.15, -0.06, -0.06, 0.0, 0.0, 0.0]
+)
+_UNIFORM_HIGH = np.array(
+    [0.2, 0.15, 0.15, 0.15, 0.06, 0.06, 2 * np.pi, 2 * np.pi, 0.02]
+)
+
+
+class DigitDraw(NamedTuple):
+    """Every random choice behind one digit rendering."""
+
+    uniforms: np.ndarray      # the nine uniforms above, unscaled
+    jitter: float
+    points: np.ndarray        # template pen path after any pen skip
+    stray: np.ndarray | None  # distractor stroke, drawn untransformed
+
+
+@lru_cache(maxsize=None)
+def _template_points(digit: int, variant: int, size: int) -> np.ndarray:
+    """A template's pen path, resampled once for each image size."""
+    strokes = [DIGIT_TEMPLATES[digit]] + DIGIT_STYLE_VARIANTS.get(digit, [])
+    points = np.concatenate([
+        sample_polyline(polyline, spacing=0.35 / size)
+        for polyline in strokes[variant]
+    ])
+    points.flags.writeable = False
+    return points
 
 
 def _random_distractor(rng: np.random.Generator) -> Polyline:
@@ -189,55 +168,108 @@ def _random_distractor(rng: np.random.Generator) -> Polyline:
     ]
 
 
-def render_digit(
+def draw_digit(
     digit: int,
     size: int,
     rng: np.random.Generator,
-    pen_sigma: float | None = None,
     jitter: float = 1.0,
     stroke_dropout: float = 0.0,
     distractor_prob: float = 0.0,
-) -> np.ndarray:
-    """One randomized rendering of ``digit`` as a ``size``×``size`` image.
+) -> DigitDraw:
+    """Draw one randomized rendering of ``digit`` for :func:`render_digits`.
 
     ``jitter`` scales all geometric variation; 0 renders the bare template.
     ``stroke_dropout`` is the probability of erasing a contiguous chunk of
     the pen path (a pen skip); ``distractor_prob`` adds a stray stroke.
     """
-    if digit not in DIGIT_TEMPLATES:
-        raise ConfigurationError(f"no template for digit {digit!r}")
-    pen_sigma = pen_sigma if pen_sigma is not None else 0.9 / size
-
-    matrix = affine_matrix(
-        rotation=rng.uniform(-0.2, 0.2) * jitter,
-        scale_x=1.0 + rng.uniform(-0.15, 0.15) * jitter,
-        scale_y=1.0 + rng.uniform(-0.15, 0.15) * jitter,
-        shear=rng.uniform(-0.15, 0.15) * jitter,
-    )
-    translate = (
-        rng.uniform(-0.06, 0.06) * jitter,
-        rng.uniform(-0.06, 0.06) * jitter,
-    )
-    phase = (rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
-    amplitude = rng.uniform(0.0, 0.02) * jitter
-
-    chunks = [
-        sample_polyline(polyline, spacing=0.35 / size)
-        for polyline in _digit_strokes(digit, rng)
-    ]
-    points = np.concatenate(chunks)
+    uniforms = rng.uniform(_UNIFORM_LOW, _UNIFORM_HIGH)
+    variants = 1 + len(DIGIT_STYLE_VARIANTS.get(digit, []))
+    points = _template_points(digit, int(rng.integers(0, variants)), size)
     if stroke_dropout > 0.0 and rng.random() < stroke_dropout:
         # Erase a contiguous 10-20 % of the pen path.
         n = len(points)
         gap = max(1, int(n * rng.uniform(0.1, 0.2)))
         start = int(rng.integers(0, max(n - gap, 1)))
-        keep = np.ones(n, dtype=bool)
-        keep[start : start + gap] = False
-        if keep.any():
-            points = points[keep]
-    points = transform_points(points, matrix, translate)
-    points = sinusoidal_warp(points, amplitude, phase)
+        points = np.delete(points, slice(start, start + gap), axis=0)
+    stray = None
     if distractor_prob > 0.0 and rng.random() < distractor_prob:
         stray = sample_polyline(_random_distractor(rng), spacing=0.35 / size)
-        points = np.concatenate([points, stray])
-    return rasterize_points(points, size, pen_sigma)
+    return DigitDraw(uniforms, jitter, points, stray)
+
+
+def render_digits(
+    draws: list[DigitDraw], size: int, pen_sigma: float
+) -> np.ndarray:
+    """Render a chunk of draws as ``(len(draws), size, size)`` float32.
+
+    Each draw's pen path gets its affine transform about the square's
+    center (rotation @ shear @ scale, then translation) and a smooth
+    sinusoidal warp, each axis shifted by a sine of the other; the stray
+    stroke is added afterwards, untransformed.
+    """
+    uniforms = np.stack([draw.uniforms for draw in draws])
+    jitter = np.array([draw.jitter for draw in draws])[:, None]
+    scaled = uniforms * jitter
+    rotation, shear = scaled[:, 0], scaled[:, 3]
+    c, s = np.cos(rotation), np.sin(rotation)
+    rotate = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    shear_m = np.zeros_like(rotate)
+    shear_m[:, 0, 0] = shear_m[:, 1, 1] = 1.0
+    shear_m[:, 0, 1] = shear
+    scale = np.zeros_like(rotate)
+    scale[:, 0, 0] = 1.0 + scaled[:, 1]
+    scale[:, 1, 1] = 1.0 + scaled[:, 2]
+    matrix = rotate @ shear_m @ scale
+
+    # One stacked product needs equal-length paths: zero-pad them, and
+    # drop the padding after the warp.  BLAS computes each row of a
+    # product of two or more rows alone, so padding changes no bit.
+    lengths = [len(draw.points) for draw in draws]
+    points = np.zeros((len(draws), max(lengths), 2))
+    for row, draw in zip(points, draws):
+        row[: len(draw.points)] = draw.points
+    center = np.array([0.5, 0.5])
+    points = (
+        (points - center) @ matrix.transpose(0, 2, 1) + center
+        + scaled[:, None, 4:6]
+    )
+    x, y = points[..., 0], points[..., 1]
+    amplitude, phase = scaled[:, 8:9], uniforms[:, 6:8]
+    points = np.stack([
+        x + amplitude * np.sin(2.0 * np.pi * y + phase[:, 0:1]),
+        y + amplitude * np.sin(2.0 * np.pi * x + phase[:, 1:2]),
+    ], axis=-1)
+
+    pieces, starts = [], [0]
+    for warped, length, draw in zip(points, lengths, draws):
+        pieces.append(warped[:length])
+        if draw.stray is not None:
+            pieces.append(draw.stray)
+            length += len(draw.stray)
+        starts.append(starts[-1] + length)
+    return _rasterize(np.concatenate(pieces), starts[:-1], size, pen_sigma)
+
+
+def _rasterize(
+    points: np.ndarray, starts: list[int], size: int, pen_sigma: float
+) -> np.ndarray:
+    """Gaussian-pen images of a chunk's unit-square point sets, stored
+    back to back in ``points`` from the offsets ``starts``.
+
+    A max-composite, so stroke crossings do not bloom brighter than the
+    pen itself.  The brightest point of a pixel is its nearest, and
+    ``exp`` is monotone, so each pixel's squared distances are reduced to
+    their minimum first and exponentiated once.  The reduction runs one
+    pixel row at a time, so the working set is ``size`` distances per
+    point of the chunk.
+    """
+    grid = (np.arange(size) + 0.5) / size
+    dx2 = grid[:, None] - points[:, 0]   # (pixel column, point)
+    dy2 = grid[:, None] - points[:, 1]   # (pixel row, point)
+    dx2 *= dx2
+    dy2 *= dy2
+    nearest = np.empty((size, size, len(starts)))
+    for row in range(size):
+        np.minimum.reduceat(dx2 + dy2[row], starts, axis=1, out=nearest[row])
+    intensity = np.exp(-nearest / (2.0 * pen_sigma**2)).astype(np.float32)
+    return np.moveaxis(intensity, -1, 0)

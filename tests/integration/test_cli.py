@@ -293,6 +293,21 @@ class TestSearchCommand:
         assert captured.err == f"error: {message}\n"
         assert "searched" not in captured.out   # no stage ran
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-test", "0"), ("--n-train", "0"), ("--n-train", "-3"),
+    ])
+    def test_search_rejects_a_dataset_size_below_one(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["search", "--count", "2", flag, value]) == 1
+        captured = capsys.readouterr()
+        role = flag[2:].replace("-", "_")
+        assert captured.err == (
+            f"error: dataset 'digits_like' needs {role} >= 1, got {value}\n"
+        )
+        assert "searched" not in captured.out   # no stage ran
+
 
 class TestCachePrune:
     def test_prune_lifecycle(self, tmp_path, monkeypatch, capsys):
