@@ -254,7 +254,8 @@ def _cmd_serve_bench(args) -> int:
         max_retries=args.retries,
         max_queue_wait_ms=args.max_queue_wait_ms,
         power_budget=(
-            PowerBudget(args.charge_cycles) if args.charge_cycles else None
+            PowerBudget(args.charge_cycles)
+            if args.charge_cycles is not None else None
         ),
         fault_plan=fault_plan,
         engine=args.engine,

@@ -26,7 +26,7 @@ from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.cluster.deploy import SLOPolicy
 from repro.cluster.invariants import verify_cluster_invariants
 from repro.deploy.artifact import VERIFIED_ENGINE
-from repro.errors import VerificationError
+from repro.errors import ConfigurationError, VerificationError
 from repro.serve.registry import ModelArtifact
 from repro.serve.runtime import ServeConfig
 from repro.serve.trace import synthetic_trace
@@ -39,6 +39,8 @@ def fleet_capacity_rps(
     artifact: ModelArtifact, devices_per_fleet: int
 ) -> float:
     """Ideal single-fleet service rate, requests per simulated second."""
+    if devices_per_fleet < 1:
+        raise ConfigurationError("need at least one device")
     return devices_per_fleet * 1e3 / artifact.deployment.latency_ms
 
 

@@ -7,7 +7,6 @@ mixed, block.
 """
 
 from repro.encodings.base import (
-    PolaritySplit,
     SparseEncoding,
     encoding_names,
     get_encoding,
@@ -29,7 +28,6 @@ __all__ = [
     "MixedEncoding",
     "describe_encodings",
     "toy_matrix",
-    "PolaritySplit",
     "SparseEncoding",
     "encoding_names",
     "get_encoding",

@@ -11,19 +11,23 @@ Storage width selection is central to the paper's Figure 5b: an array is
 stored with 8-bit elements iff every value it contains fits in 8 bits,
 otherwise the whole array falls back to 16 bits.  Per-element variable-width
 tricks are deliberately excluded — they would reintroduce the decode
-branches the design exists to avoid (§4.1 "Key insight").
+branches the design exists to avoid (§4.1 "Key insight").  Each polarity's
+arrays take their own widths.
+
+Every format derives its arrays in a few NumPy passes from one flat split
+(:func:`split_polarities`).  Their bytes must not change: flash sizes, the
+EXPERIMENTS.md figures, the C export, firmware images and cached search
+results are built from them (pinned in ``tests/encodings/test_bytes.py``).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import EncodingError
-
-TERNARY_VALUES = (-1, 0, 1)
 
 
 def validate_ternary(matrix: np.ndarray) -> np.ndarray:
@@ -35,45 +39,38 @@ def validate_ternary(matrix: np.ndarray) -> np.ndarray:
         )
     if matrix.size == 0:
         raise EncodingError("adjacency matrix must be non-empty")
-    if not np.isin(matrix, TERNARY_VALUES).all():
-        bad = np.unique(matrix[~np.isin(matrix, TERNARY_VALUES)])
+    ternary = (matrix == -1) | (matrix == 0) | (matrix == 1)
+    if not ternary.all():
+        bad = np.unique(matrix[~ternary])
         raise EncodingError(f"matrix contains non-ternary values {bad!r}")
     return matrix.astype(np.int8)
 
 
-@dataclass(frozen=True)
-class PolaritySplit:
-    """Per-output-column sorted input indices, split by connection sign."""
+class Polarity(NamedTuple):
+    """One sign's connections, flat and in column-major order."""
 
-    n_in: int
-    n_out: int
-    pos: tuple[np.ndarray, ...]  # pos[j]: indices i with A[i, j] == +1
-    neg: tuple[np.ndarray, ...]  # neg[j]: indices i with A[i, j] == -1
+    columns: np.ndarray  # output column of each connection, non-decreasing
+    rows: np.ndarray     # its input row, ascending within each column
+    counts: np.ndarray   # connections per output column (length n_out)
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "PolaritySplit":
-        matrix = validate_ternary(matrix)
-        n_in, n_out = matrix.shape
-        pos = tuple(
-            np.flatnonzero(matrix[:, j] == 1).astype(np.int64)
-            for j in range(n_out)
-        )
-        neg = tuple(
-            np.flatnonzero(matrix[:, j] == -1).astype(np.int64)
-            for j in range(n_out)
-        )
-        return cls(n_in=n_in, n_out=n_out, pos=pos, neg=neg)
 
-    def to_matrix(self) -> np.ndarray:
-        matrix = np.zeros((self.n_in, self.n_out), dtype=np.int8)
-        for j in range(self.n_out):
-            matrix[self.pos[j], j] = 1
-            matrix[self.neg[j], j] = -1
-        return matrix
+def split_polarities(
+    matrix: np.ndarray,
+) -> tuple[int, int, Polarity, Polarity]:
+    """Validate ``matrix``; return ``(n_in, n_out, pos, neg)``.
 
-    @property
-    def nnz(self) -> int:
-        return sum(len(c) for c in self.pos) + sum(len(c) for c in self.neg)
+    ``np.nonzero`` on the transposed sign mask lists every connection
+    column by column with rows ascending, which is the order every
+    format stores its indices in.
+    """
+    matrix = validate_ternary(matrix)
+    n_in, n_out = matrix.shape
+
+    def polarity(sign: int) -> Polarity:
+        columns, rows = np.nonzero(matrix.T == sign)
+        return Polarity(columns, rows, np.bincount(columns, minlength=n_out))
+
+    return n_in, n_out, polarity(1), polarity(-1)
 
 
 def width_bytes_for(max_value: int) -> int:
@@ -94,17 +91,23 @@ def width_bytes_for(max_value: int) -> int:
     )
 
 
-def array_with_width(values, width: int) -> np.ndarray:
-    """Pack ``values`` into an unsigned array of ``width`` bytes/element."""
+def array_with_width(values: np.ndarray, width: int) -> np.ndarray:
+    """Pack integer ``values`` into an unsigned array of ``width``
+    bytes/element."""
     dtype = {1: np.uint8, 2: np.uint16}[width]
-    array = np.asarray(list(values), dtype=np.int64)
-    if array.size and int(array.max(initial=0)) >= (1 << (8 * width)):
+    if values.size and int(values.max()) >= (1 << (8 * width)):
         raise EncodingError(
-            f"value {int(array.max())} does not fit a {width}-byte element"
+            f"value {int(values.max())} does not fit a {width}-byte element"
         )
-    if array.size and int(array.min(initial=0)) < 0:
+    if values.size and int(values.min()) < 0:
         raise EncodingError("encoded index arrays must be non-negative")
-    return array.astype(dtype)
+    return values.astype(dtype)
+
+
+def narrowest_array(values: np.ndarray) -> np.ndarray:
+    """Pack non-negative ``values`` at the narrowest width holding them."""
+    width = width_bytes_for(int(values.max(initial=0)))
+    return array_with_width(values, width)
 
 
 class SparseEncoding(ABC):

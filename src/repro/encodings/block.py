@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.encodings.base import (
-    PolaritySplit,
+    Polarity,
     SparseEncoding,
     array_with_width,
     register_encoding,
+    split_polarities,
     width_bytes_for,
 )
 from repro.errors import EncodingError
@@ -46,22 +47,19 @@ class BlockPolarity:
         return out
 
 
-def _encode_block(
-    columns: tuple[np.ndarray, ...], lo: int, hi: int
-) -> BlockPolarity:
-    counts: list[int] = []
-    flat: list[int] = []
-    for col in columns:
-        local = col[(col >= lo) & (col < hi)] - lo
-        counts.append(len(local))
-        flat.extend(int(i) for i in local)
-    counts_arr = np.asarray(counts, dtype=np.int64)
-    return BlockPolarity(
-        counts=array_with_width(
-            counts_arr, width_bytes_for(int(counts_arr.max(initial=0)))
-        ),
-        indices=array_with_width(flat, 1),  # block-local: 8-bit by design
-    )
+def _split_blocks(
+    polarity: Polarity, n_out: int, n_blocks: int, block_size: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each block's per-column counts and block-local indices, in order."""
+    block_of = polarity.rows // block_size
+    split = []
+    for b in range(n_blocks):
+        mask = block_of == b
+        split.append((
+            np.bincount(polarity.columns[mask], minlength=n_out),
+            polarity.rows[mask] - b * block_size,
+        ))
+    return split
 
 
 @register_encoding
@@ -91,34 +89,33 @@ class BlockEncoding(SparseEncoding):
                 f"block_size must be in [1, {MAX_BLOCK_SIZE}], "
                 f"got {block_size}"
             )
-        split = PolaritySplit.from_matrix(matrix)
-        n_blocks = -(-split.n_in // block_size)  # ceil division
-        pos_blocks = []
-        neg_blocks = []
-        for b in range(n_blocks):
-            lo, hi = b * block_size, min((b + 1) * block_size, split.n_in)
-            pos_blocks.append(_encode_block(split.pos, lo, hi))
-            neg_blocks.append(_encode_block(split.neg, lo, hi))
-        # The runtime walks all blocks' count arrays with one fixed-width
-        # loop, so promote every block to the widest count width used.
-        count_width = max(
-            b.counts.itemsize for b in pos_blocks + neg_blocks
+        n_in, n_out, pos, neg = split_polarities(matrix)
+        n_blocks = -(-n_in // block_size)  # ceil division
+        pos_split, neg_split = (
+            _split_blocks(polarity, n_out, n_blocks, block_size)
+            for polarity in (pos, neg)
         )
-        dtype = {1: np.uint8, 2: np.uint16}[count_width]
-        pos_blocks = [
-            BlockPolarity(b.counts.astype(dtype), b.indices)
-            for b in pos_blocks
-        ]
-        neg_blocks = [
-            BlockPolarity(b.counts.astype(dtype), b.indices)
-            for b in neg_blocks
-        ]
+        # The runtime walks all blocks' count arrays with one fixed-width
+        # loop, so every block takes the widest count width used.
+        count_width = width_bytes_for(
+            max(int(counts.max()) for counts, _ in pos_split + neg_split)
+        )
+
+        def pack(split) -> tuple[BlockPolarity, ...]:
+            return tuple(
+                BlockPolarity(
+                    counts=array_with_width(counts, count_width),
+                    indices=array_with_width(local, 1),  # 8-bit by design
+                )
+                for counts, local in split
+            )
+
         return cls(
-            n_in=split.n_in,
-            n_out=split.n_out,
+            n_in=n_in,
+            n_out=n_out,
             block_size=block_size,
-            pos_blocks=tuple(pos_blocks),
-            neg_blocks=tuple(neg_blocks),
+            pos_blocks=pack(pos_split),
+            neg_blocks=pack(neg_split),
         )
 
     @property

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.encodings.base import (
-    PolaritySplit,
+    Polarity,
     SparseEncoding,
     array_with_width,
+    narrowest_array,
     register_encoding,
+    split_polarities,
     width_bytes_for,
 )
 
@@ -31,20 +33,13 @@ class PolarityCSC:
     indices: np.ndarray
 
     @classmethod
-    def from_columns(cls, columns: tuple[np.ndarray, ...], n_in: int):
-        pointers = np.zeros(len(columns) + 1, dtype=np.int64)
-        chunks: list[np.ndarray] = []
-        for j, col in enumerate(columns):
-            pointers[j + 1] = pointers[j] + len(col)
-            chunks.append(col)
-        flat = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        )
-        ptr_width = width_bytes_for(int(pointers[-1]))
-        idx_width = width_bytes_for(max(n_in - 1, 0))
+    def from_polarity(cls, polarity: Polarity, n_in: int) -> "PolarityCSC":
+        pointers = np.concatenate(([0], np.cumsum(polarity.counts)))
         return cls(
-            pointers=array_with_width(pointers, ptr_width),
-            indices=array_with_width(flat, idx_width),
+            pointers=narrowest_array(pointers),
+            indices=array_with_width(
+                polarity.rows, width_bytes_for(max(n_in - 1, 0))
+            ),
         )
 
     def column(self, j: int) -> np.ndarray:
@@ -69,12 +64,12 @@ class CSCEncoding(SparseEncoding):
     def from_matrix(cls, matrix: np.ndarray, **options) -> "CSCEncoding":
         if options:
             raise TypeError(f"csc takes no options, got {sorted(options)}")
-        split = PolaritySplit.from_matrix(matrix)
+        n_in, n_out, pos, neg = split_polarities(matrix)
         return cls(
-            n_in=split.n_in,
-            n_out=split.n_out,
-            pos=PolarityCSC.from_columns(split.pos, split.n_in),
-            neg=PolarityCSC.from_columns(split.neg, split.n_in),
+            n_in=n_in,
+            n_out=n_out,
+            pos=PolarityCSC.from_polarity(pos, n_in),
+            neg=PolarityCSC.from_polarity(neg, n_in),
         )
 
     def to_matrix(self) -> np.ndarray:

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.encodings.base import (
-    PolaritySplit,
+    Polarity,
     SparseEncoding,
-    array_with_width,
+    narrowest_array,
     register_encoding,
-    width_bytes_for,
+    split_polarities,
 )
 from repro.errors import EncodingError
 
@@ -37,21 +37,19 @@ class PolarityDelta:
     stream: np.ndarray
 
     @classmethod
-    def from_columns(
-        cls, columns: tuple[np.ndarray, ...], stride: int
+    def from_polarity(
+        cls, polarity: Polarity, stride: int
     ) -> "PolarityDelta":
-        counts = np.array([len(col) for col in columns], dtype=np.int64)
-        values: list[int] = []
-        for col in columns:
-            if len(col) == 0:
-                continue
-            values.append(int(col[0]) * stride)
-            values.extend(int(d) * stride for d in np.diff(col))
-        max_value = max(values, default=0)
-        max_count = int(counts.max(initial=0))
+        rows = polarity.rows
+        # Each row's gap to the previous one, except that a column's
+        # first connection keeps its absolute row.
+        stream = np.diff(rows, prepend=0)
+        starts = np.flatnonzero(np.diff(polarity.columns, prepend=-1))
+        stream[starts] = rows[starts]
+        stream *= stride
         return cls(
-            counts=array_with_width(counts, width_bytes_for(max_count)),
-            stream=array_with_width(values, width_bytes_for(max_value)),
+            counts=narrowest_array(polarity.counts),
+            stream=narrowest_array(stream),
         )
 
     def columns(self, stride: int) -> list[np.ndarray]:
@@ -91,13 +89,13 @@ class DeltaEncoding(SparseEncoding):
             raise TypeError(f"unexpected options {sorted(options)}")
         if stride not in (1, 2):
             raise EncodingError(f"stride must be 1 or 2, got {stride}")
-        split = PolaritySplit.from_matrix(matrix)
+        n_in, n_out, pos, neg = split_polarities(matrix)
         return cls(
-            n_in=split.n_in,
-            n_out=split.n_out,
+            n_in=n_in,
+            n_out=n_out,
             stride=stride,
-            pos=PolarityDelta.from_columns(split.pos, stride),
-            neg=PolarityDelta.from_columns(split.neg, stride),
+            pos=PolarityDelta.from_polarity(pos, stride),
+            neg=PolarityDelta.from_polarity(neg, stride),
         )
 
     def to_matrix(self) -> np.ndarray:

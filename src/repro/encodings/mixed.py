@@ -14,10 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.encodings.base import (
-    PolaritySplit,
+    Polarity,
     SparseEncoding,
     array_with_width,
+    narrowest_array,
     register_encoding,
+    split_polarities,
     width_bytes_for,
 )
 
@@ -30,20 +32,12 @@ class PolarityMixed:
     indices: np.ndarray
 
     @classmethod
-    def from_columns(
-        cls, columns: tuple[np.ndarray, ...], n_in: int
-    ) -> "PolarityMixed":
-        counts = np.array([len(col) for col in columns], dtype=np.int64)
-        flat = (
-            np.concatenate(columns)
-            if any(len(c) for c in columns)
-            else np.zeros(0, dtype=np.int64)
-        )
+    def from_polarity(cls, polarity: Polarity, n_in: int) -> "PolarityMixed":
         return cls(
-            counts=array_with_width(
-                counts, width_bytes_for(int(counts.max(initial=0)))
+            counts=narrowest_array(polarity.counts),
+            indices=array_with_width(
+                polarity.rows, width_bytes_for(max(n_in - 1, 0))
             ),
-            indices=array_with_width(flat, width_bytes_for(max(n_in - 1, 0))),
         )
 
     def columns(self) -> list[np.ndarray]:
@@ -73,12 +67,12 @@ class MixedEncoding(SparseEncoding):
     def from_matrix(cls, matrix: np.ndarray, **options) -> "MixedEncoding":
         if options:
             raise TypeError(f"mixed takes no options, got {sorted(options)}")
-        split = PolaritySplit.from_matrix(matrix)
+        n_in, n_out, pos, neg = split_polarities(matrix)
         return cls(
-            n_in=split.n_in,
-            n_out=split.n_out,
-            pos=PolarityMixed.from_columns(split.pos, split.n_in),
-            neg=PolarityMixed.from_columns(split.neg, split.n_in),
+            n_in=n_in,
+            n_out=n_out,
+            pos=PolarityMixed.from_polarity(pos, n_in),
+            neg=PolarityMixed.from_polarity(neg, n_in),
         )
 
     def to_matrix(self) -> np.ndarray:

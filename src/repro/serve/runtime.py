@@ -103,6 +103,13 @@ class ServeConfig:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; known: {MODEL_ENGINES}"
             )
+        faulty = self.fault_plan.faulty_devices if self.fault_plan else None
+        outside = sorted(set(faulty or ()) - set(range(self.n_devices)))
+        if outside:
+            raise ConfigurationError(
+                f"fault plan names devices {outside} outside "
+                f"range({self.n_devices})"
+            )
 
 
 @dataclass(frozen=True)

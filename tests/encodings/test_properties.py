@@ -1,12 +1,12 @@
 """Hypothesis property tests over arbitrary ternary matrices."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.encodings import encoding_names, get_encoding
-from repro.encodings.base import PolaritySplit
+from repro.encodings.base import split_polarities
 
 
 def ternary_matrices(max_in=80, max_out=12):
@@ -55,14 +55,98 @@ def test_delta_roundtrips_for_both_strides(matrix, stride):
 @settings(max_examples=40, deadline=None)
 @given(matrix=ternary_matrices())
 def test_polarity_split_partitions_the_matrix(matrix):
-    split = PolaritySplit.from_matrix(matrix)
-    assert np.array_equal(split.to_matrix(), matrix)
-    for j in range(split.n_out):
-        # Disjoint index sets, each sorted ascending.
-        pos, neg = set(split.pos[j]), set(split.neg[j])
-        assert not (pos & neg)
-        assert list(split.pos[j]) == sorted(split.pos[j])
-        assert list(split.neg[j]) == sorted(split.neg[j])
+    n_in, n_out, pos, neg = split_polarities(matrix)
+    assert (n_in, n_out) == matrix.shape
+    rebuilt = np.zeros(matrix.shape, dtype=np.int8)
+    for sign, polarity in ((1, pos), (-1, neg)):
+        assert np.array_equal(
+            polarity.counts, np.bincount(polarity.columns, minlength=n_out)
+        )
+        # Column-major: columns never decrease, and rows strictly ascend
+        # within a column.
+        steps = np.diff(polarity.columns)
+        assert (steps >= 0).all()
+        assert (np.diff(polarity.rows)[steps == 0] > 0).all()
+        rebuilt[polarity.rows, polarity.columns] = sign
+    cells = [set(zip(p.rows.tolist(), p.columns.tolist())) for p in (pos, neg)]
+    assert not cells[0] & cells[1]
+    assert np.array_equal(rebuilt, matrix)
+
+
+def skewed_matrices(max_in=600, max_out=6):
+    """Matrices up to ``max_in`` inputs whose density and sign balance
+    vary, so some columns hold more than 255 connections of one sign."""
+
+    def build(n_in, n_out, density, pos_share, seed):
+        p = [density * (1 - pos_share), 1 - density, density * pos_share]
+        return np.random.default_rng(seed).choice(
+            np.array([-1, 0, 1], dtype=np.int8), size=(n_in, n_out), p=p
+        )
+
+    return st.builds(
+        build,
+        st.integers(1, max_in), st.integers(1, max_out),
+        st.sampled_from([0.0, 0.004, 0.02, 0.2, 0.6, 0.95, 1.0]),
+        st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+
+
+def unsigned(fits_a_byte):
+    return np.dtype(np.uint8 if fits_a_byte else np.uint16)
+
+
+@settings(max_examples=60, deadline=None)
+@example(  # full 256-row blocks of both signs: every count is 16-bit
+    matrix=np.array([[1, -1, 0]] * 300, dtype=np.int8), stride=1,
+    block_size=256,
+)
+@example(  # first rows 140-142 fit a byte at stride 1 but not at stride 2
+    matrix=-np.eye(300, 3, k=-140, dtype=np.int8), stride=2, block_size=100,
+)
+@given(
+    matrix=skewed_matrices(),
+    stride=st.sampled_from([1, 2]),
+    block_size=st.integers(1, 256),
+)
+def test_every_array_takes_the_width_rule_of_its_polarity(
+    matrix, stride, block_size
+):
+    n_in = matrix.shape[0]
+    csc = get_encoding("csc").from_matrix(matrix)
+    mixed = get_encoding("mixed").from_matrix(matrix)
+    delta = get_encoding("delta").from_matrix(matrix, stride=stride)
+    for sign, name in ((1, "pos"), (-1, "neg")):
+        mask = matrix == sign
+        counts = mask.sum(axis=0)
+        prescaled = [
+            np.diff(np.flatnonzero(column), prepend=0) * stride
+            for column in mask.T
+        ]
+        largest = max(int(v.max(initial=0)) for v in prescaled)
+        arrays = {
+            "csc indices": (getattr(csc, name).indices, n_in <= 256),
+            "csc pointers": (getattr(csc, name).pointers,
+                             int(counts.sum()) <= 255),
+            "mixed indices": (getattr(mixed, name).indices, n_in <= 256),
+            "mixed counts": (getattr(mixed, name).counts,
+                             int(counts.max()) <= 255),
+            "delta counts": (getattr(delta, name).counts,
+                             int(counts.max()) <= 255),
+            "delta stream": (getattr(delta, name).stream, largest <= 255),
+        }
+        for label, (array, fits_a_byte) in arrays.items():
+            assert array.dtype == unsigned(fits_a_byte), (name, label)
+
+    block = get_encoding("block").from_matrix(matrix, block_size=block_size)
+    largest_block_count = max(
+        int(np.count_nonzero(matrix[lo:lo + block_size] == sign, axis=0).max())
+        for lo in range(0, n_in, block_size)
+        for sign in (1, -1)
+    )
+    for polarity in block.pos_blocks + block.neg_blocks:
+        assert polarity.indices.dtype == np.uint8
+        assert polarity.counts.dtype == unsigned(largest_block_count <= 255)
 
 
 @settings(max_examples=30, deadline=None)

@@ -186,6 +186,29 @@ class TestServeBench:
         assert "offered 30" in out
 
 
+class TestMalformedArguments:
+    """Bad numeric arguments end in one ``error:`` line and exit 1."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["serve-bench", "--charge-cycles", "0"],
+         "charge budget must be positive"),
+        (["serve-bench", "--charge-cycles", "-3"],
+         "charge budget must be positive"),
+        (["serve-bench", "--brownout-rate", "0.3", "--faulty-devices", "9"],
+         "fault plan names devices [9] outside range(4)"),
+        (["serve-bench", "--devices", "2", "--brownout-rate", "0.3",
+          "--faulty-devices", "1", "2", "5"],
+         "fault plan names devices [2, 5] outside range(2)"),
+        (["cluster-bench", "--devices", "0"], "need at least one device"),
+    ], ids=["charge-0", "charge-negative", "faulty-9-of-4",
+            "faulty-2-5-of-2", "cluster-devices-0"])
+    def test_one_error_line_and_exit_1(
+        self, model_file, capsys, args, message
+    ):
+        assert main(args[:1] + ["--model", model_file] + args[1:]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestMalformedModelFile:
     """Every model-reading subcommand turns a malformed file into one
     ``error:`` line and exit 1, with no traceback."""

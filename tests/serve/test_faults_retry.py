@@ -8,7 +8,9 @@ must surface a terminal ``ServeError`` after the retry cap — never hang
 
 import pytest
 
-from repro.errors import DeviceBrownoutError, ServeError
+from repro.errors import (
+    ConfigurationError, DeviceBrownoutError, ServeError,
+)
 from repro.mcu.intermittent import IntermittentDeployment, PowerBudget
 from repro.serve import (
     COMPLETED,
@@ -49,6 +51,24 @@ class TestFaultInjector:
         draws_b = [b.should_brownout(0) for _ in range(50)]
         assert draws_a == draws_b
         assert any(draws_a) and not all(draws_a)
+
+
+class TestFaultPlanDevices:
+    @pytest.mark.parametrize("faulty, outside", [
+        ({9}, [9]), ({1, 4, 7}, [4, 7]), ({-1, 0}, [-1]),
+    ])
+    def test_devices_outside_the_pool_are_refused(self, faulty, outside):
+        plan = FaultPlan(brownout_rate=0.3, faulty_devices=frozenset(faulty))
+        with pytest.raises(ConfigurationError) as raised:
+            _config(fault_plan=plan)
+        assert str(raised.value) == (
+            f"fault plan names devices {outside} outside range(4)"
+        )
+
+    @pytest.mark.parametrize("faulty", [None, frozenset(), frozenset({0, 3})])
+    def test_devices_inside_the_pool_are_accepted(self, faulty):
+        plan = FaultPlan(brownout_rate=0.3, faulty_devices=faulty)
+        assert _config(fault_plan=plan).fault_plan is plan
 
 
 class TestDeviceBrownout:
