@@ -236,7 +236,7 @@ def _cmd_serve_bench(args) -> int:
     )
 
     fault_plan = None
-    if args.brownout_rate > 0.0:
+    if args.brownout_rate != 0.0:      # NaN and negatives reach the check
         faulty = (
             frozenset(args.faulty_devices)
             if args.faulty_devices else None

@@ -8,12 +8,12 @@ out its backlog, so the fleet's identity (and its place in the router's
 hash ring) outlives any single model version.
 
 Cutover (:meth:`begin_generation`) builds the green runtime on the
-fleet's event loop — replicas flashed from the registry artifact,
-translations already warm — and repoints the fleet at it inside one
-event: every later arrival lands on green, every earlier one was
-already admitted (or shed) by blue.  :meth:`retire_generation` then
-archives blue, which keeps serving its queued backlog on the same
-simulated clock.  The whole cluster runs on one single-threaded loop,
+fleet's event loop — answering from the one replica the cluster
+flashes per artifact, translations already warm — and repoints the
+fleet at it inside one event: every later arrival lands on green,
+every earlier one was already admitted (or shed) by blue.
+:meth:`retire_generation` then archives blue, which keeps serving its
+queued backlog on the same simulated clock.  The whole cluster runs on one single-threaded loop,
 so no arrival can fall between two generations: a rolling deploy sheds
 nothing and loses nothing — the cluster invariants assert exactly that.
 """

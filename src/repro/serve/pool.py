@@ -20,9 +20,8 @@ their mutable state needs no locking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.deploy.artifact import VERIFIED_ENGINE, DeployedModel
 from repro.errors import (
@@ -43,8 +42,7 @@ from repro.serve.tracing import Span, TraceCollector
 DISPATCH_OVERHEAD_CYCLES = 2_000
 
 
-@dataclass(frozen=True)
-class DeviceExecution:
+class DeviceExecution(NamedTuple):
     """One successful on-device inference, placed on the sim timeline."""
 
     label: int
@@ -56,22 +54,27 @@ class DeviceExecution:
 class Answers:
     """Each request's ``(label, cycles)`` on one replay's trace.
 
-    :meth:`load` takes the trace.  On the ``verified`` engine, the first
-    request an artifact serves builds its table: one
+    :meth:`load` takes the trace.  :meth:`source` flashes one replica
+    per (artifact id, engine), and every runtime sharing this
+    ``Answers`` (a cluster's generations on one artifact) answers from
+    it, as a pool's devices do: requests run one at a time on the event
+    loop, so none interleave on it.  On the ``verified`` engine, the
+    first request an artifact serves builds its table: one
     :meth:`~repro.deploy.artifact.DeployedModel.infer_rows` call over
     every input of the trace, keyed by request id.  Every later runtime
-    on the same artifact (a cluster's generations) reads the same
-    table.  A request with no row, from a direct ``admit`` or
-    ``execute`` caller, is answered by the same method with a batch of
-    one.  CPU engines answer when a request executes, with one
-    ``infer``: precomputing would pay for the rows an overloaded
-    replay sheds.
+    on the same artifact reads the same table.  A request with no row,
+    from a direct ``admit`` or ``execute`` caller, is answered by the
+    same method with a batch of one.  CPU engines answer when a request
+    executes, with one ``infer``: precomputing would pay for the rows an
+    overloaded replay sheds.
     """
 
     def __init__(self) -> None:
         self._trace: Sequence[InferenceRequest] = ()
         #: Per ``verified`` artifact id: request id -> row.
         self._tables: dict[str, dict] = {}
+        #: Per (artifact id, engine): the replica that answers.
+        self._replicas: dict[tuple[str, str | None], DeployedModel] = {}
 
     def load(self, trace: Sequence[InferenceRequest]) -> None:
         """Take a replay's trace; its request ids must be distinct."""
@@ -88,17 +91,21 @@ class Answers:
     def source(
         self, artifact: ModelArtifact, engine: str | None = None
     ) -> Callable[[InferenceRequest], tuple[int, int]]:
-        """Answer requests on one replica flashed from ``artifact`` now."""
-        return partial(self.row, artifact.model_id, artifact.replica(engine))
+        """Answer requests on the replica of ``artifact`` for ``engine``,
+        flashed at the first call for the pair."""
+        key = (artifact.model_id, engine)
+        model = self._replicas.get(key)
+        if model is None:
+            model = self._replicas[key] = artifact.replica(engine)
+        if model.engine != VERIFIED_ENGINE:
+            return partial(_infer, model)
+        return partial(self.row, artifact.model_id, model)
 
     def row(
         self, model_id: str, model: DeployedModel, request: InferenceRequest
     ) -> tuple[int, int]:
-        """``(label, cycles)`` of ``request`` on ``model``; raises the
-        ``InvalidInputError`` its input carries."""
-        if model.engine != VERIFIED_ENGINE:
-            result = model.infer(request.x)
-            return result.label, result.cycles
+        """``(label, cycles)`` of ``request`` on the verified ``model``;
+        raises the ``InvalidInputError`` its input carries."""
         table = self._tables.get(model_id)
         if table is None:
             table = self._tables[model_id] = dict(zip(
@@ -111,6 +118,14 @@ class Answers:
         if isinstance(row, InvalidInputError):
             raise row
         return row
+
+
+def _infer(
+    model: DeployedModel, request: InferenceRequest
+) -> tuple[int, int]:
+    """``(label, cycles)`` of ``request`` run on a CPU-engine ``model``."""
+    result = model.infer(request.x)
+    return result.label, result.cycles
 
 
 class SimulatedDevice:
@@ -153,6 +168,7 @@ class SimulatedDevice:
         self.clock_ms = 0.0
         self.busy_ms = 0.0
         self._nominal_ms = artifact.deployment.latency_ms
+        self._overhead_ms = self.board.cycles_to_ms(DISPATCH_OVERHEAD_CYCLES)
 
     def _emit(
         self,
@@ -191,10 +207,9 @@ class SimulatedDevice:
         still counted as busy, overstating utilization and understating
         the first request's queue wait.
         """
-        overhead_ms = self.board.cycles_to_ms(DISPATCH_OVERHEAD_CYCLES)
         start = max(self.clock_ms, earliest_start_ms)
-        self.clock_ms = start + overhead_ms
-        self.busy_ms += overhead_ms
+        self.clock_ms = start + self._overhead_ms
+        self.busy_ms += self._overhead_ms
         self._emit("dispatch_overhead", start, self.clock_ms)
 
     def execute(self, request: InferenceRequest) -> DeviceExecution:

@@ -12,8 +12,9 @@ Replicas are produced by deep-copying the cached
 :class:`~repro.deploy.artifact.DeployedModel`: the flashed memory image
 and assembled programs are duplicated byte-for-byte onto a simulated
 board without re-running code generation or verification (the simulator
-analogue of flashing a board from one signed firmware image).  A serve
-runtime flashes one, which answers for all of its devices.
+analogue of flashing a board from one signed firmware image).  A
+replay's :class:`~repro.serve.pool.Answers` flashes one per (artifact,
+engine), which answers for every device of every runtime sharing it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,9 +53,12 @@ REJECTED = "rejected"
 FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class ServeOutcome:
-    """Terminal record of one request's journey through the runtime."""
+class ServeOutcome(NamedTuple):
+    """Terminal record of one request's journey through the runtime.
+
+    An immutable named tuple: outcomes compare as tuples, and
+    ``_asdict`` serializes one.
+    """
 
     request_id: int
     status: str                    # COMPLETED | REJECTED | FAILED

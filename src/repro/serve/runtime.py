@@ -34,7 +34,6 @@ All reported times are simulated milliseconds.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -80,7 +79,8 @@ class ServeConfig:
     #: wait (device start − arrival, simulated ms) exceeds this bound.
     #: The depth bound caps how many requests wait; this bound caps how
     #: long they wait, which is what keeps simulated tail latency finite
-    #: under sustained open-loop overload.
+    #: under sustained open-loop overload.  ``None`` disables it; any
+    #: other value must be ``> 0`` (``inf`` never sheds).
     max_queue_wait_ms: float | None = None
     power_budget: PowerBudget | None = None
     fault_plan: FaultPlan | None = None
@@ -99,6 +99,11 @@ class ServeConfig:
             raise ConfigurationError("max_batch must be positive")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
+        wait = self.max_queue_wait_ms
+        if wait is not None and not wait > 0:     # NaN fails too
+            raise ConfigurationError(
+                f"max_queue_wait_ms must be positive, got {wait}"
+            )
         if self.engine not in MODEL_ENGINES:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; known: {MODEL_ENGINES}"
@@ -154,7 +159,7 @@ class ServeReport:
             "device_utilization": self.device_utilization,
             "device_busy_ms": self.device_busy_ms,
             "metrics": self.metrics,
-            "outcomes": [dataclasses.asdict(o) for o in self.outcomes],
+            "outcomes": [o._asdict() for o in self.outcomes],
         }
 
     def format(self) -> str:
@@ -187,7 +192,8 @@ class ServeRuntime:
     passes its own so every fleet shares one simulated clock.  The
     devices read each request's label and cycles from ``answers``; a
     cluster passes its own so every generation on one artifact reads
-    one table.  The runtime flashes one replica for its devices, here.
+    one table from one replica, which ``answers`` flashes the first time
+    an artifact and engine serve.
     """
 
     def __init__(
@@ -285,6 +291,8 @@ class ServeRuntime:
 
     def _dispatch(self) -> None:
         """Hand queued work to idle devices, longest-idle first."""
+        if not self.queue.depth:
+            return
         idle = sorted(
             (d for d in self.devices if d.device_id not in self._busy),
             key=lambda d: (d.clock_ms, d.device_id),

@@ -28,7 +28,8 @@ def synthetic_trace(
 ) -> list[InferenceRequest]:
     """Build a Poisson arrival trace of ``n_requests`` at ``rate_rps``.
 
-    ``rate_rps`` is the offered load in requests per simulated second.
+    ``rate_rps`` is the offered load in requests per simulated second;
+    ``inf`` makes every request arrive at time 0.
     Input vectors are drawn from ``inputs`` (cycled) when given, else
     sampled uniformly in ``[0, input_scale)`` with ``input_shape``
     features.  ``deadline_ms`` is a *relative* deadline applied to every
@@ -36,9 +37,10 @@ def synthetic_trace(
     """
     if n_requests <= 0:
         raise ConfigurationError("trace needs at least one request")
-    if rate_rps <= 0:
+    # Written as ``not x > 0`` so that NaN fails the checks too.
+    if not rate_rps > 0:
         raise ConfigurationError("arrival rate must be positive")
-    if deadline_ms is not None and deadline_ms <= 0:
+    if deadline_ms is not None and not deadline_ms > 0:
         # A non-positive relative deadline is expired on arrival; catch
         # the misconfiguration here instead of shedding every request
         # deep inside the runtime.

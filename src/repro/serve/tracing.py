@@ -46,8 +46,7 @@ request's journey as plain text for tests and the CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -71,32 +70,53 @@ TERMINAL_KINDS = frozenset({"completed", "shed", "failed"})
 DEVICE_BUSY_KINDS = frozenset({"dispatch_overhead", "execute", "retry"})
 
 
-@dataclass(frozen=True)
-class Span:
-    """One typed interval (or instant) on the simulated timeline.
+_KNOWN_KINDS = frozenset(SPAN_KINDS)
 
-    ``request_id`` is ``None`` only for batch-level device spans
-    (``dispatch_overhead``), which serve the whole batch.  Instants have
-    ``end_ms == start_ms``.
-    """
 
+class _SpanFields(NamedTuple):
     kind: str
     start_ms: float
     end_ms: float
-    request_id: int | None = None
-    device_id: int | None = None       # None = queue track
-    attempt: int = 0
-    detail: str | None = None
+    request_id: int | None
+    device_id: int | None       # None = queue track
+    attempt: int
+    detail: str | None
     #: Owning fleet (e.g. ``"fleet-0"``) when the collector belongs to a
     #: cluster; stamped by the collector's namespace so multiple device
     #: pools in one process keep distinguishable tracks.
-    fleet: str | None = None
+    fleet: str | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in SPAN_KINDS:
+
+class Span(_SpanFields):
+    """One typed interval (or instant) on the simulated timeline.
+
+    An immutable named tuple: spans compare as tuples, and
+    ``_replace``/``_asdict`` copy and serialize them.  ``request_id`` is
+    ``None`` only for batch-level device spans (``dispatch_overhead``),
+    which serve the whole batch.  Instants have ``end_ms == start_ms``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        start_ms: float,
+        end_ms: float,
+        request_id: int | None = None,
+        device_id: int | None = None,
+        attempt: int = 0,
+        detail: str | None = None,
+        fleet: str | None = None,
+    ) -> Span:
+        if kind not in _KNOWN_KINDS:
             raise ConfigurationError(
-                f"unknown span kind {self.kind!r}; known: {SPAN_KINDS}"
+                f"unknown span kind {kind!r}; known: {SPAN_KINDS}"
             )
+        return tuple.__new__(cls, (
+            kind, start_ms, end_ms, request_id, device_id, attempt,
+            detail, fleet,
+        ))
 
     @property
     def duration_ms(self) -> float:
@@ -141,7 +161,7 @@ class TraceCollector:
     def record(self, span: Span) -> None:
         """Store one span, stamped with the collector's namespace."""
         if self.namespace is not None and span.fleet is None:
-            span = replace(span, fleet=self.namespace)
+            span = span._replace(fleet=self.namespace)
         self._spans.append(span)
 
     def __len__(self) -> int:
@@ -377,11 +397,12 @@ def verify_trace_invariants(
             )
 
     # 3 + 5. per-device monotonicity and busy-time accounting.
-    device_ids = sorted(
-        {s.device_id for s in spans if s.device_id is not None}
-    )
-    for device_id in device_ids:
-        track = tracer.device_spans(device_id)
+    tracks: dict[int, list[Span]] = {}
+    for span in spans:
+        if span.device_id is not None:
+            tracks.setdefault(span.device_id, []).append(span)
+    for device_id, track in sorted(tracks.items()):
+        track.sort(key=timeline_order)
         for prev, cur in zip(track, track[1:]):
             if cur.start_ms < prev.end_ms - tolerance_ms:
                 violations.append(

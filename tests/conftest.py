@@ -1,6 +1,6 @@
-"""Shared fixtures: small datasets and trained models, built once, a
-counter of the deployed model's inference calls, and the overflowing
-model builder."""
+"""Shared fixtures: small datasets and trained models, built once,
+counters of the deployed model's inference calls and of the replicas
+flashed, and the overflowing model builder."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.core.mlp import MLPConfig, train_mlp
 from repro.datasets import load
 from repro.deploy.artifact import DeployedModel
 from repro.quantize.ptq import QuantizedModel
+from repro.serve.registry import ModelArtifact
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +62,20 @@ def infer_calls(monkeypatch):
 
         monkeypatch.setattr(DeployedModel, name, counting)
     return counts
+
+
+@pytest.fixture
+def flashed(monkeypatch):
+    """``(model_id, engine)`` of every ``ModelArtifact.replica`` call."""
+    calls = []
+    original = ModelArtifact.replica
+
+    def counting(self, engine=None):
+        calls.append((self.model_id, engine))
+        return original(self, engine)
+
+    monkeypatch.setattr(ModelArtifact, "replica", counting)
+    return calls
 
 
 def overflowing(quantized, rows):

@@ -200,8 +200,26 @@ class TestMalformedArguments:
           "--faulty-devices", "1", "2", "5"],
          "fault plan names devices [2, 5] outside range(2)"),
         (["cluster-bench", "--devices", "0"], "need at least one device"),
+        (["serve-bench", "--rate", "nan"], "arrival rate must be positive"),
+        (["serve-bench", "--deadline-ms", "nan"],
+         "deadline_ms must be positive, got nan"),
+        (["cluster-bench", "--load-factor", "nan"],
+         "arrival rate must be positive"),
+        (["serve-bench", "--max-queue-wait-ms", "-1"],
+         "max_queue_wait_ms must be positive, got -1.0"),
+        (["serve-bench", "--max-queue-wait-ms", "0"],
+         "max_queue_wait_ms must be positive, got 0.0"),
+        (["serve-bench", "--max-queue-wait-ms", "nan"],
+         "max_queue_wait_ms must be positive, got nan"),
+        (["serve-bench", "--brownout-rate", "-0.1"],
+         "brownout_rate must be in [0, 1], got -0.1"),
+        (["serve-bench", "--brownout-rate", "nan"],
+         "brownout_rate must be in [0, 1], got nan"),
     ], ids=["charge-0", "charge-negative", "faulty-9-of-4",
-            "faulty-2-5-of-2", "cluster-devices-0"])
+            "faulty-2-5-of-2", "cluster-devices-0", "rate-nan",
+            "deadline-nan", "cluster-load-nan", "queue-wait-negative",
+            "queue-wait-0", "queue-wait-nan", "brownout-negative",
+            "brownout-nan"])
     def test_one_error_line_and_exit_1(
         self, model_file, capsys, args, message
     ):

@@ -16,6 +16,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.serve import (
     COMPLETED,
+    Answers,
     FaultPlan,
     InferenceRequest,
     ServeConfig,
@@ -106,3 +107,26 @@ class TestRepeatedRequestIds:
                            match=f"request id {trace[1].request_id}$"):
             runtime.replay(trace)
         assert runtime.loop.pending == 0 and runtime.offered == 0
+
+
+class TestReplicas:
+    """One replica per (artifact, engine) per ``Answers``: requests run
+    one at a time on the event loop, so runtimes can share it as a
+    pool's devices do."""
+
+    def test_runtimes_sharing_answers_share_one_replica(
+        self, small_artifact, flashed
+    ):
+        answers = Answers()
+        for engine in ("verified", "fastpath", "verified", "fastpath"):
+            ServeRuntime(small_artifact, ServeConfig(engine=engine),
+                         answers=answers)
+        model_id = small_artifact.model_id
+        assert flashed == [(model_id, "verified"), (model_id, "fastpath")]
+
+    def test_each_runtime_of_its_own_flashes_one(
+        self, small_artifact, flashed
+    ):
+        for _ in range(2):
+            ServeRuntime(small_artifact)
+        assert len(flashed) == 2

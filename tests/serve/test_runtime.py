@@ -1,8 +1,11 @@
 """The serving runtime end to end: conservation, scheduling, metrics."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.serve.runtime as runtime_module
 from repro.errors import ConfigurationError
 from repro.serve import (
     COMPLETED,
@@ -118,6 +121,32 @@ class TestRuntimeLifecycle:
         with pytest.raises(ConfigurationError):
             ServeConfig(max_batch=0)
 
+    @pytest.mark.parametrize("wait", [-1.0, 0.0, float("nan"),
+                                      float("-inf")])
+    def test_queue_wait_bound_must_be_positive(self, wait):
+        """A bound of 0 or less sheds every request after charging its
+        dispatch, and NaN would switch the bound off."""
+        with pytest.raises(ConfigurationError, match=(
+            f"^max_queue_wait_ms must be positive, got {wait}$"
+        )):
+            ServeConfig(max_queue_wait_ms=wait)
+
+    @pytest.mark.parametrize("rate, deadline, message", [
+        (float("nan"), None, "arrival rate must be positive"),
+        (100.0, float("nan"), "deadline_ms must be positive, got nan"),
+    ], ids=["rate-nan", "deadline-nan"])
+    def test_trace_refuses_nan(self, rate, deadline, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            synthetic_trace(4, rate, 64, deadline_ms=deadline)
+
+    def test_infinite_bounds_and_rates_stay_legal(self, small_artifact):
+        trace = synthetic_trace(8, float("inf"), 64)
+        assert [r.arrival_ms for r in trace] == [0.0] * 8
+        report = _runtime(
+            small_artifact, max_queue_wait_ms=float("inf")
+        ).replay(trace)
+        assert report.completed == 8
+
     def test_invalid_input_fails_typed_without_stopping_fleet(
         self, small_artifact, digits_small
     ):
@@ -157,3 +186,33 @@ class TestBatchingMetrics:
         assert single.metrics["counters"][dispatched] == 40
         assert batched.metrics["counters"][dispatched] < 40
         assert batched.makespan_ms < single.makespan_ms
+
+
+class TestDispatch:
+    def test_devices_are_sorted_only_when_work_is_queued(
+        self, small_artifact, digits_small, monkeypatch
+    ):
+        """Every device-free event dispatches, and most find the queue
+        empty; those return before ordering the idle devices."""
+        runtime = _runtime(small_artifact, n_devices=3)
+        dispatch = runtime._dispatch
+        depths, sorted_at = [], []
+
+        def counting_dispatch():
+            depths.append(runtime.queue.depth)
+            dispatch()
+
+        def spying_sorted(iterable, **kwargs):
+            if sys._getframe(1).f_code is ServeRuntime._dispatch.__code__:
+                sorted_at.append(runtime.queue.depth)
+            return sorted(iterable, **kwargs)
+
+        monkeypatch.setattr(runtime, "_dispatch", counting_dispatch)
+        monkeypatch.setattr(runtime_module, "sorted", spying_sorted,
+                            raising=False)
+        report = runtime.replay(synthetic_trace(
+            60, 3000.0, 64, seed=4, inputs=digits_small.x_test
+        ))
+        assert report.completed == 60
+        assert 0 in depths
+        assert sorted_at == [depth for depth in depths if depth]
