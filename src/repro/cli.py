@@ -236,7 +236,9 @@ def _cmd_serve_bench(args) -> int:
     )
 
     fault_plan = None
-    if args.brownout_rate != 0.0:      # NaN and negatives reach the check
+    # NaN and negative rates reach FaultPlan's check, and any device list
+    # reaches ServeConfig's range check, even at rate 0.
+    if args.brownout_rate != 0.0 or args.faulty_devices is not None:
         faulty = (
             frozenset(args.faulty_devices)
             if args.faulty_devices else None
@@ -368,69 +370,6 @@ def _cmd_report(args) -> int:
         runner.write_timings(args.timings_out)
         print(f"wrote timing JSON to {args.timings_out}",
               file=sys.stderr)
-    return 0
-
-
-def _cmd_lint_concurrency(args) -> int:
-    """Run the static concurrency analyzer against the baseline."""
-    from pathlib import Path
-
-    import repro
-    from repro.analysis.concurrency import (
-        analyze_paths,
-        load_baseline,
-        split_against_baseline,
-        write_baseline,
-    )
-
-    paths = (
-        [Path(p) for p in args.paths] if args.paths
-        else [Path(repro.__file__).parent]
-    )
-    report = analyze_paths(paths)
-
-    if args.dot:
-        with open(args.dot, "w") as handle:
-            handle.write(report.graph.to_dot())
-        print(f"wrote lock-order graph ({len(report.graph.nodes)} locks, "
-              f"{len(report.graph.edges)} edges) to {args.dot}")
-
-    if args.write_baseline:
-        write_baseline(args.baseline, report.active)
-        print(f"wrote baseline with {len(report.active)} entries to "
-              f"{args.baseline}")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    new, known, stale = split_against_baseline(report.active, baseline)
-
-    if args.verbose:
-        for violation in report.waived:
-            print(f"waived ({violation.waived}): {violation.format()}")
-        for violation in known:
-            reason = baseline[violation.fingerprint]
-            print(f"baselined ({reason}): {violation.format()}")
-    for fingerprint in stale:
-        print(f"stale baseline entry (no longer reported): {fingerprint}")
-
-    cycles = report.graph.cycles()
-    print(
-        f"analyzed {len(report.modules)} modules: "
-        f"{len(report.guards)} guarded fields, "
-        f"{len(report.graph.nodes)} locks, "
-        f"{len(report.graph.edges)} order edges, "
-        f"{len(cycles)} cycles, "
-        f"{len(new)} new violations "
-        f"({len(known)} baselined, {len(report.waived)} waived)"
-    )
-    if new:
-        for violation in new:
-            print(violation.format(), file=sys.stderr)
-            print(f"  fingerprint: {violation.fingerprint}",
-                  file=sys.stderr)
-        print(f"{len(new)} new concurrency violations (baseline: "
-              f"{args.baseline})", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -780,25 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list every scanned entry (implies "
                             "--dry-run)")
 
-    lint = commands.add_parser(
-        "lint-concurrency",
-        help="static concurrency analysis: guarded-by inference, "
-             "lock-order deadlock detection, lock hygiene (exit 2 on "
-             "violations not in the baseline)",
-    )
-    lint.add_argument("paths", nargs="*",
-                      help="files/dirs to analyze (default: the "
-                           "installed repro package)")
-    lint.add_argument("--baseline", default="concurrency_baseline.json",
-                      help="baseline file of accepted fingerprints")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="rewrite the baseline from current findings")
-    lint.add_argument("--dot", default=None,
-                      help="write the lock-order graph as Graphviz DOT "
-                           "here")
-    lint.add_argument("--verbose", action="store_true",
-                      help="also print waived and baselined findings")
-
     return parser
 
 
@@ -816,7 +736,6 @@ _HANDLERS = {
     "cache-prune": _cmd_cache_prune,
     "serve-bench": _cmd_serve_bench,
     "cluster-bench": _cmd_cluster_bench,
-    "lint-concurrency": _cmd_lint_concurrency,
 }
 
 

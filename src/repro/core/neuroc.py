@@ -51,6 +51,10 @@ class NeuroCConfig:
         if not self.hidden:
             raise ConfigurationError("Neuro-C needs at least one hidden "
                                      "layer")
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be non-negative, got {self.seed}"
+            )
 
     @property
     def layer_dims(self) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ from repro.experiments.cache import (
     cache_dir,
     cached_json,
     clear_memory_cache,
-    memoized,
 )
 from repro.experiments.runner import WorkUnit, map_units, unit_seed
 from repro.experiments.tables import (
@@ -35,7 +34,6 @@ __all__ = [
     "format_table",
     "format_timing_table",
     "map_units",
-    "memoized",
     "ratio_str",
     "runner",
     "unit_seed",

@@ -15,8 +15,7 @@ workers.  Writes go to a *uniquely named* temporary file in the cache
 directory and are published with an atomic ``os.replace`` — readers can
 never observe a partial JSON file, and two workers racing on one key
 each publish a complete file (last writer wins, both wrote the same
-result).  Within a process, a per-key lock ensures ``compute`` runs at
-most once per key even when many threads ask simultaneously.
+result).
 
 Keys embed an experiment schema version; bump the version constant in the
 experiment module when its protocol changes.  Entries from retired
@@ -31,15 +30,11 @@ import json
 import os
 import re
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-_MEMO: dict[str, Any] = {}  # guarded_by: _MEMO_LOCK
-_MEMO_LOCK = threading.Lock()
-#: Per-key locks so concurrent threads compute a key exactly once.
-_KEY_LOCKS: dict[str, threading.Lock] = {}  # guarded_by: _MEMO_LOCK
+_MEMO: dict[str, Any] = {}
 
 
 def cache_dir() -> Path:
@@ -47,11 +42,6 @@ def cache_dir() -> Path:
     path = Path(root)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _key_lock(key: str) -> threading.Lock:
-    with _MEMO_LOCK:
-        return _KEY_LOCKS.setdefault(key, threading.Lock())
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -78,47 +68,25 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def cached_json(key: str, compute: Callable[[], Any]) -> Any:
     """Memoized + disk-cached JSON-serializable computation."""
-    with _MEMO_LOCK:
-        if key in _MEMO:
-            return _MEMO[key]
-    with _key_lock(key):
-        # Re-check under the key lock: another thread may have finished
-        # computing while this one waited.
-        with _MEMO_LOCK:
-            if key in _MEMO:
-                return _MEMO[key]
-        path = cache_dir() / f"{key}.json"
-        if path.exists():
-            try:
-                value = json.loads(path.read_text())
-            except (json.JSONDecodeError, OSError):
-                path.unlink(missing_ok=True)  # corrupt entry: recompute
-            else:
-                with _MEMO_LOCK:
-                    _MEMO[key] = value
-                return value
-        value = compute()
-        _write_atomic(path, json.dumps(value, indent=1))
-        with _MEMO_LOCK:
+    if key in _MEMO:
+        return _MEMO[key]
+    path = cache_dir() / f"{key}.json"
+    if path.exists():
+        try:
+            value = json.loads(path.read_text())
+        except (json.JSONDecodeError, OSError):
+            path.unlink(missing_ok=True)  # corrupt entry: recompute
+        else:
             _MEMO[key] = value
-        return value
-
-
-def memoized(key: str, compute: Callable[[], Any]) -> Any:
-    """In-process-only memo (for objects that must not hit disk)."""
-    with _key_lock(key):
-        with _MEMO_LOCK:
-            if key in _MEMO:
-                return _MEMO[key]
-        value = compute()
-        with _MEMO_LOCK:
-            _MEMO[key] = value
-        return value
+            return value
+    value = compute()
+    _write_atomic(path, json.dumps(value, indent=1))
+    _MEMO[key] = value
+    return value
 
 
 def clear_memory_cache() -> None:
-    with _MEMO_LOCK:
-        _MEMO.clear()
+    _MEMO.clear()
 
 
 # -- pruning ----------------------------------------------------------------
@@ -198,8 +166,8 @@ def prune_cache(
 
     Hammer-safe: deletion uses ``unlink(missing_ok=True)`` so races with
     concurrent writers/pruners never raise, and the in-process memo
-    drops the same keys under its lock so a stale memo can't resurrect
-    a deleted entry's value in this process.
+    drops the same keys so a stale memo can't resurrect a deleted
+    entry's value in this process.
     """
     keys = cache_entries(prefix)
     doomed = _stale_keys(keys) if stale_only else list(keys)
@@ -219,9 +187,8 @@ def prune_cache(
         except OSError:
             pass  # already gone: a concurrent pruner won the race
         path.unlink(missing_ok=True)
-    with _MEMO_LOCK:
-        for key in doomed:
-            _MEMO.pop(key, None)
+    for key in doomed:
+        _MEMO.pop(key, None)
     return PruneReport(
         scanned=len(keys), deleted=tuple(doomed), kept=kept,
         dry_run=False, bytes_reclaimed=reclaimed,

@@ -46,7 +46,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -100,8 +99,7 @@ class FigureRun:
     unit_timings: list[UnitTiming] = field(repr=False, default_factory=list)
 
 
-_RUNS: list[FigureRun] = []  # guarded_by: _RUNS_LOCK
-_RUNS_LOCK = threading.Lock()
+_RUNS: list[FigureRun] = []
 
 
 def unit_seed(key: str) -> int:
@@ -197,11 +195,6 @@ def _pool_worker(
     return unit.key, value, seconds, cold
 
 
-def _record(run: FigureRun) -> None:
-    with _RUNS_LOCK:
-        _RUNS.append(run)
-
-
 def map_units(
     figure: str,
     units: list[WorkUnit],
@@ -269,7 +262,7 @@ def map_units(
             cold=cold, worker="parent",
         ))
 
-    _record(FigureRun(
+    _RUNS.append(FigureRun(
         figure=figure,
         jobs=jobs,
         units=len(units),
@@ -293,13 +286,11 @@ def _mp_context():
 # -- timing registry ---------------------------------------------------------
 
 def runs() -> list[FigureRun]:
-    with _RUNS_LOCK:
-        return list(_RUNS)
+    return list(_RUNS)
 
 
 def reset_timings() -> None:
-    with _RUNS_LOCK:
-        _RUNS.clear()
+    _RUNS.clear()
 
 
 def timing_summary() -> list[dict]:

@@ -43,7 +43,6 @@ programs — fall back to the interpreter transparently.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -481,9 +480,8 @@ def _build_translation(
 # program + layout with different flash words must never share an
 # entry.
 
-_CACHE: dict = {}  # guarded_by: _CACHE_LOCK
-_CACHE_LOCK = threading.Lock()
-_STATS = {  # guarded_by: _CACHE_LOCK
+_CACHE: dict = {}
+_STATS = {
     "v1": {"hits": 0, "misses": 0, "declined": 0},
     "v2": {"hits": 0, "misses": 0, "declined": 0},
 }
@@ -520,18 +518,16 @@ def translate(
     costs = costs or CycleCosts()
     layout = _layout_of(memory)
     key = _cache_key(program, costs, layout)
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
-        if entry is not None:
-            _STATS["v1"]["hits"] += 1
-            return entry if isinstance(entry, TranslatedProgram) else None
-    built = _build_translation(program, costs, layout)
-    with _CACHE_LOCK:
-        entry = _CACHE.setdefault(key, built)
-        _STATS["v1"]["misses"] += 1
-        if not isinstance(entry, TranslatedProgram):
-            _STATS["v1"]["declined"] += 1
-            return None
+    entry = _CACHE.get(key)
+    if entry is not None:
+        _STATS["v1"]["hits"] += 1
+        return entry if isinstance(entry, TranslatedProgram) else None
+    entry = _build_translation(program, costs, layout)
+    _CACHE[key] = entry
+    _STATS["v1"]["misses"] += 1
+    if not isinstance(entry, TranslatedProgram):
+        _STATS["v1"]["declined"] += 1
+        return None
     return entry
 
 
@@ -554,28 +550,26 @@ def translate_v2(
     layout = _layout_of(memory)
     content_hash = fastpath_v2.specialization_hash(memory)
     key = _cache_key_v2(program, costs, layout, content_hash)
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
-        if entry is not None:
-            _STATS["v2"]["hits"] += 1
-            if isinstance(entry, fastpath_v2.SpecializedProgram):
-                return entry
-            return None
+    entry = _CACHE.get(key)
+    if entry is not None:
+        _STATS["v2"]["hits"] += 1
+        if isinstance(entry, fastpath_v2.SpecializedProgram):
+            return entry
+        return None
     base = translate(program, memory, costs)
     if base is None:
-        built = "tier 1 declined: " + (
+        entry = "tier 1 declined: " + (
             why_declined(program, memory, costs) or "unknown"
         )
     else:
-        built = fastpath_v2.build_specialization(
+        entry = fastpath_v2.build_specialization(
             program, memory, costs, base
         )
-    with _CACHE_LOCK:
-        entry = _CACHE.setdefault(key, built)
-        _STATS["v2"]["misses"] += 1
-        if not isinstance(entry, fastpath_v2.SpecializedProgram):
-            _STATS["v2"]["declined"] += 1
-            return None
+    _CACHE[key] = entry
+    _STATS["v2"]["misses"] += 1
+    if not isinstance(entry, fastpath_v2.SpecializedProgram):
+        _STATS["v2"]["declined"] += 1
+        return None
     return entry
 
 
@@ -588,8 +582,7 @@ def why_declined(
     if translate(program, memory, costs) is not None:
         return None
     key = _cache_key(program, costs or CycleCosts(), _layout_of(memory))
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
+    entry = _CACHE.get(key)
     return entry if isinstance(entry, str) else None
 
 
@@ -609,8 +602,7 @@ def why_declined_v2(
         _layout_of(memory),
         fastpath_v2.specialization_hash(memory),
     )
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
+    entry = _CACHE.get(key)
     return entry if isinstance(entry, str) else None
 
 
@@ -621,21 +613,20 @@ def translation_cache_stats() -> dict:
     aggregate both tiers (stable for callers that predate tiering);
     ``"v1"`` and ``"v2"`` carry the same four keys per tier.
     """
-    with _CACHE_LOCK:
-        v1_entries = sum(1 for key in _CACHE if key[0] == "v1")
-        tiers = {
-            "v1": {"entries": v1_entries, **_STATS["v1"]},
-            "v2": {"entries": len(_CACHE) - v1_entries, **_STATS["v2"]},
-        }
-        return {
-            "entries": len(_CACHE),
-            "hits": _STATS["v1"]["hits"] + _STATS["v2"]["hits"],
-            "misses": _STATS["v1"]["misses"] + _STATS["v2"]["misses"],
-            "declined": (
-                _STATS["v1"]["declined"] + _STATS["v2"]["declined"]
-            ),
-            **tiers,
-        }
+    v1_entries = sum(1 for key in _CACHE if key[0] == "v1")
+    tiers = {
+        "v1": {"entries": v1_entries, **_STATS["v1"]},
+        "v2": {"entries": len(_CACHE) - v1_entries, **_STATS["v2"]},
+    }
+    return {
+        "entries": len(_CACHE),
+        "hits": _STATS["v1"]["hits"] + _STATS["v2"]["hits"],
+        "misses": _STATS["v1"]["misses"] + _STATS["v2"]["misses"],
+        "declined": (
+            _STATS["v1"]["declined"] + _STATS["v2"]["declined"]
+        ),
+        **tiers,
+    }
 
 
 def evict_translation(
@@ -660,18 +651,16 @@ def evict_translation(
     key_v2 = _cache_key_v2(
         program, costs, layout, fastpath_v2.specialization_hash(memory)
     )
-    with _CACHE_LOCK:
-        dropped_v1 = _CACHE.pop(key, None) is not None
-        dropped_v2 = _CACHE.pop(key_v2, None) is not None
+    dropped_v1 = _CACHE.pop(key, None) is not None
+    dropped_v2 = _CACHE.pop(key_v2, None) is not None
     return dropped_v1 or dropped_v2
 
 
 def clear_translation_cache() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        for tier in _STATS.values():
-            for k in tier:
-                tier[k] = 0
+    _CACHE.clear()
+    for tier in _STATS.values():
+        for k in tier:
+            tier[k] = 0
 
 
 # -- the engine -----------------------------------------------------------

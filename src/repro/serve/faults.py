@@ -43,6 +43,10 @@ class FaultPlan:
             raise ConfigurationError(
                 f"brownout_rate must be in [0, 1], got {self.brownout_rate}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be non-negative, got {self.seed}"
+            )
 
     def applies_to(self, device_id: int) -> bool:
         return (

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,14 +114,13 @@ class ModelRegistry:
     """Content-addressed store of verified deploy artifacts."""
 
     def __init__(self) -> None:
-        self._artifacts: dict[str, ModelArtifact] = {}  # guarded_by: _lock
-        self._refcounts: dict[str, int] = {}  # guarded_by: _lock
-        self._lock = threading.Lock()
+        self._artifacts: dict[str, ModelArtifact] = {}
+        self._refcounts: dict[str, int] = {}
         #: Number of register() calls answered from cache (observable so
         #: tests and benchmarks can prove the no-re-codegen property).
-        self.cache_hits = 0  # guarded_by: _lock
+        self.cache_hits = 0
         #: Artifacts evicted by release() reaching refcount zero.
-        self.evictions = 0  # guarded_by: _lock
+        self.evictions = 0
 
     def register(
         self,
@@ -140,43 +138,35 @@ class ModelRegistry:
         — every later replica reuses the process-wide translation cache.
         """
         model_id = content_hash(quantized, format_name, board, block_size)
-        with self._lock:
-            cached = self._artifacts.get(model_id)
-            if cached is not None:
-                self.cache_hits += 1
-                self._refcounts[model_id] = (
-                    self._refcounts.get(model_id, 0) + 1
-                )
-                return cached
-        # Codegen + verification outside the lock: they are the expensive
-        # part, and a duplicate race at worst builds twice and keeps one.
-        deployment = deploy(
-            quantized, format_name=format_name, board=board,
-            block_size=block_size, require_fit=True, verify=verify,
-            engine=engine,
-        )
-        assert deployment.model is not None
-        deployment.model.warm_translations()
-        artifact = ModelArtifact(
-            model_id=model_id,
-            deployment=deployment,
-            format_name=format_name,
-            board=board,
-            block_size=block_size,
-        )
-        with self._lock:
-            kept = self._artifacts.setdefault(model_id, artifact)
-            self._refcounts[model_id] = self._refcounts.get(model_id, 0) + 1
-            return kept
+        artifact = self._artifacts.get(model_id)
+        if artifact is not None:
+            self.cache_hits += 1
+        else:
+            deployment = deploy(
+                quantized, format_name=format_name, board=board,
+                block_size=block_size, require_fit=True, verify=verify,
+                engine=engine,
+            )
+            assert deployment.model is not None
+            deployment.model.warm_translations()
+            artifact = ModelArtifact(
+                model_id=model_id,
+                deployment=deployment,
+                format_name=format_name,
+                board=board,
+                block_size=block_size,
+            )
+            self._artifacts[model_id] = artifact
+        self._refcounts[model_id] = self._refcounts.get(model_id, 0) + 1
+        return artifact
 
     def get(self, model_id: str) -> ModelArtifact:
-        with self._lock:
-            try:
-                return self._artifacts[model_id]
-            except KeyError:
-                raise ConfigurationError(
-                    f"no model registered under {model_id[:12]}..."
-                ) from None
+        try:
+            return self._artifacts[model_id]
+        except KeyError:
+            raise ConfigurationError(
+                f"no model registered under {model_id[:12]}..."
+            ) from None
 
     # -- reference counting / eviction -----------------------------------
 
@@ -187,19 +177,17 @@ class ModelRegistry:
         generation, the registering caller itself) owns one reference;
         :meth:`release` drops it, and the last drop evicts.
         """
-        with self._lock:
-            artifact = self._artifacts.get(model_id)
-            if artifact is None:
-                raise ConfigurationError(
-                    f"no model registered under {model_id[:12]}..."
-                )
-            self._refcounts[model_id] += 1
-            return artifact
+        artifact = self._artifacts.get(model_id)
+        if artifact is None:
+            raise ConfigurationError(
+                f"no model registered under {model_id[:12]}..."
+            )
+        self._refcounts[model_id] += 1
+        return artifact
 
     def refcount(self, model_id: str) -> int:
         """Live references on ``model_id`` (0 if absent/evicted)."""
-        with self._lock:
-            return self._refcounts.get(model_id, 0)
+        return self._refcounts.get(model_id, 0)
 
     def release(self, model_id: str) -> bool:
         """Drop one reference; evict the artifact at refcount zero.
@@ -211,24 +199,19 @@ class ModelRegistry:
         rebuilds a bit-identical artifact under the same id.  Returns
         ``True`` when this call evicted.
         """
-        with self._lock:
-            if model_id not in self._artifacts:
-                raise ConfigurationError(
-                    f"no model registered under {model_id[:12]}..."
-                )
-            count = self._refcounts[model_id] - 1
-            if count > 0:
-                self._refcounts[model_id] = count
-                return False
-            retired = self._artifacts.pop(model_id)
-            del self._refcounts[model_id]
-            self.evictions += 1
-        # Translation-cache eviction happens outside the registry lock:
-        # it takes the fastpath module's cache lock, and keeping the two
-        # disjoint keeps every serve-side lock leaf-level.
+        if model_id not in self._artifacts:
+            raise ConfigurationError(
+                f"no model registered under {model_id[:12]}..."
+            )
+        count = self._refcounts[model_id] - 1
+        if count > 0:
+            self._refcounts[model_id] = count
+            return False
+        retired = self._artifacts.pop(model_id)
+        del self._refcounts[model_id]
+        self.evictions += 1
         retired.deployed.evict_translations()
         return True
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._artifacts)
+        return len(self._artifacts)

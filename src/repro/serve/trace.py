@@ -47,6 +47,8 @@ def synthetic_trace(
         raise ConfigurationError(
             f"deadline_ms must be positive, got {deadline_ms}"
         )
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     gaps_ms = rng.exponential(1_000.0 / rate_rps, size=n_requests)
     arrivals = np.cumsum(gaps_ms)

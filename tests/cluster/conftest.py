@@ -1,4 +1,4 @@
-"""Cluster-test fixtures: tiny artifacts and a strict lock sanitizer.
+"""Cluster-test fixtures: tiny artifacts.
 
 Three session-scoped artifacts share one registry: a *base* model the
 clusters boot on, a *good* candidate (same architecture, different
@@ -9,12 +9,8 @@ cycles-ratio SLO discriminator trips and forces a rollback).
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
-import repro
-from repro.analysis.concurrency import analyze_paths, sanitizer_for_report
 from repro.core.neuroc import NeuroCConfig, train_neuroc
 from repro.serve import ModelRegistry, ServeConfig
 
@@ -57,26 +53,3 @@ def slow_artifact(cluster_registry, digits_small):
 def small_serve_config():
     """Two devices per fleet keeps interpreted replay fast."""
     return ServeConfig(n_devices=2, max_queue_depth=32)
-
-
-@pytest.fixture(scope="session")
-def cluster_concurrency_report():
-    """Static concurrency analysis of serve + cluster, computed once."""
-    package = Path(repro.__file__).parent
-    return analyze_paths([package / "serve", package / "cluster"])
-
-
-@pytest.fixture
-def cluster_sanitizer(cluster_concurrency_report):
-    """Strict sanitizer covering the serve AND cluster lock sets.
-
-    Serve and cluster locks are all leaf-level by design, so strict
-    mode (flagging ANY nesting) must stay silent while a cluster
-    replays; the teardown assertion enforces it for every test that
-    instruments its cluster.
-    """
-    sanitizer = sanitizer_for_report(
-        cluster_concurrency_report, strict=True
-    )
-    yield sanitizer
-    assert sanitizer.violations == [], sanitizer.report()

@@ -1,4 +1,4 @@
-"""Cluster soak: 10x overload, rolling deploys, a sanitized registry.
+"""Cluster soak: 10x overload and rolling deploys.
 
 The cluster acceptance run.  Four fleets of four devices each replay an
 open-loop trace at ten times a single fleet's offered load while the
@@ -14,9 +14,8 @@ deploys fire:
 
 Afterwards, every cluster-scope invariant must hold — per-generation
 trace invariants, cluster conservation, the zero-lost-requests outcome
-ledger, per-fleet span stamping — the strict lock-order sanitizer over
-the model registry must have seen no nesting, and a second replay of
-the same trace must match the first exactly.
+ledger, per-fleet span stamping — and a second replay of the same
+trace must match the first exactly.
 
 Reduced configuration: set ``REPRO_CLUSTER_SOAK_REQUESTS`` (the CI job
 uses 300) to shrink the run; the default soaks 900 requests.
@@ -27,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 
-from repro.analysis.concurrency import instrument_cluster
 from repro.cluster import (
     Cluster,
     ClusterConfig,
@@ -58,9 +56,9 @@ def _fingerprint(report) -> str:
     })
 
 
-def test_cluster_soak_overload_deploys_and_sanitizer(
+def test_cluster_soak_overload_and_deploys(
     base_artifact, good_artifact, slow_artifact, cluster_registry,
-    cluster_sanitizer, digits_small,
+    digits_small,
 ):
     capacity = fleet_capacity_rps(base_artifact, N_DEVICES)
     rate = LOAD_FACTOR * capacity
@@ -91,7 +89,6 @@ def test_cluster_soak_overload_deploys_and_sanitizer(
         return cluster
 
     cluster = build()
-    instrument_cluster(cluster, cluster_sanitizer)
     report = cluster.replay(trace)
 
     # -- cluster-scope invariants, including through both deploys ------
@@ -123,9 +120,6 @@ def test_cluster_soak_overload_deploys_and_sanitizer(
         assert gen.model_id == good_artifact.model_id
     # The slow model's fleet references were all released again.
     assert cluster_registry.refcount(slow_artifact.model_id) == 1
-
-    # -- zero lock nesting in the model registry -----------------------
-    assert cluster_sanitizer.violations == [], cluster_sanitizer.report()
 
     # -- a replay is a pure function of (trace, config, artifacts) -----
     again = build().replay(trace)

@@ -1,23 +1,25 @@
-"""Concurrent access to the experiment cache (ISSUE-2 satellite).
+"""Concurrent access to the experiment cache.
 
 Concurrent benchmark workers hammer one key: no interleaved partial
-JSON on disk, compute runs once per process, every reader sees the
-complete value.  The thread tests cover the in-process locking; the
-multiprocessing test at the bottom races real worker processes the way
-the parallel experiment runner does.
+JSON on disk, compute runs at most once per process, every reader sees
+the complete value.  Every hammer races real worker processes, forked
+the way the parallel experiment runner forks them; repro itself runs
+one thread per process.
 """
 
 import json
-import multiprocessing
 import os
-import threading
+import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import cache
+from repro.experiments import cache, runner
+
+#: Seconds each hammer process keeps racing.
+HAMMER_SECONDS = 0.5
 
 
 @pytest.fixture(autouse=True)
@@ -28,105 +30,67 @@ def isolated_cache(tmp_path, monkeypatch):
     cache.clear_memory_cache()
 
 
+def _fork_pool(workers: int) -> ProcessPoolExecutor:
+    """Worker processes started the way ``runner.map_units`` starts
+    them (fork where available)."""
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=runner._mp_context()
+    )
+
+
+def _write_until(path: str, blob: str, deadline: float) -> int:
+    """Publish ``blob`` at ``path`` over and over until ``deadline``."""
+    writes = 0
+    while writes == 0 or time.monotonic() < deadline:
+        cache._write_atomic(Path(path), blob)
+        writes += 1
+    return writes
+
+
+def _read_until(path: str, deadline: float) -> tuple[int, int]:
+    """Parse ``path`` until ``deadline``: (complete reads, partial reads).
+
+    Keeps going past the deadline until one read found the file, so a
+    reader that started late still checks a published entry.
+    """
+    reads = partial = 0
+    while reads == 0 or time.monotonic() < deadline:
+        try:
+            text = Path(path).read_text()
+        except FileNotFoundError:
+            continue
+        try:
+            json.loads(text)
+        except json.JSONDecodeError:
+            partial += 1
+        else:
+            reads += 1
+    return reads, partial
+
+
 class TestCachedJsonConcurrency:
-    def test_one_key_hammered_by_many_threads(self, isolated_cache):
-        calls = []
-        payload = {"rows": list(range(500)), "note": "x" * 1000}
-
-        def compute():
-            calls.append(1)
-            return payload
-
-        results = [None] * 16
-        errors = []
-
-        def worker(slot):
-            try:
-                results[slot] = cache.cached_json("hammered", compute)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,)) for i in range(16)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert not errors
-        assert len(calls) == 1                 # computed exactly once
-        assert all(r == payload for r in results)
-        on_disk = json.loads(
-            (isolated_cache / "hammered.json").read_text()
-        )
-        assert on_disk == payload
-        # No leftover temp files from the atomic-write protocol.
-        assert list(isolated_cache.glob("*.tmp")) == []
-
-    def test_distinct_keys_do_not_serialize_each_other(self,
-                                                       isolated_cache):
-        # A slow computation on one key must not block another key
-        # (per-key locking, not one global lock around compute()).
-        order = []
-        gate = threading.Event()
-
-        def slow():
-            gate.wait(timeout=5.0)
-            order.append("slow")
-            return "slow-value"
-
-        def fast():
-            order.append("fast")
-            return "fast-value"
-
-        slow_thread = threading.Thread(
-            target=cache.cached_json, args=("slow-key", slow)
-        )
-        slow_thread.start()
-        assert cache.cached_json("fast-key", fast) == "fast-value"
-        gate.set()
-        slow_thread.join()
-        assert order == ["fast", "slow"]
-
     def test_concurrent_process_style_writers_never_corrupt(
         self, isolated_cache
     ):
-        # Simulate two independent processes (no shared memo): both
-        # write the same key directly via the atomic protocol; the file
-        # is always complete JSON.
-        path = isolated_cache / "contended.json"
+        # Two writer processes (no shared memo) publish the same key
+        # through the atomic protocol while a third process reads it:
+        # the file is always complete JSON.
+        path = str(isolated_cache / "contended.json")
         blob_a = json.dumps({"who": "a", "data": list(range(2000))})
         blob_b = json.dumps({"who": "b", "data": list(range(2000))})
-        stop = threading.Event()
-        seen_partial = []
-
-        def writer(blob):
-            while not stop.is_set():
-                cache._write_atomic(path, blob)
-
-        def reader():
-            while not stop.is_set():
-                if path.exists():
-                    try:
-                        json.loads(path.read_text())
-                    except json.JSONDecodeError:
-                        seen_partial.append(True)
-
-        threads = [
-            threading.Thread(target=writer, args=(blob_a,)),
-            threading.Thread(target=writer, args=(blob_b,)),
-            threading.Thread(target=reader),
-        ]
-        for t in threads:
-            t.start()
-        timer = threading.Timer(0.5, stop.set)
-        timer.start()
-        for t in threads:
-            t.join()
-        timer.cancel()
-        assert not seen_partial
-        assert json.loads(path.read_text())["who"] in ("a", "b")
+        deadline = time.monotonic() + HAMMER_SECONDS
+        with _fork_pool(3) as pool:
+            writers = [
+                pool.submit(_write_until, path, blob, deadline)
+                for blob in (blob_a, blob_b)
+            ]
+            reader = pool.submit(_read_until, path, deadline)
+            writes = [f.result(timeout=60) for f in writers]
+            reads, partial = reader.result(timeout=60)
+        assert min(writes) > 0 and reads > 0
+        assert partial == 0
+        assert json.loads(Path(path).read_text())["who"] in ("a", "b")
+        assert list(isolated_cache.glob("*.tmp")) == []
 
     def test_corrupt_entry_recomputed(self, isolated_cache):
         (isolated_cache / "broken.json").write_text("{not json")
@@ -175,13 +139,7 @@ class TestCachedJsonAcrossProcesses:
         sentinel_dir = tmp_path / "sentinels"
         sentinel_dir.mkdir()
         workers = 6
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        with ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
+        with _fork_pool(workers) as pool:
             futures = [
                 pool.submit(
                     _mp_hammer, str(isolated_cache), str(sentinel_dir)

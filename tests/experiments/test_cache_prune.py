@@ -2,15 +2,21 @@
 
 Sits beside test_cache_concurrency.py on purpose: pruning is the one
 operation that *deletes* from the shared disk cache, so the interesting
-failure modes are races against concurrent writers and other pruners.
+failure modes are races against concurrent writers and other pruners,
+which run as separate processes.
 """
 
 import json
-import threading
+import time
 
 import pytest
 
 from repro.experiments import cache
+from tests.experiments.test_cache_concurrency import (
+    HAMMER_SECONDS,
+    _fork_pool,
+    _write_until,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +30,21 @@ def isolated_cache(tmp_path, monkeypatch):
 def _seed_entries(root, keys):
     for key in keys:
         (root / f"{key}.json").write_text(json.dumps({"key": key}))
+
+
+def _prune_until(prefix: str, deadline: float) -> int:
+    """Prune ``prefix`` over and over until ``deadline``."""
+    sweeps = 0
+    while sweeps == 0 or time.monotonic() < deadline:
+        cache.prune_cache(prefix=prefix)
+        sweeps += 1
+    return sweeps
+
+
+def _prune_at(prefix: str, start: float) -> cache.PruneReport:
+    """Prune ``prefix`` once, as soon as the clock reaches ``start``."""
+    time.sleep(max(0.0, start - time.monotonic()))
+    return cache.prune_cache(prefix=prefix)
 
 
 class TestSchemaParsing:
@@ -96,52 +117,34 @@ class TestPruneSelection:
 
 class TestPruneHammer:
     def test_writers_and_pruners_race_without_errors(self, isolated_cache):
-        """Writers repopulate keys while two pruners sweep them.
+        """Writer processes repopulate keys while two pruner processes
+        sweep them.
 
         The invariants: nobody raises (unlink tolerates already-gone
         files), every surviving file is complete JSON, and a final
         prune leaves the directory empty of matching entries.
         """
-        stop = threading.Event()
-        errors = []
         keys = [f"hammer-v1-{i}" for i in range(8)]
+        payload = json.dumps({"pad": "x" * 256})
+        deadline = time.monotonic() + HAMMER_SECONDS
+        with _fork_pool(len(keys) + 2) as pool:
+            futures = [
+                pool.submit(
+                    _write_until, str(isolated_cache / f"{key}.json"),
+                    payload, deadline,
+                )
+                for key in keys
+            ] + [
+                pool.submit(_prune_until, "hammer-", deadline)
+                for _ in range(2)
+            ]
+            counts = [f.result(timeout=60) for f in futures]
+        assert min(counts) > 0
 
-        def writer(key):
-            payload = json.dumps({"key": key, "pad": "x" * 256})
-            try:
-                while not stop.is_set():
-                    cache._write_atomic(
-                        isolated_cache / f"{key}.json", payload
-                    )
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        def pruner():
-            try:
-                while not stop.is_set():
-                    cache.prune_cache(prefix="hammer-")
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=writer, args=(key,)) for key in keys
-        ] + [threading.Thread(target=pruner) for _ in range(2)]
-        for t in threads:
-            t.start()
-        timer = threading.Timer(0.5, stop.set)
-        timer.start()
-        for t in threads:
-            t.join()
-        timer.cancel()
-
-        assert not errors
         # Whatever survived the race is complete JSON (atomic writes
         # and whole-file unlinks never expose partial entries).
         for path in isolated_cache.glob("hammer-*.json"):
-            try:
-                assert json.loads(path.read_text())["pad"] == "x" * 256
-            except FileNotFoundError:
-                pass  # a pruner removed it between glob and read
+            assert json.loads(path.read_text())["pad"] == "x" * 256
         final = cache.prune_cache(prefix="hammer-")
         assert not final.dry_run
         assert cache.cache_entries("hammer-") == []
@@ -149,32 +152,20 @@ class TestPruneHammer:
         assert list(isolated_cache.glob("*.tmp")) == []
 
     def test_two_pruners_one_set_of_keys(self, isolated_cache):
-        """Two pruners sweep the same static keys; deletions overlap
-        but neither raises and the union removes everything."""
-        keys = [f"dual-v1-{i}" for i in range(20)]
+        """Two pruner processes sweep the same static keys; deletions
+        overlap but neither raises and the union removes everything."""
+        keys = [f"dual-v1-{i}" for i in range(400)]
         _seed_entries(isolated_cache, keys)
-        reports = [None, None]
-        errors = []
+        start = time.monotonic() + 0.1
+        with _fork_pool(2) as pool:
+            futures = [
+                pool.submit(_prune_at, "dual-", start) for _ in range(2)
+            ]
+            reports = [f.result(timeout=60) for f in futures]
 
-        def sweep(slot):
-            try:
-                reports[slot] = cache.prune_cache(prefix="dual-")
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=sweep, args=(i,)) for i in (0, 1)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        assert not errors
         assert cache.cache_entries("dual-") == []
         # Both pruners finished; together they account for every key
         # (overlap is fine — unlink(missing_ok=True) absorbs it).
-        assert all(r is not None for r in reports)
         assert set(reports[0].deleted) | set(reports[1].deleted) == set(
             keys
         )

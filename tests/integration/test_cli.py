@@ -185,6 +185,23 @@ class TestServeBench:
         out = capsys.readouterr().out
         assert "offered 30" in out
 
+    def test_faulty_devices_without_a_rate_change_nothing(
+        self, model_file, tmp_path, capsys
+    ):
+        outputs = []
+        for extra in ([], ["--faulty-devices", "1"]):
+            json_out = tmp_path / f"metrics{len(extra)}.json"
+            assert main([
+                "serve-bench", "--model", model_file, "--devices", "2",
+                "--requests", "40", "--rate", "500", "--seed", "3",
+                "--json-out", str(json_out), *extra,
+            ]) == 0
+            outputs.append((
+                capsys.readouterr().out.replace(str(json_out), "OUT"),
+                json_out.read_bytes(),
+            ))
+        assert outputs[0] == outputs[1]
+
 
 class TestMalformedArguments:
     """Bad numeric arguments end in one ``error:`` line and exit 1."""
@@ -215,16 +232,33 @@ class TestMalformedArguments:
          "brownout_rate must be in [0, 1], got -0.1"),
         (["serve-bench", "--brownout-rate", "nan"],
          "brownout_rate must be in [0, 1], got nan"),
+        (["serve-bench", "--seed", "-1"],
+         "seed must be non-negative, got -1"),
+        (["cluster-bench", "--seed", "-1"],
+         "seed must be non-negative, got -1"),
+        (["serve-bench", "--faulty-devices", "9"],
+         "fault plan names devices [9] outside range(4)"),
+        (["serve-bench", "--devices", "2", "--faulty-devices", "1", "2", "5"],
+         "fault plan names devices [2, 5] outside range(2)"),
     ], ids=["charge-0", "charge-negative", "faulty-9-of-4",
             "faulty-2-5-of-2", "cluster-devices-0", "rate-nan",
             "deadline-nan", "cluster-load-nan", "queue-wait-negative",
             "queue-wait-0", "queue-wait-nan", "brownout-negative",
-            "brownout-nan"])
+            "brownout-nan", "seed-negative", "cluster-seed-negative",
+            "faulty-9-of-4-rate-0", "faulty-2-5-of-2-rate-0"])
     def test_one_error_line_and_exit_1(
         self, model_file, capsys, args, message
     ):
         assert main(args[:1] + ["--model", model_file] + args[1:]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_train_negative_seed(self, tmp_path, capsys):
+        out_file = tmp_path / "model.npz"
+        assert main(["train", "--seed", "-1", "--out", str(out_file)]) == 1
+        assert capsys.readouterr().err == (
+            "error: seed must be non-negative, got -1\n"
+        )
+        assert not out_file.exists()
 
 
 class TestMalformedModelFile:
