@@ -145,7 +145,6 @@ def test_board_matrix_mixed_cluster_soak():
             router_policy="least-queue-wait",
             tick_ms=max(0.5, trace[-1].arrival_ms / 20.0),
         ),
-        registry=registry,
     )
     report = cluster.replay(trace)
     violations = verify_cluster_invariants(report, cluster.submitted_ids)

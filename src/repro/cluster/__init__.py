@@ -1,23 +1,15 @@
-"""Sharded multi-fleet serving: routing, autoscaling, rolling deploys.
+"""Sharded multi-fleet serving: routing and rolling deploys.
 
-The layer above :mod:`repro.serve`: a :class:`Cluster` runs N
-independent fleets (each a full serve runtime with its own simulated
-device pool) behind a :class:`Router` with pluggable policies, grows
-and shrinks the fleet set with a hysteresis :class:`Autoscaler` on the
-simulated clock, and rolls new model versions across fleets with
-zero-downtime blue/green :class:`Deployer` cutovers gated by an SLO
-probe with automatic rollback.  ``docs/cluster.md`` has the
-architecture walk-through; :mod:`repro.cluster.invariants` states and
-checks the cluster-scope correctness laws.
+The layer above :mod:`repro.serve`: a :class:`Cluster` replays a
+finite trace through a fixed set of N independent fleets (each a full
+serve runtime with its own simulated device pool) behind a
+:class:`Router` with pluggable policies, and rolls new model versions
+across fleets with zero-downtime blue/green :class:`Deployer` cutovers
+gated by an SLO probe with automatic rollback.  ``docs/cluster.md``
+has the architecture walk-through; :mod:`repro.cluster.invariants`
+states and checks the cluster-scope correctness laws.
 """
 
-from repro.cluster.autoscaler import (
-    SCALE_DOWN,
-    SCALE_UP,
-    Autoscaler,
-    AutoscalerConfig,
-    ScaleDecision,
-)
 from repro.cluster.bench import (
     fleet_capacity_rps,
     format_scaling,
@@ -38,7 +30,6 @@ from repro.cluster.deploy import (
 from repro.cluster.fleet import (
     Fleet,
     FleetGeneration,
-    FleetSignals,
 )
 from repro.cluster.invariants import (
     generation_namespace,
@@ -51,8 +42,6 @@ from repro.cluster.router import (
 )
 
 __all__ = [
-    "Autoscaler",
-    "AutoscalerConfig",
     "Cluster",
     "ClusterConfig",
     "ClusterReport",
@@ -60,15 +49,11 @@ __all__ = [
     "Deployer",
     "Fleet",
     "FleetGeneration",
-    "FleetSignals",
     "GenerationReport",
     "NoRoutableFleetError",
     "ROUTER_POLICIES",
     "Router",
-    "SCALE_DOWN",
-    "SCALE_UP",
     "SLOPolicy",
-    "ScaleDecision",
     "fleet_capacity_rps",
     "format_scaling",
     "generation_namespace",

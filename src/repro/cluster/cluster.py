@@ -1,13 +1,11 @@
-"""The cluster: N fleets behind a router, scaled and deployed live.
+"""The cluster: N fleets behind a router, with rolling deploys.
 
-:class:`Cluster` composes the whole tentpole: a set of
+:class:`Cluster` composes a fixed set of
 :class:`~repro.cluster.fleet.Fleet` shards (each its own
 :class:`~repro.serve.runtime.ServeRuntime` with its own device pool), a
-:class:`~repro.cluster.router.Router` choosing a shard per request, an
-optional :class:`~repro.cluster.autoscaler.Autoscaler` adding/removing
-shards from live windowed signals, and at most one active
-:class:`~repro.cluster.deploy.Deployer` rolling a new model version
-across shards with zero lost requests.
+:class:`~repro.cluster.router.Router` choosing a shard per request, and
+at most one active :class:`~repro.cluster.deploy.Deployer` rolling a new
+model version across shards with zero lost requests.
 
 Everything runs on one single-threaded discrete-event loop
 (:class:`~repro.serve.events.EventLoop`) shared by every fleet:
@@ -19,14 +17,12 @@ Everything runs on one single-threaded discrete-event loop
   :func:`~repro.cluster.invariants.verify_cluster_invariants` prove none
   were lost.
 * the **control plane** is a periodic tick event (:meth:`tick`, every
-  ``tick_ms`` of simulated time): sample fleet signals, advance any
-  rolling deploy, then let the autoscaler act.  Deploys freeze the
-  autoscaler — resizing the fleet set mid-rollout would make "which
-  fleets run the new model" moot.
+  ``tick_ms`` of simulated time) that starts a due deploy or advances
+  the running one.  It ticks only while a deploy is scheduled or
+  running.
 
-Routing, scaling and deploy decisions therefore depend on simulated
-time only, and a cluster report is a pure function of (trace, config,
-artifacts).
+Routing and deploy decisions therefore depend on simulated time only,
+and a cluster report is a pure function of (trace, config, artifacts).
 """
 
 from __future__ import annotations
@@ -34,13 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.cluster.autoscaler import (
-    SCALE_UP,
-    Autoscaler,
-    AutoscalerConfig,
-)
-from repro.cluster.deploy import DONE, Deployer, DeployEvent, SLOPolicy
-from repro.cluster.fleet import Fleet, FleetSignals
+from repro.cluster.deploy import Deployer, DeployEvent, SLOPolicy
+from repro.cluster.fleet import Fleet
 from repro.cluster.router import ROUTER_POLICIES, Router
 from repro.errors import ConfigurationError, ServeError
 from repro.serve.events import EventLoop
@@ -60,11 +51,8 @@ class ClusterConfig:
     serve: ServeConfig = field(default_factory=ServeConfig)
     router_policy: str = "hash"
     router_seed: int = 0
-    autoscaler: AutoscalerConfig | None = None   # None: fixed size
     #: Control-loop period on the simulated clock.
     tick_ms: float = 50.0
-    #: Window for the fleets' rate/utilization signals.
-    signal_window_ms: float = 250.0
 
     def __post_init__(self) -> None:
         if self.n_fleets < 1:
@@ -74,10 +62,8 @@ class ClusterConfig:
                 f"unknown router policy {self.router_policy!r}; "
                 f"known: {ROUTER_POLICIES}"
             )
-        if self.tick_ms <= 0 or self.signal_window_ms <= 0:
-            raise ConfigurationError(
-                "tick_ms and signal_window_ms must be > 0"
-            )
+        if self.tick_ms <= 0:
+            raise ConfigurationError("tick_ms must be > 0")
 
 
 @dataclass(frozen=True)
@@ -104,7 +90,6 @@ class ClusterReport:
     latency_ms: dict[str, float]   # exact summary of merged outcomes
     generations: tuple[GenerationReport, ...]
     deploy_events: tuple[DeployEvent, ...] = ()
-    scale_decisions: tuple[Any, ...] = ()
     router_policy: str = "hash"
 
     @property
@@ -140,35 +125,36 @@ class Cluster:
         self,
         artifact: ModelArtifact | Sequence[ModelArtifact],
         config: ClusterConfig | None = None,
-        *,
-        registry=None,
     ) -> None:
         self.config = config or ClusterConfig()
-        self.registry = registry
         self.router = Router(
             self.config.router_policy, seed=self.config.router_seed
         )
-        self.autoscaler = (
-            Autoscaler(self.config.autoscaler)
-            if self.config.autoscaler is not None else None
-        )
-        # Models new fleets flash.  A single artifact builds a
-        # homogeneous cluster; a sequence builds a *heterogeneous* one —
-        # fleet i flashes artifacts[i % len] (e.g. the same model
-        # deployed on different board profiles behind one router, which
-        # then routes on each fleet's own per-board latency signals).
+        # A single artifact builds a homogeneous cluster; a sequence
+        # builds a *heterogeneous* one — fleet i flashes
+        # artifacts[i % len] (e.g. the same model deployed on different
+        # board profiles behind one router, which then routes on each
+        # fleet's own per-board latency signals).
         if isinstance(artifact, ModelArtifact):
-            self._artifacts: tuple[ModelArtifact, ...] = (artifact,)
+            artifacts: tuple[ModelArtifact, ...] = (artifact,)
         else:
-            self._artifacts = tuple(artifact)
-            if not self._artifacts:
+            artifacts = tuple(artifact)
+            if not artifacts:
                 raise ServeError("cluster needs at least one artifact")
         self.loop = EventLoop()
         #: The replay's answer tables, shared by every generation.
         self._answers = Answers()
-        self._fleets: list[Fleet] = []
+        self._fleets = [
+            Fleet(
+                fleet_id,
+                artifacts[fleet_id % len(artifacts)],
+                self.config.serve,
+                loop=self.loop,
+                answers=self._answers,
+            )
+            for fleet_id in range(self.config.n_fleets)
+        ]
         self._retired_fleets: list[Fleet] = []
-        self._next_fleet_id = 0
         self._submitted_ids: list[int] = []
         self._deployer: Deployer | None = None
         self._deploy_history: list[Deployer] = []
@@ -176,29 +162,11 @@ class Cluster:
             tuple[float, ModelArtifact, SLOPolicy | None]
         ] = []
         self._next_tick_ms = self.config.tick_ms
-        for _ in range(self.config.n_fleets):
-            self._add_fleet()
 
     # -- fleet membership ------------------------------------------------
 
-    def _add_fleet(self) -> Fleet:
-        fleet_id = self._next_fleet_id
-        self._next_fleet_id += 1
-        fleet = Fleet(
-            fleet_id,
-            self._artifacts[fleet_id % len(self._artifacts)],
-            self.config.serve,
-            loop=self.loop,
-            registry=self.registry,
-            signal_window_ms=self.config.signal_window_ms,
-            answers=self._answers,
-        )
-        self._fleets.append(fleet)
-        return fleet
-
     def _remove_fleet(self, fleet: Fleet) -> None:
-        """Scale-down: stop routing to the fleet; its backlog drains on
-        the loop."""
+        """Retire the fleet's live generation and stop routing to it."""
         fleet.shutdown()
         self._fleets.remove(fleet)
         self._retired_fleets.append(fleet)
@@ -209,13 +177,6 @@ class Cluster:
     def fleets(self) -> list[Fleet]:
         """Live fleet membership."""
         return list(self._fleets)
-
-    @property
-    def n_fleets(self) -> int:
-        return len(self._fleets)
-
-    def signals(self) -> list[FleetSignals]:
-        return [f.signals() for f in self._fleets]
 
     # -- data plane ------------------------------------------------------
 
@@ -233,34 +194,15 @@ class Cluster:
     def _on_tick(self) -> None:
         self.tick(self.loop.now_ms)
         self._next_tick_ms += self.config.tick_ms
-        if self.loop.pending or self._deploying:
+        if self._deploying:
             self.loop.at(self._next_tick_ms, self._on_tick)
 
     def tick(self, now_ms: float) -> None:
-        """One control-loop step at simulated time ``now_ms``."""
-        fleets = list(self._fleets)
-        for fleet in fleets:
-            fleet.sample(now_ms)
+        """One control-loop step at simulated time ``now_ms``: start a
+        due deploy, or advance the running one."""
         self._maybe_start_deploy(now_ms)
         if self._deployer is not None and self._deployer.active:
             self._deployer.tick(now_ms)
-            if not self._deployer.active and self._deployer.state == DONE:
-                # Promotion: future fleets (scale-ups) flash the target.
-                # A rolling deploy re-homogenizes the cluster — every
-                # fleet now runs the target, so scale-ups must too.
-                self._artifacts = (self._deployer.target,)
-            return                   # autoscaler frozen during deploys
-        if self.autoscaler is None:
-            return
-        decision = self.autoscaler.decide(now_ms, self.signals())
-        if decision is None:
-            return
-        if decision.action == SCALE_UP:
-            self._add_fleet()
-        else:
-            # The autoscaler scales down only above its floor of >= 1
-            # fleet, so a victim always exists and one fleet remains.
-            self._remove_fleet(max(fleets, key=lambda f: f.fleet_id))
 
     def schedule_deploy(
         self,
@@ -294,12 +236,12 @@ class Cluster:
 
         Arrivals are scheduled in
         :func:`~repro.serve.runtime.arrival_order`, whatever the order of
-        ``trace``.  The control loop ticks while anything is left to
-        simulate, and until every scheduled deploy has fired and
+        ``trace``.  The control loop ticks while a deploy is scheduled
+        or running, so until every scheduled deploy has fired and
         finished.  Every request arrives at its trace time on the
         simulated clock, so ``pace`` has no effect.
 
-        Every generation, live or built later by a deploy or scale-up,
+        Every generation, live or built later by a deploy or rollback,
         answers from the trace: one table per (artifact, engine), built
         when a generation on that artifact first serves.  Request ids
         must be distinct (``ConfigurationError`` otherwise).
@@ -308,7 +250,7 @@ class Cluster:
         self._submitted_ids.extend(request.request_id for request in trace)
         for request in sorted(trace, key=arrival_order):
             self.loop.at(request.arrival_ms, self._arrive, request)
-        if self.loop.pending or self._deploying:
+        if self._deploying:
             self.loop.at(self._next_tick_ms, self._on_tick)
         self.loop.run()
         while self._fleets:
@@ -367,10 +309,6 @@ class Cluster:
             latency_ms=summarize(latencies),
             generations=generations,
             deploy_events=tuple(self.deploy_events()),
-            scale_decisions=tuple(
-                self.autoscaler.decisions
-                if self.autoscaler is not None else ()
-            ),
             router_policy=self.config.router_policy,
         )
 

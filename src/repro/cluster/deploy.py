@@ -1,8 +1,7 @@
 """Zero-downtime rolling deploys across fleets, with SLO-gated rollback.
 
-The :class:`Deployer` walks the cluster one fleet at a time: warm a
-green generation for the target model (registry lookup by content
-hash), cut the fleet over
+The :class:`Deployer` walks the cluster one fleet at a time: build a
+green generation for the target model, cut the fleet over
 (:meth:`~repro.cluster.fleet.Fleet.begin_generation` — no request is
 ever lost or shed by the swap), retire the blue generation (it drains
 its backlog on the event loop), then *probe* the green generation under
@@ -21,9 +20,8 @@ arrivals, and a shed threshold either never fires or always fires.
 
 On a breach the deployer rolls back: every fleet already cut over gets
 *another* generation swap back to the blue artifact (rollback is
-zero-downtime too), green refs are released so the registry evicts the
-bad model and frees its compiled-kernel cache entries, and the deploy
-records a terminal ``rolled_back`` event.
+zero-downtime too), and the deploy records a ``rollback`` event per
+restored fleet.
 
 The deployer is a state machine driven by the cluster's control ticks
 (:meth:`tick`) on the simulated clock.
@@ -114,9 +112,7 @@ class Deployer:
         self.slo = slo or SLOPolicy()
         self.state = IDLE
         self.events: list[DeployEvent] = []
-        # Snapshot membership at start: fleets added mid-deploy are
-        # created on the target artifact already; fleets removed
-        # mid-deploy drain their generation like any scale-down.
+        # Fleets already on the target have nothing to cut over.
         self._pending = [
             f for f in fleets if f.model_id != target.model_id
         ]
@@ -155,10 +151,7 @@ class Deployer:
             return
         fleet = self._pending.pop(0)
         gen = fleet._current()
-        blue = gen.artifact if gen is not None else None
-        if blue is None:            # fleet retired under us; skip it
-            self._cut_next(now_ms)
-            return
+        blue = gen.artifact
         # Baseline BEFORE cutover: blue's lifetime mean cycles per
         # completion on this very fleet, the denominator of the probe.
         self._blue_baseline = _mean_cycles(gen.runtime)
@@ -174,20 +167,21 @@ class Deployer:
     def _probe(self, now_ms: float) -> None:
         fleet = self._probe_fleet
         assert fleet is not None
-        gen = fleet._current()
-        if gen is None:             # fleet retired mid-probe: pass it
-            self._finish_probe(now_ms, fleet, "fleet retired")
-            return
-        count, mean = _mean_cycles(gen.runtime)
+        count, mean = _mean_cycles(fleet._current().runtime)
         blue_count, blue_mean = self._blue_baseline
         elapsed = now_ms - self._probe_started_ms
         if count >= self.slo.min_probe_completed:
             ratio = mean / blue_mean if blue_mean > 0 else 1.0
             if blue_count == 0 or ratio <= self.slo.max_cycles_ratio:
-                self._finish_probe(
-                    now_ms, fleet,
-                    f"cycles ratio {ratio:.2f} over {count} completions",
+                self._event(
+                    now_ms, PROBE_PASS, fleet,
+                    detail=(
+                        f"cycles ratio {ratio:.2f} over {count} "
+                        "completions"
+                    ),
                 )
+                self._probe_fleet = None
+                self._cut_next(now_ms)
             else:
                 self._event(
                     now_ms, PROBE_FAIL, fleet,
@@ -207,18 +201,9 @@ class Deployer:
             )
             self._rollback(now_ms)
 
-    def _finish_probe(
-        self, now_ms: float, fleet: Fleet, detail: str
-    ) -> None:
-        self._event(now_ms, PROBE_PASS, fleet, detail=detail)
-        self._probe_fleet = None
-        self._cut_next(now_ms)
-
     def _rollback(self, now_ms: float) -> None:
         """Swap every cut-over fleet back to its blue artifact."""
         for fleet, blue in reversed(self._cut):
-            if fleet._current() is None:
-                continue
             old = fleet.begin_generation(blue)
             fleet.retire_generation(old)
             self._event(now_ms, ROLLBACK, fleet,

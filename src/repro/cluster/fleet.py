@@ -25,27 +25,8 @@ import dataclasses
 from repro.serve.events import EventLoop
 from repro.serve.pool import Answers
 from repro.serve.registry import ModelArtifact
-from repro.serve.request import REJECTED, InferenceRequest
+from repro.serve.request import InferenceRequest
 from repro.serve.runtime import ServeConfig, ServeReport, ServeRuntime
-
-
-@dataclasses.dataclass(frozen=True)
-class FleetSignals:
-    """One control-tick reading of a fleet's live, measured signals.
-
-    These are the autoscaler's and router's inputs: offered and shed
-    rates and utilization over the generation's sample window, and the
-    queue-wait estimate the deadline-aware router scores fleets by.  All
-    *measured* on-fleet quantities, not proxies.
-    """
-
-    fleet: str
-    offered_per_s: float
-    shed_per_s: float
-    shed_fraction: float          # windowed shed rate / offered rate
-    utilization: float            # windowed busy fraction across devices
-    queue_depth: int
-    est_queue_wait_ms: float      # depth x service time / devices
 
 
 class FleetGeneration:
@@ -56,65 +37,12 @@ class FleetGeneration:
         index: int,
         artifact: ModelArtifact,
         runtime: ServeRuntime,
-        window_ms: float,
     ) -> None:
         self.index = index
         self.artifact = artifact
         self.runtime = runtime
-        self._window_ms = window_ms
-        #: ``(now_ms, offered, rejected, busy_ms)`` at each control tick.
-        self._samples: list[tuple[float, int, int, float]] = []
-        #: Rejections counted so far, through a cursor into the
-        #: runtime's append-only outcome log.
-        self._rejected = 0
-        self._cursor = 0
         #: Per-request service estimate for queue-wait scoring.
         self.service_ms = artifact.deployment.latency_ms
-
-    def sample(self, now_ms: float) -> None:
-        """Take the window's sample at simulated time ``now_ms``.
-
-        The window keeps one sample at or before its start, so once
-        warm it spans at least ``window_ms``.
-        """
-        log = self.runtime.outcome_log
-        self._rejected += sum(
-            1 for o in log[self._cursor:] if o.status == REJECTED
-        )
-        self._cursor = len(log)
-        busy = sum(d.busy_ms for d in self.runtime.devices)
-        samples = self._samples
-        samples.append((now_ms, self.runtime.offered, self._rejected, busy))
-        cutoff = now_ms - self._window_ms
-        while len(samples) > 2 and samples[1][0] <= cutoff:
-            samples.pop(0)
-
-    def _deltas(self) -> tuple[float, int, int, float] | None:
-        """Window span and counts across it; ``None`` while cold."""
-        if len(self._samples) < 2:
-            return None
-        first, last = self._samples[0], self._samples[-1]
-        if last[0] <= first[0]:
-            return None
-        return tuple(b - a for a, b in zip(first, last))
-
-    def offered_per_s(self) -> float:
-        """Arrivals per simulated second over the window."""
-        deltas = self._deltas()
-        return deltas[1] / deltas[0] * 1e3 if deltas else 0.0
-
-    def shed_per_s(self) -> float:
-        """Rejections per simulated second over the window."""
-        deltas = self._deltas()
-        return deltas[2] / deltas[0] * 1e3 if deltas else 0.0
-
-    def utilization(self) -> float:
-        """Windowed busy fraction across this generation's devices."""
-        deltas = self._deltas()
-        if not deltas:
-            return 0.0
-        n = len(self.runtime.devices)
-        return min(1.0, deltas[3] / (deltas[0] * n))
 
     def queue_depth(self) -> int:
         return self.runtime.queue.depth
@@ -139,17 +67,13 @@ class Fleet:
         config: ServeConfig,
         *,
         loop: EventLoop | None = None,
-        registry=None,
-        signal_window_ms: float = 250.0,
         answers: Answers | None = None,
     ) -> None:
         self.fleet_id = fleet_id
         self.name = f"fleet-{fleet_id}"
         self.config = config
-        self.signal_window_ms = signal_window_ms
         self.loop = loop or EventLoop()
         self._answers = answers if answers is not None else Answers()
-        self._registry = registry
         self._gen_count = 0
         self._retired: list[FleetGeneration] = []
         self._gen: FleetGeneration | None = self._build_generation(
@@ -170,11 +94,7 @@ class Fleet:
         runtime = ServeRuntime(
             artifact, config, loop=self.loop, answers=self._answers
         )
-        if self._registry is not None:
-            self._registry.acquire(artifact.model_id)
-        return FleetGeneration(
-            index, artifact, runtime, self.signal_window_ms
-        )
+        return FleetGeneration(index, artifact, runtime)
 
     def begin_generation(
         self, artifact: ModelArtifact
@@ -197,12 +117,9 @@ class Fleet:
         """
         self.loop.run()
         self._retired.append(gen)
-        if self._registry is not None:
-            self._registry.release(gen.artifact.model_id)
 
     def shutdown(self) -> None:
-        """Retire the live generation (scale-down, or the end of a
-        cluster replay)."""
+        """Retire the live generation (the end of a cluster replay)."""
         old, self._gen = self._gen, None
         if old is not None:
             self.retire_generation(old)
@@ -220,7 +137,7 @@ class Fleet:
             return None
         return self._gen.runtime.admit(request)
 
-    # -- signals -----------------------------------------------------------
+    # -- routing signals ---------------------------------------------------
 
     def _current(self) -> FleetGeneration | None:
         return self._gen
@@ -228,30 +145,6 @@ class Fleet:
     @property
     def model_id(self) -> str | None:
         return self._gen.artifact.model_id if self._gen is not None else None
-
-    def sample(self, now_ms: float) -> None:
-        if self._gen is not None:
-            self._gen.sample(now_ms)
-
-    def signals(self) -> FleetSignals:
-        gen = self._gen
-        if gen is None:
-            return FleetSignals(
-                fleet=self.name, offered_per_s=0.0,
-                shed_per_s=0.0, shed_fraction=0.0, utilization=0.0,
-                queue_depth=0, est_queue_wait_ms=0.0,
-            )
-        offered = gen.offered_per_s()
-        shed = gen.shed_per_s()
-        return FleetSignals(
-            fleet=self.name,
-            offered_per_s=offered,
-            shed_per_s=shed,
-            shed_fraction=shed / offered if offered > 0.0 else 0.0,
-            utilization=gen.utilization(),
-            queue_depth=gen.queue_depth(),
-            est_queue_wait_ms=gen.est_queue_wait_ms(),
-        )
 
     def est_queue_wait_ms(self) -> float:
         """Live routing score: estimated wait for a new arrival."""

@@ -2,8 +2,9 @@
 
 The router is the cluster's front door: every request passes through
 :meth:`Router.route` to pick a fleet before the fleet's own scheduler
-ever sees it.  Three policies, each exercising a different slice of the
-live :class:`~repro.cluster.fleet.FleetSignals`:
+ever sees it.  Three policies; the two load-aware ones read each
+fleet's live queue (:meth:`~repro.cluster.fleet.Fleet.est_queue_wait_ms`
+and :meth:`~repro.cluster.fleet.Fleet.queue_depth`):
 
 ``hash``
     Consistent hashing over the request key (its ``request_id``) with
@@ -28,9 +29,9 @@ live :class:`~repro.cluster.fleet.FleetSignals`:
     "power of two choices" result — and the deadline filter steers
     latency-critical requests away from fleets that would expire them.
 
-The cluster hands the router its live fleets only: a fleet retired by
-a scale-down leaves that list first, so it never receives new work while
-its backlog drains (the property tests pin this).
+The router picks only from the fleets it is handed: a fleet left out
+of that list never receives new work, even while its backlog drains
+(the property tests pin this).
 """
 
 from __future__ import annotations

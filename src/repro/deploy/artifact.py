@@ -193,21 +193,6 @@ class DeployedModel:
             self._fused_pipeline()
         return accepted
 
-    def evict_translations(self) -> int:
-        """Drop every layer program of this model from the shared cache.
-
-        The inverse of :meth:`warm_translations`: called when a model
-        registry evicts this artifact so retired blue/green replicas do
-        not pin compiled kernels forever.  Returns the number of cache
-        entries removed.
-        """
-        from repro.mcu.fastpath import evict_translation
-
-        return sum(
-            evict_translation(image.program, self.memory, self.board.costs)
-            for image in self.images
-        )
-
     def set_engine(self, engine: str) -> None:
         """Switch execution engine in place (e.g. for verification runs)."""
         engine = _resolve_engine(self.board, engine)

@@ -629,33 +629,6 @@ def translation_cache_stats() -> dict:
     }
 
 
-def evict_translation(
-    program: Program,
-    memory: MemoryMap,
-    costs: CycleCosts | None = None,
-) -> bool:
-    """Drop one program's cache entries — both tiers — for this model.
-
-    Used by ``ModelRegistry.release()`` when a retired artifact's
-    refcount reaches zero, so blue/green cutovers actually free the
-    compiled kernels of the model they replaced.  Returns ``True`` when
-    an entry was present.  A replica still holding the
-    ``TranslatedProgram`` keeps running (the object stays alive through
-    its own reference); only the shared cache forgets it.
-    """
-    from repro.mcu import fastpath_v2
-
-    costs = costs or CycleCosts()
-    layout = _layout_of(memory)
-    key = _cache_key(program, costs, layout)
-    key_v2 = _cache_key_v2(
-        program, costs, layout, fastpath_v2.specialization_hash(memory)
-    )
-    dropped_v1 = _CACHE.pop(key, None) is not None
-    dropped_v2 = _CACHE.pop(key_v2, None) is not None
-    return dropped_v1 or dropped_v2
-
-
 def clear_translation_cache() -> None:
     _CACHE.clear()
     for tier in _STATS.values():

@@ -97,6 +97,10 @@ class SearchSettings:
             )
         if self.min_promote < 1:
             raise ConfigurationError("min_promote must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be non-negative, got {self.seed}"
+            )
         self.slo  # the admission rule's input validates the bounds
 
     @property

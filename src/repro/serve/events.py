@@ -1,7 +1,7 @@
 """The simulated clock: one single-threaded discrete-event loop.
 
 Serving and cluster simulation run on this loop alone.  Every decision
--- batch formation, shedding, retries, routing, scaling, deploy steps --
+-- batch formation, shedding, retries, routing, deploy steps --
 is taken inside an event handler at a simulated time, so a run's results
 are a pure function of its trace, configuration and artifacts, never of
 host thread scheduling or host speed.

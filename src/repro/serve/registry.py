@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.deploy.artifact import VERIFIED_ENGINE, DeployedModel
 from repro.deploy.deployer import Deployment, deploy
-from repro.errors import ConfigurationError
 from repro.mcu.board import BoardProfile, STM32F072RB
 from repro.mcu.fastpath import DEFAULT_ENGINE
 from repro.quantize.ptq import QuantizedModel
@@ -115,12 +114,9 @@ class ModelRegistry:
 
     def __init__(self) -> None:
         self._artifacts: dict[str, ModelArtifact] = {}
-        self._refcounts: dict[str, int] = {}
         #: Number of register() calls answered from cache (observable so
         #: tests and benchmarks can prove the no-re-codegen property).
         self.cache_hits = 0
-        #: Artifacts evicted by release() reaching refcount zero.
-        self.evictions = 0
 
     def register(
         self,
@@ -157,61 +153,7 @@ class ModelRegistry:
                 block_size=block_size,
             )
             self._artifacts[model_id] = artifact
-        self._refcounts[model_id] = self._refcounts.get(model_id, 0) + 1
         return artifact
-
-    def get(self, model_id: str) -> ModelArtifact:
-        try:
-            return self._artifacts[model_id]
-        except KeyError:
-            raise ConfigurationError(
-                f"no model registered under {model_id[:12]}..."
-            ) from None
-
-    # -- reference counting / eviction -----------------------------------
-
-    def acquire(self, model_id: str) -> ModelArtifact:
-        """Take one more reference on a registered artifact.
-
-        Every long-lived holder of an artifact (each cluster fleet
-        generation, the registering caller itself) owns one reference;
-        :meth:`release` drops it, and the last drop evicts.
-        """
-        artifact = self._artifacts.get(model_id)
-        if artifact is None:
-            raise ConfigurationError(
-                f"no model registered under {model_id[:12]}..."
-            )
-        self._refcounts[model_id] += 1
-        return artifact
-
-    def refcount(self, model_id: str) -> int:
-        """Live references on ``model_id`` (0 if absent/evicted)."""
-        return self._refcounts.get(model_id, 0)
-
-    def release(self, model_id: str) -> bool:
-        """Drop one reference; evict the artifact at refcount zero.
-
-        Eviction forgets the deployment *and* its compiled-kernel cache
-        entries (the fastpath translations of every layer program), so a
-        blue/green cutover that retires a model really frees it.  The
-        content hash is stable, so re-registering the same model later
-        rebuilds a bit-identical artifact under the same id.  Returns
-        ``True`` when this call evicted.
-        """
-        if model_id not in self._artifacts:
-            raise ConfigurationError(
-                f"no model registered under {model_id[:12]}..."
-            )
-        count = self._refcounts[model_id] - 1
-        if count > 0:
-            self._refcounts[model_id] = count
-            return False
-        retired = self._artifacts.pop(model_id)
-        del self._refcounts[model_id]
-        self.evictions += 1
-        retired.deployed.evict_translations()
-        return True
 
     def __len__(self) -> int:
         return len(self._artifacts)

@@ -229,8 +229,7 @@ class ServeRuntime:
         #: Devices with a dispatched batch whose device-free event is
         #: still pending.
         self._busy: set[int] = set()
-        #: Terminal outcomes in recording order; append-only, so a
-        #: reader can keep a cursor into it.
+        #: Terminal outcomes in recording order.
         self.outcome_log: list[ServeOutcome] = []
         self.offered = 0
         self._last_arrival_ms = 0.0

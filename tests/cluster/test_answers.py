@@ -1,6 +1,6 @@
 """A cluster replay answers from one table per (artifact, engine).
 
-Every generation, live or built later by a deploy or scale-up, reads
+Every generation, live or built later by a deploy or rollback, reads
 the tables of the replay's trace from one replica per artifact, so a
 rolling deploy over three fleets flashes two replicas and runs two
 batched reference forwards: one per model.
@@ -16,13 +16,13 @@ from repro.serve import ServeConfig, synthetic_trace
 
 
 def test_rolling_deploy_builds_one_table_per_artifact(
-    base_artifact, good_artifact, cluster_registry, digits_small,
+    base_artifact, good_artifact, digits_small,
     infer_calls,
 ):
     cluster = Cluster(base_artifact, ClusterConfig(
         n_fleets=3, serve=ServeConfig(n_devices=2, max_queue_depth=32),
         tick_ms=2.0,
-    ), registry=cluster_registry)
+    ))
     cluster.schedule_deploy(
         good_artifact, 4.0,
         slo=SLOPolicy(min_probe_completed=5, probe_ms=200.0),
@@ -39,8 +39,8 @@ def test_rolling_deploy_builds_one_table_per_artifact(
     ("good", "complete"), ("slow", "rollback"),
 ])
 def test_rollout_flashes_one_replica_per_artifact(
-    base_artifact, good_artifact, slow_artifact, cluster_registry,
-    digits_small, flashed, target, last_event,
+    base_artifact, good_artifact, slow_artifact, digits_small, flashed,
+    target, last_event,
 ):
     """Blue and green generations, and the blue ones a rollback builds
     again, all answer from one replica per artifact."""
@@ -48,7 +48,7 @@ def test_rollout_flashes_one_replica_per_artifact(
     cluster = Cluster(base_artifact, ClusterConfig(
         n_fleets=2, serve=ServeConfig(n_devices=2, max_queue_depth=32),
         tick_ms=2.0,
-    ), registry=cluster_registry)
+    ))
     cluster.schedule_deploy(
         target, 4.0, slo=SLOPolicy(min_probe_completed=5, probe_ms=200.0),
     )

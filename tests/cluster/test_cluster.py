@@ -1,4 +1,4 @@
-"""Cluster integration: replay, conservation, autoscaling, trace export."""
+"""Cluster integration: replay, conservation, ticks, trace export."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import pytest
 from repro.cluster import (
     Cluster,
     ClusterConfig,
-    AutoscalerConfig,
     Fleet,
+    SLOPolicy,
     generation_namespace,
     verify_cluster_invariants,
 )
@@ -29,11 +29,6 @@ class TestConfig:
             ClusterConfig(router_policy="nope")
         with pytest.raises(ConfigurationError):
             ClusterConfig(tick_ms=0.0)
-
-    def test_signal_window_validation(self):
-        for window_ms in (0.0, -1.0):
-            with pytest.raises(ConfigurationError):
-                ClusterConfig(signal_window_ms=window_ms)
 
 
 class TestReplayConservation:
@@ -61,55 +56,55 @@ class TestReplayConservation:
         assert all(g.report.offered > 0 for g in report.generations)
 
 
-class TestAutoscaling:
-    def test_overload_scales_up_and_invariants_hold(
-        self, base_artifact, digits_small, small_serve_config,
-    ):
-        cluster = Cluster(base_artifact, ClusterConfig(
-            n_fleets=1, serve=small_serve_config, tick_ms=2.0,
-            signal_window_ms=10.0,
-            autoscaler=AutoscalerConfig(
-                min_fleets=1, max_fleets=3, up_ticks=2,
-                up_shed_fraction=0.02, cooldown_ms=4.0,
-            ),
-        ))
-        # Far over one fleet's capacity: shed shows up immediately.
-        report = cluster.replay(
-            _trace(digits_small, n=400, rate=60_000.0)
-        )
-        violations = verify_cluster_invariants(
-            report, cluster.submitted_ids
-        )
-        assert not violations, "\n".join(violations)
-        ups = [d for d in report.scale_decisions
-               if d.action == "scale_up"]
-        assert ups, "overload never triggered a scale-up"
-        assert len({g.fleet for g in report.generations}) >= 2
+class TickCountingCluster(Cluster):
+    """A cluster that records the simulated time of every control tick."""
 
-    def test_idle_scales_down_to_floor(
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.tick_times: list[float] = []
+
+    def tick(self, now_ms: float) -> None:
+        self.tick_times.append(now_ms)
+        super().tick(now_ms)
+
+
+class TestControlTicks:
+    """The control loop ticks only while a deploy is scheduled or
+    running."""
+
+    def test_replay_without_a_deploy_never_ticks(
         self, base_artifact, digits_small, small_serve_config,
     ):
-        cluster = Cluster(base_artifact, ClusterConfig(
-            n_fleets=3, serve=small_serve_config, tick_ms=2.0,
-            signal_window_ms=10.0,
-            autoscaler=AutoscalerConfig(
-                min_fleets=1, max_fleets=3, down_ticks=2,
-                down_utilization=0.9, down_queue_wait_ms=50.0,
-                cooldown_ms=4.0,
-            ),
+        cluster = TickCountingCluster(base_artifact, ClusterConfig(
+            n_fleets=2, serve=small_serve_config, tick_ms=2.0,
         ))
-        # A long quiet trickle: far below capacity.
-        report = cluster.replay(
-            _trace(digits_small, n=80, rate=500.0)
+        report = cluster.replay(_trace(digits_small))
+        assert report.conserved and report.completed > 0
+        assert cluster.tick_times == []
+
+    @pytest.mark.parametrize("target, last_event", [
+        ("good_artifact", "complete"), ("slow_artifact", "rollback"),
+    ])
+    def test_no_tick_after_the_deploys_terminal_event(
+        self, request, base_artifact, digits_small, small_serve_config,
+        target, last_event,
+    ):
+        cluster = TickCountingCluster(base_artifact, ClusterConfig(
+            n_fleets=2, serve=small_serve_config, tick_ms=2.0,
+        ))
+        cluster.schedule_deploy(
+            request.getfixturevalue(target), 3.0,
+            slo=SLOPolicy(min_probe_completed=3, probe_ms=200.0),
         )
-        assert not verify_cluster_invariants(
-            report, cluster.submitted_ids
-        )
-        downs = [d for d in report.scale_decisions
-                 if d.action == "scale_down"]
-        assert downs, "idle cluster never scaled down"
-        # Every drained fleet's requests still landed somewhere.
-        assert report.conserved
+        trace = _trace(digits_small, n=400)
+        report = cluster.replay(trace)
+        terminal = report.deploy_events[-1]
+        assert terminal.kind == last_event
+        # The trace outlasts the deploy: ticking while any event is
+        # pending would tick past its terminal event.
+        assert trace[-1].arrival_ms > terminal.time_ms
+        assert cluster.tick_times[-1] == terminal.time_ms
+        assert cluster.tick_times == sorted(set(cluster.tick_times))
 
 
 class TestFleetLifecycle:
@@ -163,14 +158,12 @@ class TestTraceExport:
         assert fleet_args == {"fleet-0", "fleet-1"}
 
     def test_report_format_mentions_deploys(
-        self, base_artifact, good_artifact, cluster_registry,
-        digits_small, small_serve_config,
+        self, base_artifact, good_artifact, digits_small,
+        small_serve_config,
     ):
-        from repro.cluster import SLOPolicy
-
         cluster = Cluster(base_artifact, ClusterConfig(
             n_fleets=1, serve=small_serve_config, tick_ms=2.0,
-        ), registry=cluster_registry)
+        ))
         cluster.schedule_deploy(
             good_artifact, 3.0,
             slo=SLOPolicy(min_probe_completed=3, probe_ms=200.0),

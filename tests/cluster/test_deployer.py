@@ -11,7 +11,7 @@ from repro.cluster import (
 from repro.serve import ServeConfig, synthetic_trace
 
 
-def _cluster(artifact, registry, *, n_fleets=2, policy="hash"):
+def _cluster(artifact, *, n_fleets=2, policy="hash"):
     return Cluster(
         artifact,
         ClusterConfig(
@@ -20,7 +20,6 @@ def _cluster(artifact, registry, *, n_fleets=2, policy="hash"):
             router_policy=policy,
             tick_ms=2.0,
         ),
-        registry=registry,
     )
 
 
@@ -35,10 +34,9 @@ _SLO = SLOPolicy(min_probe_completed=5, probe_ms=200.0,
 
 class TestGoodDeploy:
     def test_rolls_through_every_fleet_and_completes(
-        self, base_artifact, good_artifact, cluster_registry,
-        digits_small,
+        self, base_artifact, good_artifact, digits_small,
     ):
-        cluster = _cluster(base_artifact, cluster_registry)
+        cluster = _cluster(base_artifact)
         cluster.schedule_deploy(good_artifact, 4.0, slo=_SLO)
         report = cluster.replay(_trace(digits_small))
         violations = verify_cluster_invariants(
@@ -62,27 +60,10 @@ class TestGoodDeploy:
             newest = max(gens, key=lambda g: g.generation)
             assert newest.model_id == good_artifact.model_id
 
-    def test_promotion_makes_target_the_cluster_model(
-        self, base_artifact, good_artifact, cluster_registry,
-        digits_small,
-    ):
-        cluster = _cluster(base_artifact, cluster_registry, n_fleets=1)
-        cluster.schedule_deploy(good_artifact, 4.0, slo=_SLO)
-        # Replay the trace (the deploy completes inside it), then add a
-        # fleet: it must flash the promoted target, not the old base.
-        report = cluster.replay(_trace(digits_small, n=200))
-        assert not verify_cluster_invariants(
-            report, cluster.submitted_ids
-        )
-        assert [e.kind for e in report.deploy_events][-1] == "complete"
-        fleet = cluster._add_fleet()
-        assert fleet.model_id == good_artifact.model_id
-        cluster._remove_fleet(fleet)     # release its registry reference
-
     def test_already_on_target_completes_immediately(
-        self, base_artifact, cluster_registry, digits_small,
+        self, base_artifact, digits_small,
     ):
-        cluster = _cluster(base_artifact, cluster_registry)
+        cluster = _cluster(base_artifact)
         cluster.schedule_deploy(base_artifact, 1.0, slo=_SLO)
         report = cluster.replay(_trace(digits_small, n=100))
         kinds = [e.kind for e in report.deploy_events]
@@ -92,10 +73,9 @@ class TestGoodDeploy:
 
 class TestRollback:
     def test_slow_model_trips_cycles_ratio_and_rolls_back(
-        self, base_artifact, slow_artifact, cluster_registry,
-        digits_small,
+        self, base_artifact, slow_artifact, digits_small,
     ):
-        cluster = _cluster(base_artifact, cluster_registry)
+        cluster = _cluster(base_artifact)
         cluster.schedule_deploy(slow_artifact, 4.0, slo=_SLO)
         report = cluster.replay(_trace(digits_small, n=400))
         violations = verify_cluster_invariants(
@@ -120,26 +100,12 @@ class TestRollback:
             newest = max(gens, key=lambda g: g.generation)
             assert newest.model_id == base_artifact.model_id
 
-    def test_rollback_releases_green_references(
-        self, base_artifact, slow_artifact, cluster_registry,
-        digits_small,
-    ):
-        before = cluster_registry.refcount(slow_artifact.model_id)
-        cluster = _cluster(base_artifact, cluster_registry)
-        cluster.schedule_deploy(slow_artifact, 4.0, slo=_SLO)
-        cluster.replay(_trace(digits_small, n=300))
-        # Green generations acquired and released; no references leak.
-        assert cluster_registry.refcount(
-            slow_artifact.model_id
-        ) == before
-
     def test_no_goodput_probe_times_out_and_rolls_back(
-        self, base_artifact, good_artifact, cluster_registry,
-        digits_small,
+        self, base_artifact, good_artifact, digits_small,
     ):
         """A deploy cut over after traffic stops gets no completions;
         the probe deadline treats that as a breach."""
-        cluster = _cluster(base_artifact, cluster_registry)
+        cluster = _cluster(base_artifact)
         # Trace spans ~15ms; the deploy fires long after it ends.
         cluster.schedule_deploy(good_artifact, 1_000.0, slo=_SLO)
         report = cluster.replay(_trace(digits_small, n=200))

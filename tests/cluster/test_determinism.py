@@ -1,7 +1,7 @@
 """Cluster runs are a pure function of (trace, config, artifacts).
 
-Routing, control ticks, autoscaling and rolling deploys all run on the
-cluster's simulated clock, so a ``cluster-bench`` row — and every
+Routing, control ticks and rolling deploys all run on the cluster's
+simulated clock, so a ``cluster-bench`` row — and every
 generation's full serve report — comes out identical on every repeat
 and on every execution engine.
 """
@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.cluster import (
-    AutoscalerConfig,
     Cluster,
     ClusterConfig,
     SLOPolicy,
@@ -59,12 +58,12 @@ def test_bench_row_identical_across_repeats_and_engines(
         assert row(engine) == first, engine
 
 
-def test_autoscaled_overload_identical_across_engines(
+def test_overloaded_deploy_identical_across_engines(
     base_artifact, good_artifact, digits_small,
 ):
-    """Scale-ups, deadline routing, brown-out retries and a rolling
-    deploy under overload: every generation's report and the
-    control-plane timeline match."""
+    """Deadline routing over three fleets, EDF, brown-out retries and a
+    rolling deploy under overload: every generation's report and the
+    deploy timeline match."""
     trace_args = dict(
         n_requests=160,
         rate_rps=4.0 * fleet_capacity_rps(base_artifact, 2),
@@ -73,22 +72,19 @@ def test_autoscaled_overload_identical_across_engines(
 
     def run(engine: str) -> str:
         cluster = Cluster(base_artifact, ClusterConfig(
-            n_fleets=1,
+            n_fleets=3,
             serve=ServeConfig(
                 n_devices=2, max_queue_depth=16, policy="edf",
                 fault_plan=FaultPlan(brownout_rate=0.2, seed=3),
                 engine=engine,
             ),
             router_policy="deadline-p2c", router_seed=5, tick_ms=1.0,
-            signal_window_ms=4.0,
-            autoscaler=AutoscalerConfig(max_fleets=3, up_ticks=2,
-                                        cooldown_ms=2.0),
         ))
         cluster.schedule_deploy(good_artifact, 12.0, slo=SLO)
         report = cluster.replay(synthetic_trace(
             inputs=digits_small.x_test, **trace_args
         ))
-        assert report.conserved and report.scale_decisions
+        assert report.conserved and report.deploy_events
         assert sum(g.report.metrics["counters"].get("requests.retries", 0)
                    for g in report.generations)
         return json.dumps({
@@ -101,10 +97,6 @@ def test_autoscaled_overload_identical_across_engines(
             "deploy_events": [
                 [e.time_ms, e.kind, e.fleet, e.detail]
                 for e in report.deploy_events
-            ],
-            "scale_decisions": [
-                [d.time_ms, d.action, d.n_fleets, d.reason]
-                for d in report.scale_decisions
             ],
         })
 

@@ -57,9 +57,7 @@ def test_per_board_artifacts_are_distinct(mixed_artifacts):
     assert latencies[0] > latencies[1] > latencies[2]
 
 
-def test_fleets_flash_artifacts_round_robin(
-    mixed_artifacts, cluster_registry,
-):
+def test_fleets_flash_artifacts_round_robin(mixed_artifacts):
     cluster = Cluster(
         mixed_artifacts,
         ClusterConfig(
@@ -67,7 +65,6 @@ def test_fleets_flash_artifacts_round_robin(
             serve=ServeConfig(n_devices=1),
             router_policy="hash",
         ),
-        registry=cluster_registry,
     )
     report = cluster.replay([])
     by_fleet = {gen.fleet: gen.model_id for gen in report.generations}
@@ -80,7 +77,7 @@ def test_fleets_flash_artifacts_round_robin(
 
 
 def test_mixed_board_soak_least_queue_wait(
-    mixed_artifacts, cluster_registry, digits_small,
+    mixed_artifacts, digits_small,
 ):
     """Flooded mixed-board cluster under `least-queue-wait`: invariants
     hold, and the router demonstrably shifts load toward the faster
@@ -100,9 +97,7 @@ def test_mixed_board_soak_least_queue_wait(
             serve=ServeConfig(n_devices=2, max_queue_depth=16),
             router_policy="least-queue-wait",
             tick_ms=trace[-1].arrival_ms / 20.0,
-            signal_window_ms=max(2.0, trace[-1].arrival_ms / 4.0),
         ),
-        registry=cluster_registry,
     )
     report = cluster.replay(trace)
 
@@ -126,7 +121,7 @@ def test_mixed_board_soak_least_queue_wait(
 
 
 def test_mixed_board_deadline_p2c(
-    mixed_artifacts, cluster_registry, digits_small,
+    mixed_artifacts, digits_small,
 ):
     """`deadline-p2c` on a mixed cluster: per-board wait estimates feed
     the slack filter, every invariant holds, deadlines are honored."""
@@ -148,9 +143,7 @@ def test_mixed_board_deadline_p2c(
             router_policy="deadline-p2c",
             router_seed=7,
             tick_ms=trace[-1].arrival_ms / 20.0,
-            signal_window_ms=max(2.0, trace[-1].arrival_ms / 4.0),
         ),
-        registry=cluster_registry,
     )
     report = cluster.replay(trace)
 

@@ -260,6 +260,13 @@ class TestMalformedArguments:
         )
         assert not out_file.exists()
 
+    def test_search_negative_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["search", "--count", "2", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert "searched" not in captured.out   # no stage ran
+
 
 class TestMalformedModelFile:
     """Every model-reading subcommand turns a malformed file into one

@@ -9,8 +9,7 @@ file enforces it on every kernel encoding (dense, unrolled dense, all
 four sparse formats) and re-runs the 220-seed random-program fuzzer
 from ``test_fastpath`` with tier-2 preconditions (zero entry
 registers), covering both the accept path (single + fused) and the
-decline machinery.  It also pins the tiered cache-stats contract and
-dual-tier eviction.
+decline machinery.  It also pins the tiered cache-stats contract.
 """
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.mcu.board import STM32F072RB
 from repro.mcu.fastpath import (
     FastCPU,
     clear_translation_cache,
-    evict_translation,
     make_cpu,
     translate,
     translate_v2,
@@ -443,7 +441,7 @@ class TestTierSelection:
         assert translation_cache_stats()["v2"]["entries"] == 2
 
 
-# -- tiered cache stats and eviction ---------------------------------------
+# -- tiered cache stats ----------------------------------------------------
 
 
 class TestTieredCacheStats:
@@ -495,32 +493,3 @@ class TestTieredCacheStats:
         assert stats["v1"]["declined"] == 0      # tier 1 accepts it
         assert stats["v2"]["declined"] == 1
         assert stats["declined"] == 1
-
-    def test_evict_drops_both_tiers(self):
-        clear_translation_cache()
-        program = _trivial_program("evicted")
-        memory = MemoryMap.stm32()
-        translate(program, memory)
-        translate_v2(program, memory)
-        assert translation_cache_stats()["entries"] == 2
-
-        assert evict_translation(program, memory) is True
-        stats = translation_cache_stats()
-        assert stats["entries"] == 0
-        assert stats["v1"]["entries"] == 0
-        assert stats["v2"]["entries"] == 0
-
-        # Rebuilding after eviction misses both tiers again.
-        translate_v2(program, memory)
-        stats = translation_cache_stats()
-        assert stats["v1"]["misses"] == 2
-        assert stats["v2"]["misses"] == 2
-
-    def test_evict_with_only_v1_present(self):
-        clear_translation_cache()
-        program = _trivial_program("v1-only")
-        memory = MemoryMap.stm32()
-        translate(program, memory)
-        assert evict_translation(program, memory) is True
-        assert translation_cache_stats()["entries"] == 0
-        assert evict_translation(program, memory) is False

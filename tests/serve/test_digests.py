@@ -182,15 +182,18 @@ def recorded_replays():
 
 
 #: name -> (router policy, load as a multiple of one fleet's capacity,
-#: engine, deploy target).
+#: engine, deploy target or ``None`` for a replay without a deploy).
 CLUSTER_CASES = {
-    f"{policy}-{load}x-{engine}-{target}": (policy, load, engine, target)
+    f"{policy}-{load}x-{engine}-{target or 'no-deploy'}": (
+        policy, load, engine, target,
+    )
     for policy in ("hash", "least-queue-wait", "deadline-p2c")
     for load, engine, target in (
         (0.4, "verified", "target"),
         (8.0, "verified", "target"),
         (8.0, "fastpath", "target"),
         (1.0, "verified", "slow"),
+        (8.0, "verified", None),
     )
 }
 
@@ -203,7 +206,7 @@ def cluster_digest(case: str) -> str:
         row = run_cluster_once(
             base, n_fleets=2, policy=policy, requests=REQUESTS,
             rate_rps=rate, devices_per_fleet=2, queue_depth=16, seed=9,
-            deploy_artifact=artifact(target),
+            deploy_artifact=None if target is None else artifact(target),
             deploy_at_ms=REQUESTS / rate * 1e3 / 4, tick_ms=1.0,
             engine=engine,
         )
@@ -288,6 +291,12 @@ CLUSTER_DIGESTS: dict[str, str] = {
         "9ce41c9ce83326637aa9036336604ee53f57b580a3af1cd03c0bd48d200412a6",
     "deadline-p2c-1.0x-verified-slow":
         "eafa4f05e03bdf6d3f3559fc014d3333bb4c63698ee00643b9aed5b8718d7c52",
+    "hash-8.0x-verified-no-deploy":
+        "d681db9b167ff2e3b0c478842060726562deedc47f39576f248a14bbda32a622",
+    "least-queue-wait-8.0x-verified-no-deploy":
+        "4a3039b7cd9f7e7f5586d5b0f3cbb70b21be526f56b9f3d5490b1b7f8251044a",
+    "deadline-p2c-8.0x-verified-no-deploy":
+        "ce4a191100d2d1c0bc1a689667dbfa1c3c930e1400619c770ba786f2acb2bc51",
 }
 
 

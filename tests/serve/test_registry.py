@@ -1,9 +1,7 @@
 """Model registry: content addressing, kernel cache, replicas."""
 
 import numpy as np
-import pytest
 
-from repro.errors import ConfigurationError
 from repro.serve import ModelRegistry, content_hash
 
 
@@ -95,10 +93,6 @@ class TestRegistryCache:
     def test_verified_by_construction(self, small_artifact):
         assert small_artifact.deployment.verified
 
-    def test_get_unknown_id_is_typed(self):
-        with pytest.raises(ConfigurationError):
-            ModelRegistry().get("deadbeef" * 8)
-
 
 class TestReplicas:
     def test_replica_is_independent_state(self, small_artifact,
@@ -122,82 +116,13 @@ class TestReplicas:
         assert np.array_equal(on_device, reference)
 
 
-class TestRefcountedEviction:
-    """ISSUE-7 satellite: release()/eviction of retired artifacts."""
-
-    def test_register_acquire_release_counts(self, small_trained):
-        registry = ModelRegistry()
-        artifact = registry.register(small_trained.quantized)
-        assert registry.refcount(artifact.model_id) == 1
-        assert registry.acquire(artifact.model_id) is artifact
-        assert registry.refcount(artifact.model_id) == 2
-        assert registry.release(artifact.model_id) is False
-        assert registry.refcount(artifact.model_id) == 1
-        assert len(registry) == 1
-        assert registry.evictions == 0
-
-    def test_last_release_evicts_and_frees_kernel_cache(
-        self, small_trained
-    ):
-        from repro.mcu.fastpath import translation_cache_stats
-
-        registry = ModelRegistry()
-        artifact = registry.register(small_trained.quantized)
-        # register() warms one tier-1 translation per layer program.
-        # (Assert per tier: earlier tests may have left tier-2 entries
-        # for this model, which release() also drops — pinned by
-        # test_last_release_evicts_both_translation_tiers below.)
-        before = translation_cache_stats()["v1"]["entries"]
-        assert registry.release(artifact.model_id) is True
-        assert registry.refcount(artifact.model_id) == 0
-        assert len(registry) == 0
-        assert registry.evictions == 1
-        after = translation_cache_stats()["v1"]["entries"]
-        assert after == before - len(artifact.deployed.images)
-        with pytest.raises(ConfigurationError):
-            registry.get(artifact.model_id)
-
-    def test_last_release_evicts_both_translation_tiers(
-        self, small_trained
-    ):
-        """A v2-registered model warms tier-1 translations *and* tier-2
-        specializations; release() must drop both, or retired blue/green
-        replicas would pin specialized kernels forever."""
-        from repro.mcu.fastpath import translation_cache_stats
-
-        registry = ModelRegistry()
-        artifact = registry.register(
-            small_trained.quantized, engine="fastpath-v2"
-        )
-        layers = len(artifact.deployed.images)
-        before = translation_cache_stats()
-        assert before["v1"]["entries"] >= layers
-        assert before["v2"]["entries"] >= layers
-        assert registry.release(artifact.model_id) is True
-        after = translation_cache_stats()
-        assert after["v1"]["entries"] == before["v1"]["entries"] - layers
-        assert after["v2"]["entries"] == before["v2"]["entries"] - layers
-        assert after["entries"] == before["entries"] - 2 * layers
-
-    def test_acquire_or_release_after_eviction_is_typed(
-        self, small_trained
-    ):
-        registry = ModelRegistry()
-        artifact = registry.register(small_trained.quantized)
-        registry.release(artifact.model_id)
-        with pytest.raises(ConfigurationError):
-            registry.acquire(artifact.model_id)
-        with pytest.raises(ConfigurationError):
-            registry.release(artifact.model_id)
-
-    def test_rollback_reregisters_bit_identically(
+class TestContentIdentity:
+    def test_fresh_registry_rebuilds_bit_identically(
         self, small_trained, digits_small
     ):
-        """Evict, then re-register the same content: same hash, same
-        bits — the rollback path restores an identical deployment."""
-        registry = ModelRegistry()
-        first = registry.register(small_trained.quantized)
-        model_id = first.model_id
+        """A second, fresh registry rebuilds the same content under the
+        same id, with the same flash bits and the same inference."""
+        first = ModelRegistry().register(small_trained.quantized)
         flash_before = [
             bytes(image.program.encode())
             if hasattr(image.program, "encode") else None
@@ -205,13 +130,10 @@ class TestRefcountedEviction:
         ]
         x = digits_small.x_test[0]
         result_before = first.replica().infer(x)
-        registry.release(model_id)
-        assert len(registry) == 0
 
-        second = registry.register(small_trained.quantized)
-        assert second.model_id == model_id       # same content hash
+        second = ModelRegistry().register(small_trained.quantized)
+        assert second.model_id == first.model_id  # same content hash
         assert second is not first               # genuinely rebuilt
-        assert registry.refcount(model_id) == 1
         result_after = second.replica().infer(x)
         assert result_after.label == result_before.label
         assert result_after.cycles == result_before.cycles
