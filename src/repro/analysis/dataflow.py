@@ -99,6 +99,7 @@ def run_forward(
     """
     instructions = program.instructions
     n = len(instructions)
+    successors = [instr_successors(program, i) for i in range(n)]
     states: list = [None] * n
     worklist: list[int] = []
 
@@ -124,6 +125,6 @@ def run_forward(
             )
         index = worklist.pop()
         out_state = transfer(index, instructions[index], states[index])
-        for successor in instr_successors(program, index):
+        for successor in successors[index]:
             push(successor, out_state)
     return states

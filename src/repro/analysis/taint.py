@@ -42,7 +42,6 @@ from repro.analysis.dataflow import (
     run_forward,
 )
 from repro.mcu.isa import (
-    BRANCH_OPS,
     LOAD_OPS,
     Op,
     Program,
@@ -100,13 +99,60 @@ class AnalysisResult:
             )
 
 
-@dataclass(frozen=True)
-class _State:
-    data: frozenset[int]      # registers holding input-derived values
-    pointer: frozenset[int]   # registers addressing a tainted region
+#: Transfer kinds: how an instruction moves the (data, pointer) masks.
+_KEEP, _MOVI, _ALU, _LOAD, _STORE = range(5)
 
-    def join(self, other: "_State") -> "_State":
-        return _State(self.data | other.data, self.pointer | other.pointer)
+#: Per opcode: transfer kind, source and flag-source operand positions.
+_SHAPES = {
+    op: (
+        _MOVI if op is Op.MOVI
+        else _ALU if op in ALU_DST_SRC
+        else _LOAD if op in LOAD_OPS
+        else _STORE if op in STORE_OPS
+        else _KEEP,
+        ALU_DST_SRC.get(op, ()),
+        FLAG_SOURCES.get(op, ()),
+    )
+    for op in Op
+}
+
+
+def _compile(instr, points_into_taint) -> tuple[tuple, tuple]:
+    """One instruction as ``(move, check)`` register bitmasks.
+
+    ``move`` is ``(kind, dst, src, extra)``.  For ``_ALU``, ``src``
+    holds the source registers; for ``_LOAD``, ``src`` is the base
+    (tainting the load through data or a pointer) and ``extra`` the
+    index register (tainting it only as a pointer); for ``_MOVI``,
+    ``extra`` is ``dst`` when the constant points into a tainted region.
+    ``check`` is ``(flags, address, value)``: the registers whose data
+    taint taints the flags, the store's address registers and its value
+    register.
+    """
+    kind, sources, flag_sources = _SHAPES[instr.op]
+    ops = instr.operands
+    flags = 0
+    for i in flag_sources:
+        flags |= 1 << ops[i]
+    if kind == _ALU:
+        src = 0
+        for i in sources:
+            src |= 1 << ops[i]
+        return (_ALU, 1 << ops[0], src, 0), (flags, 0, 0)
+    if kind == _MOVI:
+        dst = 1 << ops[0]
+        pointer = dst if points_into_taint(int(ops[1])) else 0
+        return (_MOVI, dst, 0, pointer), (0, 0, 0)
+    index = 1 << ops[2] if instr.offset_is_reg else 0
+    if kind == _LOAD:
+        return (_LOAD, 1 << ops[0], 1 << ops[1], index), (0, 0, 0)
+    if kind == _STORE:
+        return (_KEEP, 0, 0, 0), (0, 1 << ops[1] | index, 1 << ops[0])
+    return (_KEEP, 0, 0, 0), (flags, 0, 0)   # CMP/CMPI, branches, HALT
+
+
+def _join(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] | b[0], a[1] | b[1]
 
 
 def verify_static_control_flow(
@@ -120,6 +166,13 @@ def verify_static_control_flow(
     ``tainted_regions`` adds address ranges whose contents are also
     input-derived (e.g. the block kernel's partial-sum buffer, or a
     chained layer's intermediate activation buffers).
+
+    The lattice state is a ``(data, pointer)`` pair of register
+    bitmasks joined with ``|``.  Every check is a test of the data mask
+    against a fixed register mask, and the transfer is monotone, so a
+    check that holds at any state the fixpoint passes through holds at
+    its final in-state: the findings are read off those in-states once
+    the fixpoint is reached.
     """
     regions = ((input_addr, input_addr + input_bytes),) + tuple(
         tainted_regions
@@ -128,87 +181,53 @@ def verify_static_control_flow(
     def constant_points_into_taint(value: int) -> bool:
         return any(lo <= value < hi for lo, hi in regions)
 
-    violations: dict[tuple[int, str], TaintViolation] = {}
-    tainted_store_sites: set[int] = set()
+    compiled = [
+        _compile(instr, constant_points_into_taint)
+        for instr in program.instructions
+    ]
 
-    def record(index: int, instr, kind: str) -> None:
-        violations.setdefault(
-            (index, kind), TaintViolation(index, repr(instr), kind)
-        )
-
-    def transfer(index: int, instr, state: _State) -> _State:
-        op = instr.op
-        ops = instr.operands
-        data = set(state.data)
-        pointer = set(state.pointer)
-
-        if op is Op.HALT or op in BRANCH_OPS:
+    def transfer(index: int, instr, state: tuple[int, int]):
+        kind, dst, src, extra = compiled[index][0]
+        if kind == _KEEP:
             return state
-        if op is Op.MOVI:
-            dst, value = ops[0], int(ops[1])
-            data.discard(dst)
-            if constant_points_into_taint(value):
-                pointer.add(dst)
-            else:
-                pointer.discard(dst)
-        elif op in ALU_DST_SRC:
-            sources = ALU_DST_SRC[op]
-            dst = ops[0]
-            if op in FLAG_SOURCES and any(
-                ops[i] in data for i in FLAG_SOURCES[op]
-            ):
-                record(index, instr, TAINTED_FLAGS)
-            if any(ops[i] in data for i in sources):
-                data.add(dst)
-            else:
-                data.discard(dst)
-            # Pointer arithmetic keeps pointing into the region.
-            if any(ops[i] in pointer for i in sources):
-                pointer.add(dst)
-            else:
-                pointer.discard(dst)
-        elif op in (Op.CMP, Op.CMPI):
-            if any(ops[i] in data for i in FLAG_SOURCES[op]):
-                record(index, instr, TAINTED_FLAGS)
-        elif op in LOAD_OPS:
-            dst, base = ops[0], ops[1]
-            loads_tainted = (
-                base in pointer
-                or base in data
-                or (instr.offset_is_reg and ops[2] in pointer)
+        data, pointer = state
+        if kind == _MOVI:
+            return data & ~dst, (pointer & ~dst) | extra
+        if kind == _ALU:   # pointer arithmetic keeps pointing into a region
+            return (
+                data | dst if data & src else data & ~dst,
+                pointer | dst if pointer & src else pointer & ~dst,
             )
-            if loads_tainted:
-                data.add(dst)
-            else:
-                data.discard(dst)
-            pointer.discard(dst)
-        elif op in STORE_OPS:
-            address_regs = [ops[1]]
-            if instr.offset_is_reg:
-                address_regs.append(ops[2])
-            if any(r in data for r in address_regs):
-                record(index, instr, TAINTED_STORE_ADDRESS)
-            if ops[0] in data:
-                tainted_store_sites.add(index)
-        return _State(frozenset(data), frozenset(pointer))
+        tainted = (data | pointer) & src or pointer & extra
+        return data | dst if tainted else data & ~dst, pointer & ~dst
 
-    run_forward(
-        program,
-        _State(frozenset(), frozenset()),
-        transfer,
-        lambda a, b: a.join(b),
-    )
+    states = run_forward(program, (0, 0), transfer, _join)
 
-    ordered = tuple(
-        violations[key] for key in sorted(violations)
-    )
-    flag_clean = not any(v.kind == TAINTED_FLAGS for v in ordered)
-    store_clean = not any(
-        v.kind == TAINTED_STORE_ADDRESS for v in ordered
-    )
+    violations: list[TaintViolation] = []
+    tainted_store_sites = 0
+    for index, state in enumerate(states):
+        if state is None:
+            continue
+        flags, address, value = compiled[index][1]
+        data = state[0]
+        if data & flags:
+            violations.append(
+                TaintViolation(index, repr(program.instructions[index]))
+            )
+        if data & address:
+            violations.append(TaintViolation(
+                index, repr(program.instructions[index]),
+                TAINTED_STORE_ADDRESS,
+            ))
+        if data & value:
+            tainted_store_sites += 1
     return AnalysisResult(
-        control_flow_is_input_independent=flag_clean,
-        violations=ordered,
-        tainted_store_sites=len(tainted_store_sites),
-        store_addresses_are_input_independent=store_clean,
+        control_flow_is_input_independent=not any(
+            v.kind == TAINTED_FLAGS for v in violations
+        ),
+        violations=tuple(violations),
+        tainted_store_sites=tainted_store_sites,
+        store_addresses_are_input_independent=not any(
+            v.kind == TAINTED_STORE_ADDRESS for v in violations
+        ),
     )

@@ -34,6 +34,7 @@ instead of re-pricing one fixed model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,10 +63,16 @@ class DeploySLO:
     max_flash_kb: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_latency_ms is not None and self.max_latency_ms <= 0:
-            raise ConfigurationError("max_latency_ms must be positive")
-        if self.max_flash_kb is not None and self.max_flash_kb <= 0:
-            raise ConfigurationError("max_flash_kb must be positive")
+        for name in ("max_latency_ms", "max_flash_kb"):
+            bound = getattr(self, name)
+            if bound is None:
+                continue
+            if bound <= 0:
+                raise ConfigurationError(f"{name} must be positive")
+            if not math.isfinite(bound):   # NaN fails every comparison
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {bound}"
+                )
 
 
 @dataclass(frozen=True)

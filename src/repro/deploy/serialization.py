@@ -112,7 +112,8 @@ def load_quantized_model(path: str | Path) -> QuantizedModel:
 
 
 def _read_model(path: Path) -> QuantizedModel:
-    with np.load(path) as data:
+    # np.load(path) leaks its file handle when the zip is malformed.
+    with open(path, "rb") as handle, np.load(handle) as data:
         if "__meta__" not in data:
             raise ConfigurationError(f"{path} is not a Neuro-C model file")
         version, n_layers, act_width = (int(v) for v in data["__meta__"])

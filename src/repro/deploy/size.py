@@ -18,6 +18,7 @@ computed.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 from repro.kernels.layer import layer_kernel
@@ -35,13 +36,20 @@ _SCRATCH_RAM_KB = 1024
 
 
 def scratch_memory() -> MemoryMap:
-    """A memory map big enough to place any model for measurement."""
+    """A memory map big enough to place any model for measurement.
+
+    Both regions are anonymous ``mmap`` pages, which the kernel zeroes
+    on first touch: sizing pays for the few pages it writes, not for a
+    9 MiB fill.  Close each region's ``data`` when done with the map.
+    """
+    flash = _SCRATCH_FLASH_KB * 1024
+    ram = _SCRATCH_RAM_KB * 1024
     return MemoryMap(
         [
-            Region("flash", 0x0800_0000, _SCRATCH_FLASH_KB * 1024,
-                   writable=False),
-            Region("ram", 0x2000_0000, _SCRATCH_RAM_KB * 1024,
-                   writable=True),
+            Region("flash", 0x0800_0000, flash, writable=False,
+                   data=mmap.mmap(-1, flash)),
+            Region("ram", 0x2000_0000, ram, writable=True,
+                   data=mmap.mmap(-1, ram)),
         ]
     )
 
@@ -82,13 +90,18 @@ def layer_program_memory(
     ``format_name`` selects the sparse encoding for ternary layers and is
     ignored for dense ones.
     """
-    image = layer_kernel(
-        spec, format_name or "block", block_size, memory=scratch_memory()
-    )
-    return ProgramMemoryReport(
-        text_bytes=image.program.code_size_bytes(),
-        rodata_bytes=image.flash_data_bytes,
-    )
+    memory = scratch_memory()
+    try:
+        image = layer_kernel(
+            spec, format_name or "block", block_size, memory=memory
+        )
+        return ProgramMemoryReport(
+            text_bytes=image.program.code_size_bytes(),
+            rodata_bytes=image.flash_data_bytes,
+        )
+    finally:
+        for region in memory.regions:
+            region.data.close()
 
 
 def model_program_memory(

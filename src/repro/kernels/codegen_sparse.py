@@ -61,7 +61,28 @@ SPARSE_FORMATS = ("csc", "delta", "mixed", "block")
 def encode_for_kernel(
     spec: LayerKernelSpec, format_name: str, block_size: int = 256
 ) -> SparseEncoding:
-    """Encode a spec's adjacency the way its kernel expects it."""
+    """Encode a spec's adjacency the way its kernel expects it.
+
+    The encoding is memoized on ``spec`` per ``(format_name,
+    block_size)``, so the size model, the operation count and the
+    deployed kernel of one layer share one encoding.  The spec is frozen
+    and ``act_in_width`` (the delta stride) is one of its fields; the
+    memo is a private attribute outside the fields, so it is neither
+    compared nor printed.  The shared arrays are read-only: a caller
+    that writes one fails instead of corrupting every other user.
+    """
+    memo = spec.__dict__.setdefault("_encodings", {})
+    key = (format_name, block_size)
+    if key not in memo:
+        memo[key] = _encode(spec, format_name, block_size)
+        for array in memo[key].arrays().values():
+            array.setflags(write=False)
+    return memo[key]
+
+
+def _encode(
+    spec: LayerKernelSpec, format_name: str, block_size: int
+) -> SparseEncoding:
     matrix = spec.ternary_matrix
     if format_name == "csc":
         return CSCEncoding.from_matrix(matrix)

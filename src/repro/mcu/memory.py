@@ -12,6 +12,7 @@ arrays into a region, returning their base addresses.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,11 @@ class Region:
     base: int
     size: int
     writable: bool
-    data: bytearray = field(repr=False, default=None)  # type: ignore[assignment]
+    #: The region's bytes; a ``bytearray`` unless the creator passes a
+    #: buffer (the size model's scratch map uses anonymous ``mmap`` pages).
+    data: bytearray | mmap.mmap = field(  # type: ignore[assignment]
+        repr=False, default=None
+    )
     loads: int = 0
     stores: int = 0
     bytes_loaded: int = 0

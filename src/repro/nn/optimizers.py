@@ -24,7 +24,7 @@ class SGD(Optimizer):
     """Stochastic gradient descent with optional classical momentum."""
 
     def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        if lr <= 0:
+        if not lr > 0:   # NaN too
             raise ConfigurationError(f"learning rate must be positive: {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1): {momentum}")
@@ -55,7 +55,7 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ) -> None:
-        if lr <= 0:
+        if not lr > 0:   # NaN too
             raise ConfigurationError(f"learning rate must be positive: {lr}")
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ConfigurationError("betas must be in [0, 1)")

@@ -69,6 +69,8 @@ class TrainConfig:
     lr_floor: float = 1e-4
 
     def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise TrainingError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise TrainingError(
                 f"unknown lr schedule {self.lr_schedule!r}"

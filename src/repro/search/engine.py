@@ -101,6 +101,10 @@ class SearchSettings:
             raise ConfigurationError(
                 f"seed must be non-negative, got {self.seed}"
             )
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigurationError(
+                f"lr must be positive and finite, got {self.lr}"
+            )
         self.slo  # the admission rule's input validates the bounds
 
     @property
@@ -135,6 +139,10 @@ class SearchSettings:
         return runner.effective_epochs(epochs)
 
     def resolved_qat_epochs(self) -> int:
+        if self.qat_epochs < 1:
+            raise ConfigurationError(
+                f"QAT epochs must be >= 1, got {self.qat_epochs}"
+            )
         return runner.effective_epochs(self.qat_epochs)
 
     # -- identity ----------------------------------------------------------

@@ -1,5 +1,8 @@
 """Program-memory model, deployed artifact, and the deploy() entry point."""
 
+import collections
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.deploy.artifact import (
     DeployedModel,
     analytic_model_cycles,
     analytic_model_latency_ms,
+    model_opcount,
 )
 from repro.deploy.deployer import deploy
 from repro.deploy.size import (
@@ -16,10 +20,18 @@ from repro.deploy.size import (
     mlp_rodata_estimate,
     model_program_memory,
 )
+from repro.encodings import (
+    BlockEncoding,
+    CSCEncoding,
+    DeltaEncoding,
+    MixedEncoding,
+)
 from repro.errors import BudgetExceededError
+from repro.kernels.codegen_sparse import SPARSE_FORMATS, encode_for_kernel
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
 from repro.mcu.board import STM32F072RB, board_by_name
 from repro.mcu.intermittent import IntermittentDeployment, PowerBudget
+from repro.quantize.ptq import QuantizedModel
 
 
 class TestProgramMemoryReport:
@@ -88,6 +100,84 @@ class TestLayerProgramMemory:
         assert mlp_rodata_estimate([784, 32, 10]) == (
             784 * 32 + 4 * 32 + 32 * 10 + 4 * 10
         )
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="needs /proc/self/maps")
+    def test_sizing_releases_its_scratch_pages(self, rng):
+        def mappings() -> int:
+            with open("/proc/self/maps") as maps:
+                return sum(1 for _ in maps)
+
+        spec = self._spec(rng, n_in=300, n_out=20)
+        expected = layer_program_memory(spec)
+        before = mappings()
+        for _ in range(200):
+            assert layer_program_memory(spec) == expected
+        assert mappings() == before
+
+
+def _ternary_model(seed: int, act_width: int = 1) -> QuantizedModel:
+    rng = np.random.default_rng(seed)
+    dims = (300, 24, 10)
+    specs = [
+        make_neuroc_spec(
+            rng.choice([-1, 0, 1], (n_in, n_out), p=[0.2, 0.6, 0.2]),
+            rng.integers(-20, 20, n_out),
+            rng.integers(20, 90, n_out).astype(np.int16), shift=8,
+            act_in_width=act_width, act_out_width=act_width,
+            relu=n_out != 10,
+        )
+        for n_in, n_out in zip(dims, dims[1:])
+    ]
+    return QuantizedModel(specs, input_scale=1 / 127, act_width=act_width)
+
+
+class TestOneEncodingPerSpec:
+    """The size model, the operation count and the flashed artifact of a
+    layer share one encoding per (format, block size)."""
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        counts = collections.Counter()
+        for cls in (CSCEncoding, DeltaEncoding, MixedEncoding,
+                    BlockEncoding):
+            def counting(klass, matrix, _original=cls.from_matrix,
+                         **options):
+                counts[klass.format_name] += 1
+                return _original(matrix, **options)
+
+            monkeypatch.setattr(cls, "from_matrix", classmethod(counting))
+        return counts
+
+    @pytest.mark.parametrize("format_name, block_size", [
+        *((fmt, 256) for fmt in SPARSE_FORMATS), ("block", 32),
+    ])
+    def test_pricing_and_flashing_encode_each_layer_once(
+        self, encodes, format_name, block_size
+    ):
+        quantized = _ternary_model(3, act_width=2)
+        model_program_memory(quantized.specs, format_name, block_size)
+        model_opcount(quantized.specs, format_name, block_size)
+        DeployedModel(quantized, format_name, block_size=block_size)
+        deploy(quantized, format_name, block_size=block_size)
+        assert encodes == {format_name: len(quantized.specs)}
+
+    def test_each_block_size_and_stride_gets_its_own_encoding(self):
+        narrow, wide = _ternary_model(5, 1), _ternary_model(5, 2)
+        spec = narrow.specs[0]
+        assert encode_for_kernel(spec, "block", 32) is not \
+            encode_for_kernel(spec, "block")
+        assert encode_for_kernel(spec, "delta").stride == 1
+        assert encode_for_kernel(wide.specs[0], "delta").stride == 2
+        assert "_encodings" not in repr(spec)
+
+    def test_shared_arrays_are_read_only(self):
+        spec = _ternary_model(4).specs[0]
+        for fmt in SPARSE_FORMATS:
+            arrays = encode_for_kernel(spec, fmt).arrays().values()
+            assert not any(array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                next(iter(arrays))[0] = 0
 
 
 @pytest.mark.usefixtures("trained_neuroc")

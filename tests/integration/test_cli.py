@@ -240,12 +240,20 @@ class TestMalformedArguments:
          "fault plan names devices [9] outside range(4)"),
         (["serve-bench", "--devices", "2", "--faulty-devices", "1", "2", "5"],
          "fault plan names devices [2, 5] outside range(2)"),
+        (["deploy", "--slo-latency-ms", "nan"],
+         "max_latency_ms must be positive and finite, got nan"),
+        (["deploy", "--slo-latency-ms", "inf"],
+         "max_latency_ms must be positive and finite, got inf"),
+        (["deploy", "--slo-flash-kb", "nan"],
+         "max_flash_kb must be positive and finite, got nan"),
     ], ids=["charge-0", "charge-negative", "faulty-9-of-4",
             "faulty-2-5-of-2", "cluster-devices-0", "rate-nan",
             "deadline-nan", "cluster-load-nan", "queue-wait-negative",
             "queue-wait-0", "queue-wait-nan", "brownout-negative",
             "brownout-nan", "seed-negative", "cluster-seed-negative",
-            "faulty-9-of-4-rate-0", "faulty-2-5-of-2-rate-0"])
+            "faulty-9-of-4-rate-0", "faulty-2-5-of-2-rate-0",
+            "deploy-slo-latency-nan", "deploy-slo-latency-inf",
+            "deploy-slo-flash-nan"])
     def test_one_error_line_and_exit_1(
         self, model_file, capsys, args, message
     ):
@@ -266,6 +274,38 @@ class TestMalformedArguments:
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be non-negative, got -1\n"
         assert "searched" not in captured.out   # no stage ran
+
+    @pytest.mark.parametrize("args, message", [
+        (["--slo-latency-ms", "nan"],
+         "max_latency_ms must be positive and finite, got nan"),
+        (["--slo-flash-kb", "nan"],
+         "max_flash_kb must be positive and finite, got nan"),
+        (["--lr", "nan"], "lr must be positive and finite, got nan"),
+        (["--lr", "-1"], "lr must be positive and finite, got -1.0"),
+        (["--epochs", "0"], "QAT epochs must be >= 1, got 0"),
+    ], ids=["slo-latency-nan", "slo-flash-nan", "lr-nan", "lr-negative",
+            "epochs-0"])
+    def test_search_refuses_before_any_stage(
+        self, tmp_path, monkeypatch, capsys, args, message
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["search", "--count", "2", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "searched" not in captured.out   # no stage ran
+
+    @pytest.mark.parametrize("args, message", [
+        (["--epochs", "-1"], "epochs must be >= 1, got -1"),
+        (["--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["--lr", "nan"], "learning rate must be positive: nan"),
+    ], ids=["epochs-negative", "epochs-0", "lr-nan"])
+    def test_train_refuses_without_saving(
+        self, tmp_path, capsys, args, message
+    ):
+        out_file = tmp_path / "model.npz"
+        assert main(["train", *args, "--out", str(out_file)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_file.exists()
 
 
 class TestMalformedModelFile:
