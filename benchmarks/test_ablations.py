@@ -138,10 +138,7 @@ def test_ablation_loop_unrolling(benchmark):
     ablation quantifies the cycles-vs-code-size trade-off of unrolling the
     dense MACC loop."""
     rng = np.random.default_rng(3)
-    from repro.kernels.codegen_unrolled import (
-        count_dense_unrolled,
-        generate_dense_unrolled,
-    )
+    from repro.kernels.codegen_dense import count_dense, generate_dense
     from repro.kernels.spec import make_dense_spec
 
     spec = make_dense_spec(
@@ -153,10 +150,10 @@ def test_ablation_loop_unrolling(benchmark):
     def sweep():
         rows = []
         for unroll in (1, 2, 4, 8, 16):
-            cycles = count_dense_unrolled(spec, unroll).cycles(
+            cycles = count_dense(spec, unroll).cycles(
                 STM32F072RB.costs
             )
-            text = generate_dense_unrolled(
+            text = generate_dense(
                 spec, unroll=unroll
             ).program.code_size_bytes()
             rows.append(

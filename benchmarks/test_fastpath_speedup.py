@@ -32,7 +32,6 @@ from _output import RESULTS_DIR, emit
 from repro.core.adjacency import clustered_adjacency
 from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
-from repro.kernels.codegen_unrolled import generate_dense_unrolled
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
 from repro.mcu.board import STM32F072RB
 from repro.mcu.fastpath import make_cpu
@@ -66,7 +65,7 @@ def _dense_spec(n_in=256, n_out=32, seed=0):
 
 def _encodings():
     yield "dense", generate_dense(_dense_spec())
-    yield "dense-unroll4", generate_dense_unrolled(_dense_spec(), unroll=4)
+    yield "dense-unroll4", generate_dense(_dense_spec(), unroll=4)
     for fmt in SPARSE_FORMATS:
         yield f"sparse-{fmt}", generate_sparse(_sparse_spec(), fmt)
 

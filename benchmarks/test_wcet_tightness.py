@@ -17,7 +17,6 @@ from repro.analysis import verify_kernel_image
 from repro.core.adjacency import clustered_adjacency
 from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
-from repro.kernels.codegen_unrolled import generate_dense_unrolled
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
 
 
@@ -45,7 +44,7 @@ def _images():
     for fmt in SPARSE_FORMATS:
         yield fmt, generate_sparse(_ternary_spec(), fmt)
     yield "dense", generate_dense(_dense_spec())
-    yield "unrolled", generate_dense_unrolled(_dense_spec())
+    yield "unrolled", generate_dense(_dense_spec(), unroll=4)
 
 
 def test_wcet_tightness():

@@ -7,6 +7,12 @@ Three mutually-validating backends compute every layer:
 3. ``count_*`` — analytical :class:`~repro.kernels.opcount.OpCount`
    formulas priced by a board's cycle table.
 
+The layer generators (dense, at any ``unroll`` factor, and the four
+sparse encodings) share one frame in
+:mod:`~repro.kernels.codegen_common`: the data placement, the column
+loop's registers, the Eq. 1 epilogue with its count, and the
+assemble-verify-wrap step; each adds only its traversal.
+
 :func:`~repro.kernels.layer.layer_kernel` and
 :func:`~repro.kernels.layer.layer_opcount` pick a layer's generator and
 its ``count_*`` twin; every deploy-side consumer goes through them.
@@ -22,10 +28,6 @@ from repro.kernels.codegen_cnn import (
 )
 from repro.kernels.codegen_common import KernelImage, RELU_CYCLES
 from repro.kernels.codegen_dense import count_dense, generate_dense
-from repro.kernels.codegen_unrolled import (
-    count_dense_unrolled,
-    generate_dense_unrolled,
-)
 from repro.kernels.codegen_sparse import (
     SPARSE_FORMATS,
     count_sparse,
@@ -60,14 +62,12 @@ __all__ = [
     "conv_macc_count",
     "count_conv",
     "count_dense",
-    "count_dense_unrolled",
     "count_sparse",
     "countdown_loop",
     "encode_for_kernel",
     "fc_macc_count",
     "generate_conv",
     "generate_dense",
-    "generate_dense_unrolled",
     "generate_sparse",
     "im2col",
     "layer_forward",

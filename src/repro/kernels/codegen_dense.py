@@ -4,10 +4,19 @@ Every output neuron walks all ``n_in`` inputs with an explicit
 load-load-multiply-add loop — exactly the computation the paper argues is
 too expensive on a Cortex-M0, reproduced here as the comparison baseline.
 
-Register plan::
+``unroll`` applies §4.1's "sequence of shallow, possibly unrolled loops
+over contiguous memory segments" to that loop: each unroll step removes
+one ``SUBSI``/``BGT`` pair (4 cycles on a taken branch) per element at
+the cost of duplicated loop-body code, and the ablation benchmark sweeps
+the factor to quantify the trade-off.  The ``n_in % unroll`` remainder
+runs straight-line after the loop, so both bounds stay compile-time
+constants.
+
+Register plan (``R5``–``R8`` are the frame's, see
+:func:`~repro.kernels.codegen_common.emit_column_setup`)::
 
     r0  weight pointer (column-major, bumps across the whole matrix)
-    r1  x value scratch
+    r1  x value scratch, then the bias
     r4  input base          r5  output pointer     r6  bias pointer
     r7  requant multiplier (value or pointer)      r8  column counter
     r9  accumulator         r10 x pointer          r11 inner counter
@@ -21,16 +30,12 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.kernels.codegen_common import (
     KernelImage,
-    assert_static_discipline,
-    RELU_CYCLES,
-    SAT_CYCLES,
-    emit_relu,
-    emit_saturate_upper,
-    flash_allocator,
+    count_columns,
+    emit_column_setup,
+    emit_epilogue,
+    layer_image,
     load_signed,
-    needs_saturation,
-    ram_allocator,
-    store,
+    place_layer,
 )
 from repro.kernels.opcount import OpCount, countdown_loop
 from repro.kernels.spec import LayerKernelSpec
@@ -38,129 +43,78 @@ from repro.mcu.isa import Assembler, Reg
 from repro.mcu.memory import MemoryMap
 
 
+def _unrolled_iterations(n_in: int, unroll: int) -> tuple[int, int]:
+    """(loop iterations, remainder elements) of an ``unroll``-step loop."""
+    if unroll < 1:
+        raise ConfigurationError(f"unroll factor must be >= 1: {unroll}")
+    return divmod(n_in, unroll)
+
+
 def generate_dense(
     spec: LayerKernelSpec,
     memory: MemoryMap | None = None,
     input_addr: int | None = None,
     output_addr: int | None = None,
+    unroll: int = 1,
 ) -> KernelImage:
     """Build the dense kernel program and place its data.
 
     ``memory``/``input_addr``/``output_addr`` let a multi-layer deployer
     chain kernels through shared activation buffers; standalone use leaves
-    them unset.
+    them unset.  ``unroll`` repeats the MACC step that many times per
+    inner-loop iteration.
     """
     if not spec.is_dense:
         raise ConfigurationError("generate_dense requires a dense spec")
-    memory = memory or MemoryMap.stm32()
-    flash = flash_allocator(memory)
-    flash_start = flash.used_bytes
-    ram = ram_allocator(memory)
-
+    main_iters, remainder = _unrolled_iterations(spec.n_in, unroll)
     # Column-major so each output neuron's weights are contiguous.
-    w_addr = flash.place(np.ascontiguousarray(spec.weights.T))
-    bias_addr = flash.place(spec.bias.astype(np.int32))
-    mult_addr = None
-    if spec.per_neuron_mult:
-        mult_addr = flash.place(spec.mult.astype(np.int16))
-    flash_bytes = flash.used_bytes - flash_start
+    placement = place_layer(
+        spec, memory, [np.ascontiguousarray(spec.weights.T)],
+        input_addr, output_addr,
+    )
 
-    if input_addr is None:
-        input_addr = ram.reserve(spec.n_in * spec.act_in_width,
-                                 align=spec.act_in_width)
-    if output_addr is None:
-        output_addr = ram.reserve(spec.n_out * spec.act_out_width,
-                                  align=spec.act_out_width)
+    asm = Assembler(
+        "dense_kernel" if unroll == 1 else f"dense_unrolled_x{unroll}"
+    )
+    asm.movi(Reg.R0, placement.arrays[0])
+    asm.movi(Reg.R4, placement.input_addr)
+    emit_column_setup(asm, spec, placement)
 
-    asm = Assembler("dense_kernel")
-    asm.movi(Reg.R0, w_addr)
-    asm.movi(Reg.R4, input_addr)
-    asm.movi(Reg.R5, output_addr)
-    asm.movi(Reg.R6, bias_addr)
-    if spec.per_neuron_mult:
-        asm.movi(Reg.R7, mult_addr)
-    elif spec.mult is not None:
-        asm.movi(Reg.R7, int(spec.mult))
-    asm.movi(Reg.R8, spec.n_out)
+    def macc_step() -> None:
+        asm.ldrsb(Reg.R12, Reg.R0, 0)        # weight
+        asm.addi(Reg.R0, Reg.R0, 1)
+        load_signed(asm, Reg.R1, Reg.R10, 0, spec.act_in_width)
+        asm.addi(Reg.R10, Reg.R10, spec.act_in_width)
+        asm.mul(Reg.R12, Reg.R12, Reg.R1)
+        asm.add(Reg.R9, Reg.R9, Reg.R12)
 
     asm.label("col")
-    asm.movi(Reg.R9, 0)                  # acc = 0 (bias joins post-scale)
-    asm.mov(Reg.R10, Reg.R4)             # x cursor
-    asm.movi(Reg.R11, spec.n_in)
-    asm.label("elem")
-    asm.ldrsb(Reg.R12, Reg.R0, 0)        # weight
-    asm.addi(Reg.R0, Reg.R0, 1)
-    load_signed(asm, Reg.R1, Reg.R10, 0, spec.act_in_width)
-    asm.addi(Reg.R10, Reg.R10, spec.act_in_width)
-    asm.mul(Reg.R12, Reg.R12, Reg.R1)
-    asm.add(Reg.R9, Reg.R9, Reg.R12)
-    asm.subsi(Reg.R11, Reg.R11, 1)
-    asm.bgt("elem")
-
-    # Eq. 1 epilogue: scale, then bias, then activation.
-    if spec.mult is not None:
-        if spec.per_neuron_mult:
-            asm.ldrsh(Reg.R11, Reg.R7, 0)
-            asm.addi(Reg.R7, Reg.R7, 2)
-            asm.mul(Reg.R9, Reg.R9, Reg.R11)
-        else:
-            asm.mul(Reg.R9, Reg.R9, Reg.R7)
-        if spec.shift:
-            asm.asri(Reg.R9, Reg.R9, spec.shift)
-    asm.ldr(Reg.R1, Reg.R6, 0)           # bias
-    asm.addi(Reg.R6, Reg.R6, 4)
-    asm.add(Reg.R9, Reg.R9, Reg.R1)
-    if spec.relu:
-        emit_relu(asm, Reg.R9, Reg.R11, Reg.R12)
-    if needs_saturation(spec.relu, spec.mult is not None,
-                        spec.act_out_width):
-        emit_saturate_upper(asm, Reg.R9, Reg.R11, Reg.R12,
-                            spec.act_out_range()[1])
-    store(asm, Reg.R9, Reg.R5, 0, spec.act_out_width)
-    asm.addi(Reg.R5, Reg.R5, spec.act_out_width)
+    asm.movi(Reg.R9, 0)                      # acc = 0 (bias joins post-scale)
+    asm.mov(Reg.R10, Reg.R4)                 # x cursor
+    if main_iters:
+        asm.movi(Reg.R11, main_iters)
+        asm.label("elem")
+        for _ in range(unroll):
+            macc_step()
+        asm.subsi(Reg.R11, Reg.R11, 1)
+        asm.bgt("elem")
+    for _ in range(remainder):
+        macc_step()
+    emit_epilogue(asm, spec, Reg.R11, Reg.R12, bias_tmp=Reg.R1)
     asm.subsi(Reg.R8, Reg.R8, 1)
     asm.bgt("col")
     asm.halt()
-
-    return KernelImage(
-        program=assert_static_discipline(asm.assemble(), memory),
-        memory=memory,
-        input_addr=input_addr,
-        input_count=spec.n_in,
-        input_width=spec.act_in_width,
-        output_addr=output_addr,
-        output_count=spec.n_out,
-        output_width=spec.act_out_width,
-        flash_data_bytes=flash_bytes,
-    )
+    return layer_image(asm, spec, placement)
 
 
-def count_dense(spec: LayerKernelSpec) -> OpCount:
+def count_dense(spec: LayerKernelSpec, unroll: int = 1) -> OpCount:
     """Analytical operation counts of :func:`generate_dense` (exact)."""
-    setup_movis = 5 + (1 if spec.mult is not None else 0)
-    setup = OpCount.block(alu=setup_movis)
-
-    elem = OpCount.block(load=2, alu=3, mul=1)  # ldrsb+ldrsx, 2 addi + add
-    inner = countdown_loop(elem, spec.n_in)
-
-    epilogue = OpCount.block(load=1, alu=2)  # bias ldr + bump + add
-    if spec.relu:
-        epilogue += OpCount.block(alu=RELU_CYCLES)
-    if needs_saturation(spec.relu, spec.mult is not None,
-                        spec.act_out_width):
-        epilogue += OpCount.block(alu=SAT_CYCLES)
-    if spec.mult is not None:
-        if spec.per_neuron_mult:
-            epilogue += OpCount.block(load=1, alu=1, mul=1)
-        else:
-            epilogue += OpCount.block(mul=1)
-        if spec.shift:
-            epilogue += OpCount.block(alu=1)
-    col = (
-        OpCount.block(alu=3)  # movi acc, mov x cursor, movi count
-        + inner
-        + epilogue
-        + OpCount.block(store=1, alu=1)  # output store + bump
-    )
-    body = countdown_loop(col, spec.n_out)
-    return OpCount() + setup + body
+    main_iters, remainder = _unrolled_iterations(spec.n_in, unroll)
+    macc = OpCount.block(load=2, alu=3, mul=1)  # ldrsb+ldrsx, 2 addi + add
+    inner = macc.scaled(remainder)
+    if main_iters:
+        inner += OpCount.block(alu=1)            # movi count
+        inner += countdown_loop(macc.scaled(unroll), main_iters)
+    setup = OpCount.block(alu=2)                 # movi weights, movi input
+    per_column = OpCount.block(alu=2) + inner    # movi acc, mov x cursor
+    return OpCount() + setup + count_columns(spec, per_column)

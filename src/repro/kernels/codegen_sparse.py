@@ -19,12 +19,20 @@ come from:
     One accumulation pass per input block with 8-bit block-local indices,
     partial sums parked in a 32-bit RAM buffer between passes.
 
+``csc``, ``delta`` and ``mixed`` share one column-wise skeleton: per
+output neuron, each polarity's traversal, then the frame's Eq. 1
+epilogue (:mod:`repro.kernels.codegen_common`).  Only the traversal of
+one polarity (and its count) differs between them, and ``block`` reuses
+mixed's inside its per-block passes.
+
 Each generator has a ``count_*`` twin that reproduces its executed
 instruction mix *exactly* (asserted by tests); Figure 5a prices those
 counts instead of running the interpreter.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,24 +46,26 @@ from repro.encodings import (
 from repro.errors import ConfigurationError
 from repro.kernels.codegen_common import (
     KernelImage,
-    assert_static_discipline,
-    RELU_CYCLES,
-    SAT_CYCLES,
-    emit_relu,
-    emit_saturate_upper,
-    flash_allocator,
+    LayerPlacement,
+    count_columns,
+    emit_column_setup,
+    emit_epilogue,
+    layer_image,
     load_signed,
     load_unsigned,
-    needs_saturation,
+    place_layer,
     ram_allocator,
-    store,
 )
-from repro.kernels.opcount import OpCount
+from repro.kernels.opcount import OpCount, countdown_loop
 from repro.kernels.spec import LayerKernelSpec
 from repro.mcu.isa import Assembler, Reg
 from repro.mcu.memory import MemoryMap
 
-SPARSE_FORMATS = ("csc", "delta", "mixed", "block")
+#: ``traverse(asm, sign, header_reg, elements_reg, header_width,
+#: elements_width, act_width)`` emits one polarity's walk of a column.
+Traverse = Callable[[Assembler, str, Reg, Reg, int, int, int], None]
+#: ``count(spec, header, elements)`` counts one polarity's walks.
+CountPolarity = Callable[[LayerKernelSpec, np.ndarray, np.ndarray], OpCount]
 
 
 def encode_for_kernel(
@@ -74,77 +84,10 @@ def encode_for_kernel(
     memo = spec.__dict__.setdefault("_encodings", {})
     key = (format_name, block_size)
     if key not in memo:
-        memo[key] = _encode(spec, format_name, block_size)
+        memo[key] = _format(format_name).encode(spec, block_size)
         for array in memo[key].arrays().values():
             array.setflags(write=False)
     return memo[key]
-
-
-def _encode(
-    spec: LayerKernelSpec, format_name: str, block_size: int
-) -> SparseEncoding:
-    matrix = spec.ternary_matrix
-    if format_name == "csc":
-        return CSCEncoding.from_matrix(matrix)
-    if format_name == "delta":
-        # Offsets are prescaled to byte strides so the kernel adds them to
-        # an address without shifting (Fig. 4's I_PTR += *P_PTR++).
-        return DeltaEncoding.from_matrix(matrix, stride=spec.act_in_width)
-    if format_name == "mixed":
-        return MixedEncoding.from_matrix(matrix)
-    if format_name == "block":
-        return BlockEncoding.from_matrix(matrix, block_size=block_size)
-    raise ConfigurationError(
-        f"unknown sparse format {format_name!r}; known: {SPARSE_FORMATS}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# shared epilogue (ReLU + requantization + store)
-# ---------------------------------------------------------------------------
-
-
-def _emit_epilogue(asm: Assembler, spec: LayerKernelSpec, acc: Reg,
-                   t1: Reg, t2: Reg, mult_reg: Reg, bias_reg: Reg,
-                   out_ptr: Reg) -> None:
-    """Eq. 1 order: scale the accumulator, add the bias, apply ReLU."""
-    if spec.mult is not None:
-        if spec.per_neuron_mult:
-            asm.ldrsh(t1, mult_reg, 0)
-            asm.addi(mult_reg, mult_reg, 2)
-            asm.mul(acc, acc, t1)
-        else:
-            asm.mul(acc, acc, mult_reg)
-        if spec.shift:
-            asm.asri(acc, acc, spec.shift)
-    asm.ldr(t1, bias_reg, 0)
-    asm.addi(bias_reg, bias_reg, 4)
-    asm.add(acc, acc, t1)
-    if spec.relu:
-        emit_relu(asm, acc, t1, t2)
-    if needs_saturation(spec.relu, spec.mult is not None,
-                        spec.act_out_width):
-        emit_saturate_upper(asm, acc, t1, t2, spec.act_out_range()[1])
-    store(asm, acc, out_ptr, 0, spec.act_out_width)
-    asm.addi(out_ptr, out_ptr, spec.act_out_width)
-
-
-def _count_epilogue(spec: LayerKernelSpec) -> OpCount:
-    out = OpCount.block(store=1, alu=1)          # output store + bump
-    out += OpCount.block(load=1, alu=2)          # bias load + bump + add
-    if spec.relu:
-        out += OpCount.block(alu=RELU_CYCLES)
-    if needs_saturation(spec.relu, spec.mult is not None,
-                        spec.act_out_width):
-        out += OpCount.block(alu=SAT_CYCLES)
-    if spec.mult is not None:
-        if spec.per_neuron_mult:
-            out += OpCount.block(load=1, alu=1, mul=1)
-        else:
-            out += OpCount.block(mul=1)
-        if spec.shift:
-            out += OpCount.block(alu=1)
-    return out
 
 
 def _count_per_column_sections(
@@ -187,8 +130,128 @@ def _count_per_column_sections(
 
 
 # ---------------------------------------------------------------------------
+# column-wise skeleton (csc, delta, mixed; block's passes)
+# ---------------------------------------------------------------------------
+
+
+def _emit_bases(asm: Assembler, placement: LayerPlacement) -> None:
+    """R0/R1: the positive/negative headers, R2/R3: their elements,
+    R4: the input base."""
+    pos_header, pos_elements, neg_header, neg_elements = placement.arrays
+    asm.movi(Reg.R0, pos_header)
+    asm.movi(Reg.R1, neg_header)
+    asm.movi(Reg.R2, pos_elements)
+    asm.movi(Reg.R3, neg_elements)
+    asm.movi(Reg.R4, placement.input_addr)
+
+
+def _emit_polarities(asm: Assembler, spec: LayerKernelSpec,
+                     arrays: tuple[np.ndarray, ...],
+                     traverse: Traverse) -> None:
+    """Both polarities' walks of one column into the accumulator R9."""
+    pos_header, pos_elements, neg_header, neg_elements = arrays
+    for sign, header_reg, elements_reg, header, elements in (
+        ("pos", Reg.R0, Reg.R2, pos_header, pos_elements),
+        ("neg", Reg.R1, Reg.R3, neg_header, neg_elements),
+    ):
+        traverse(asm, sign, header_reg, elements_reg, header.itemsize,
+                 elements.itemsize, spec.act_in_width)
+
+
+def _count_polarities(spec: LayerKernelSpec, arrays: tuple[np.ndarray, ...],
+                      count_polarity: CountPolarity) -> OpCount:
+    """Counts of :func:`_emit_polarities` over every column."""
+    pos_header, pos_elements, neg_header, neg_elements = arrays
+    return (
+        count_polarity(spec, pos_header, pos_elements)
+        + count_polarity(spec, neg_header, neg_elements)
+    )
+
+
+def _accumulate(asm: Assembler, sign: str) -> None:
+    """R9 += R12 for the positive polarity, R9 -= R12 for the negative."""
+    if sign == "pos":
+        asm.add(Reg.R9, Reg.R9, Reg.R12)
+    else:
+        asm.sub(Reg.R9, Reg.R9, Reg.R12)
+
+
+def _generate_columnwise(
+    spec: LayerKernelSpec, name: str, enc: SparseEncoding,
+    traverse: Traverse, memory: MemoryMap | None,
+    input_addr: int | None, output_addr: int | None,
+) -> KernelImage:
+    """Per output neuron: both polarities' walks, then the epilogue.
+
+    The encoding's arrays go to flash in their placement order: positive
+    header, positive elements, negative header, negative elements.
+    """
+    arrays = tuple(enc.arrays().values())
+    placement = place_layer(spec, memory, arrays, input_addr, output_addr)
+    asm = Assembler(name)
+    _emit_bases(asm, placement)
+    emit_column_setup(asm, spec, placement)
+    asm.label("col")
+    asm.movi(Reg.R9, 0)
+    _emit_polarities(asm, spec, arrays, traverse)
+    emit_epilogue(asm, spec, Reg.R10, Reg.R11)
+    asm.subsi(Reg.R8, Reg.R8, 1)
+    asm.bgt("col")
+    asm.halt()
+    return layer_image(asm, spec, placement)
+
+
+def _count_columnwise(spec: LayerKernelSpec, enc: SparseEncoding,
+                      count_polarity: CountPolarity) -> OpCount:
+    """Exact operation counts of :func:`_generate_columnwise`."""
+    arrays = tuple(enc.arrays().values())
+    return (
+        OpCount() + OpCount.block(alu=5)                # R0-R4
+        + _count_polarities(spec, arrays, count_polarity)
+        + count_columns(spec, OpCount.block(alu=1))     # movi acc, 0
+    )
+
+
+#: A count-prefixed walk's guard: count load, bump, ``CMPI``.
+_COUNT_GUARD = OpCount.block(load=1, alu=2)
+
+
+def _emit_count_guard(asm: Assembler, sign: str, header_reg: Reg,
+                      width: int) -> None:
+    """Load the column's element count into R10; skip an empty column."""
+    load_unsigned(asm, Reg.R10, header_reg, 0, width)
+    asm.addi(header_reg, header_reg, width)
+    asm.cmpi(Reg.R10, 0)
+    asm.beq(f"skip_{sign}")
+
+
+# ---------------------------------------------------------------------------
 # mixed
 # ---------------------------------------------------------------------------
+
+
+def _traverse_mixed(asm: Assembler, sign: str, counts_reg: Reg,
+                    idx_reg: Reg, cw: int, iw: int, aw: int) -> None:
+    """Absolute indices folded into register-offset input loads."""
+    _emit_count_guard(asm, sign, counts_reg, cw)
+    asm.label(f"loop_{sign}")
+    load_unsigned(asm, Reg.R11, idx_reg, 0, iw)
+    asm.addi(idx_reg, idx_reg, iw)
+    if aw == 2:
+        asm.lsli(Reg.R11, Reg.R11, 1)
+    load_signed(asm, Reg.R12, Reg.R4, Reg.R11, aw)
+    _accumulate(asm, sign)
+    asm.subsi(Reg.R10, Reg.R10, 1)
+    asm.bgt(f"loop_{sign}")
+    asm.label(f"skip_{sign}")
+
+
+def _count_mixed_polarity(spec: LayerKernelSpec, counts: np.ndarray,
+                          indices: np.ndarray) -> OpCount:
+    per_elem = OpCount.block(
+        load=2, alu=3 + (1 if spec.act_in_width == 2 else 0)
+    )
+    return _count_per_column_sections(counts, per_elem, None, _COUNT_GUARD)
 
 
 def generate_mixed(
@@ -198,112 +261,54 @@ def generate_mixed(
     output_addr: int | None = None,
     encoding: MixedEncoding | None = None,
 ) -> KernelImage:
-    enc = encoding or encode_for_kernel(spec, "mixed")
-    memory = memory or MemoryMap.stm32()
-    flash = flash_allocator(memory)
-    flash_start = flash.used_bytes
-    ram = ram_allocator(memory)
-
-    pos_counts = flash.place(enc.pos.counts)
-    pos_idx = flash.place(enc.pos.indices)
-    neg_counts = flash.place(enc.neg.counts)
-    neg_idx = flash.place(enc.neg.indices)
-    bias_addr = flash.place(spec.bias.astype(np.int32))
-    mult_addr = (
-        flash.place(spec.mult.astype(np.int16))
-        if spec.per_neuron_mult else None
-    )
-    flash_bytes = flash.used_bytes - flash_start
-    if input_addr is None:
-        input_addr = ram.reserve(spec.n_in * spec.act_in_width,
-                                 align=spec.act_in_width)
-    if output_addr is None:
-        output_addr = ram.reserve(spec.n_out * spec.act_out_width,
-                                  align=spec.act_out_width)
-
-    aw = spec.act_in_width
-
-    asm = Assembler("neuroc_mixed")
-    asm.movi(Reg.R0, pos_counts)
-    asm.movi(Reg.R1, neg_counts)
-    asm.movi(Reg.R2, pos_idx)
-    asm.movi(Reg.R3, neg_idx)
-    asm.movi(Reg.R4, input_addr)
-    asm.movi(Reg.R5, output_addr)
-    asm.movi(Reg.R6, bias_addr)
-    if spec.per_neuron_mult:
-        asm.movi(Reg.R7, mult_addr)
-    elif spec.mult is not None:
-        asm.movi(Reg.R7, int(spec.mult))
-    asm.movi(Reg.R8, spec.n_out)
-
-    asm.label("col")
-    asm.movi(Reg.R9, 0)
-
-    for sign, counts_reg, idx_reg, polarity in (
-        ("pos", Reg.R0, Reg.R2, enc.pos),
-        ("neg", Reg.R1, Reg.R3, enc.neg),
-    ):
-        cw = polarity.counts.itemsize
-        iw = polarity.indices.itemsize
-        load_unsigned(asm, Reg.R10, counts_reg, 0, cw)
-        asm.addi(counts_reg, counts_reg, cw)
-        asm.cmpi(Reg.R10, 0)
-        asm.beq(f"skip_{sign}")
-        asm.label(f"loop_{sign}")
-        load_unsigned(asm, Reg.R11, idx_reg, 0, iw)
-        asm.addi(idx_reg, idx_reg, iw)
-        if aw == 2:
-            asm.lsli(Reg.R11, Reg.R11, 1)
-        load_signed(asm, Reg.R12, Reg.R4, Reg.R11, aw)
-        if sign == "pos":
-            asm.add(Reg.R9, Reg.R9, Reg.R12)
-        else:
-            asm.sub(Reg.R9, Reg.R9, Reg.R12)
-        asm.subsi(Reg.R10, Reg.R10, 1)
-        asm.bgt(f"loop_{sign}")
-        asm.label(f"skip_{sign}")
-
-    _emit_epilogue(asm, spec, Reg.R9, Reg.R10, Reg.R11, Reg.R7, Reg.R6,
-                   Reg.R5)
-    asm.subsi(Reg.R8, Reg.R8, 1)
-    asm.bgt("col")
-    asm.halt()
-
-    return KernelImage(
-        program=assert_static_discipline(asm.assemble(), memory), memory=memory,
-        input_addr=input_addr, input_count=spec.n_in,
-        input_width=spec.act_in_width,
-        output_addr=output_addr, output_count=spec.n_out,
-        output_width=spec.act_out_width,
-        flash_data_bytes=flash_bytes,
+    return _generate_columnwise(
+        spec, "neuroc_mixed", encoding or encode_for_kernel(spec, "mixed"),
+        _traverse_mixed, memory, input_addr, output_addr,
     )
 
 
 def count_mixed(
     spec: LayerKernelSpec, encoding: MixedEncoding | None = None
 ) -> OpCount:
-    enc = encoding or encode_for_kernel(spec, "mixed")
-    setup = OpCount.block(alu=8 + (1 if spec.mult is not None else 0))
-    header = OpCount.block(load=1, alu=2)  # count load, bump, cmpi
-    per_elem = OpCount.block(
-        load=2, alu=3 + (1 if spec.act_in_width == 2 else 0)
+    return _count_columnwise(
+        spec, encoding or encode_for_kernel(spec, "mixed"),
+        _count_mixed_polarity,
     )
-    total = OpCount() + setup
-    total += OpCount.block(alu=1).scaled(spec.n_out)  # movi acc, 0
-    for counts in (enc.pos.counts, enc.neg.counts):
-        total += _count_per_column_sections(counts, per_elem, None, header)
-    total += _count_epilogue(spec).scaled(spec.n_out)
-    # column loop: SUBSI + BGT per column
-    total += OpCount.block(
-        alu=spec.n_out, branch_taken=spec.n_out - 1, branch_not_taken=1
-    )
-    return total
 
 
 # ---------------------------------------------------------------------------
 # delta (Fig. 4)
 # ---------------------------------------------------------------------------
+
+
+def _traverse_delta(asm: Assembler, sign: str, counts_reg: Reg,
+                    stream_reg: Reg, cw: int, sw: int, aw: int) -> None:
+    """Fig. 4's pointer bump: an absolute first offset, then deltas."""
+    _emit_count_guard(asm, sign, counts_reg, cw)
+    # First element: absolute (prescaled) offset from the input base.
+    load_unsigned(asm, Reg.R11, stream_reg, 0, sw)
+    asm.addi(stream_reg, stream_reg, sw)
+    asm.add(Reg.R11, Reg.R4, Reg.R11)   # I_PTR = input + first
+    load_signed(asm, Reg.R12, Reg.R11, 0, aw)
+    _accumulate(asm, sign)
+    asm.subsi(Reg.R10, Reg.R10, 1)
+    asm.beq(f"skip_{sign}")
+    asm.label(f"loop_{sign}")
+    load_unsigned(asm, Reg.R12, stream_reg, 0, sw)
+    asm.addi(stream_reg, stream_reg, sw)
+    asm.add(Reg.R11, Reg.R11, Reg.R12)  # I_PTR += delta
+    load_signed(asm, Reg.R12, Reg.R11, 0, aw)
+    _accumulate(asm, sign)
+    asm.subsi(Reg.R10, Reg.R10, 1)
+    asm.bgt(f"loop_{sign}")
+    asm.label(f"skip_{sign}")
+
+
+def _count_delta_polarity(spec: LayerKernelSpec, counts: np.ndarray,
+                          stream: np.ndarray) -> OpCount:
+    # Either element: stream bump, pointer add, acc, subsi.
+    step = OpCount.block(load=2, alu=4)
+    return _count_per_column_sections(counts, step, step, _COUNT_GUARD)
 
 
 def generate_delta(
@@ -318,121 +323,66 @@ def generate_delta(
         raise ConfigurationError(
             "delta encoding stride must equal the activation width"
         )
-    memory = memory or MemoryMap.stm32()
-    flash = flash_allocator(memory)
-    flash_start = flash.used_bytes
-    ram = ram_allocator(memory)
-
-    pos_counts = flash.place(enc.pos.counts)
-    pos_stream = flash.place(enc.pos.stream)
-    neg_counts = flash.place(enc.neg.counts)
-    neg_stream = flash.place(enc.neg.stream)
-    bias_addr = flash.place(spec.bias.astype(np.int32))
-    mult_addr = (
-        flash.place(spec.mult.astype(np.int16))
-        if spec.per_neuron_mult else None
-    )
-    flash_bytes = flash.used_bytes - flash_start
-    if input_addr is None:
-        input_addr = ram.reserve(spec.n_in * spec.act_in_width,
-                                 align=spec.act_in_width)
-    if output_addr is None:
-        output_addr = ram.reserve(spec.n_out * spec.act_out_width,
-                                  align=spec.act_out_width)
-
-    aw = spec.act_in_width
-
-    asm = Assembler("neuroc_delta")
-    asm.movi(Reg.R0, pos_counts)
-    asm.movi(Reg.R1, neg_counts)
-    asm.movi(Reg.R2, pos_stream)
-    asm.movi(Reg.R3, neg_stream)
-    asm.movi(Reg.R4, input_addr)
-    asm.movi(Reg.R5, output_addr)
-    asm.movi(Reg.R6, bias_addr)
-    if spec.per_neuron_mult:
-        asm.movi(Reg.R7, mult_addr)
-    elif spec.mult is not None:
-        asm.movi(Reg.R7, int(spec.mult))
-    asm.movi(Reg.R8, spec.n_out)
-
-    asm.label("col")
-    asm.movi(Reg.R9, 0)
-
-    for sign, counts_reg, stream_reg, polarity in (
-        ("pos", Reg.R0, Reg.R2, enc.pos),
-        ("neg", Reg.R1, Reg.R3, enc.neg),
-    ):
-        cw = polarity.counts.itemsize
-        sw = polarity.stream.itemsize
-        load_unsigned(asm, Reg.R10, counts_reg, 0, cw)
-        asm.addi(counts_reg, counts_reg, cw)
-        asm.cmpi(Reg.R10, 0)
-        asm.beq(f"skip_{sign}")
-        # First element: absolute (prescaled) offset from the input base.
-        load_unsigned(asm, Reg.R11, stream_reg, 0, sw)
-        asm.addi(stream_reg, stream_reg, sw)
-        asm.add(Reg.R11, Reg.R4, Reg.R11)   # I_PTR = input + first
-        load_signed(asm, Reg.R12, Reg.R11, 0, aw)
-        if sign == "pos":
-            asm.add(Reg.R9, Reg.R9, Reg.R12)
-        else:
-            asm.sub(Reg.R9, Reg.R9, Reg.R12)
-        asm.subsi(Reg.R10, Reg.R10, 1)
-        asm.beq(f"skip_{sign}")
-        asm.label(f"loop_{sign}")
-        load_unsigned(asm, Reg.R12, stream_reg, 0, sw)
-        asm.addi(stream_reg, stream_reg, sw)
-        asm.add(Reg.R11, Reg.R11, Reg.R12)  # I_PTR += delta
-        load_signed(asm, Reg.R12, Reg.R11, 0, aw)
-        if sign == "pos":
-            asm.add(Reg.R9, Reg.R9, Reg.R12)
-        else:
-            asm.sub(Reg.R9, Reg.R9, Reg.R12)
-        asm.subsi(Reg.R10, Reg.R10, 1)
-        asm.bgt(f"loop_{sign}")
-        asm.label(f"skip_{sign}")
-
-    _emit_epilogue(asm, spec, Reg.R9, Reg.R10, Reg.R11, Reg.R7, Reg.R6,
-                   Reg.R5)
-    asm.subsi(Reg.R8, Reg.R8, 1)
-    asm.bgt("col")
-    asm.halt()
-
-    return KernelImage(
-        program=assert_static_discipline(asm.assemble(), memory), memory=memory,
-        input_addr=input_addr, input_count=spec.n_in,
-        input_width=spec.act_in_width,
-        output_addr=output_addr, output_count=spec.n_out,
-        output_width=spec.act_out_width,
-        flash_data_bytes=flash_bytes,
+    return _generate_columnwise(
+        spec, "neuroc_delta", enc, _traverse_delta, memory, input_addr,
+        output_addr,
     )
 
 
 def count_delta(
     spec: LayerKernelSpec, encoding: DeltaEncoding | None = None
 ) -> OpCount:
-    enc = encoding or encode_for_kernel(spec, "delta")
-    setup = OpCount.block(alu=8 + (1 if spec.mult is not None else 0))
-    header = OpCount.block(load=1, alu=2)
-    first_elem = OpCount.block(load=2, alu=4)  # bump, base add, acc, subsi
-    per_elem = OpCount.block(load=2, alu=4)    # bump, iptr add, acc, subsi
-    total = OpCount() + setup
-    total += OpCount.block(alu=1).scaled(spec.n_out)  # movi acc, 0
-    for counts in (enc.pos.counts, enc.neg.counts):
-        total += _count_per_column_sections(
-            counts, per_elem, first_elem, header
-        )
-    total += _count_epilogue(spec).scaled(spec.n_out)
-    total += OpCount.block(
-        alu=spec.n_out, branch_taken=spec.n_out - 1, branch_not_taken=1
+    return _count_columnwise(
+        spec, encoding or encode_for_kernel(spec, "delta"),
+        _count_delta_polarity,
     )
-    return total
 
 
 # ---------------------------------------------------------------------------
 # csc (baseline)
 # ---------------------------------------------------------------------------
+
+
+def _traverse_csc(asm: Assembler, sign: str, ptr_reg: Reg, idx_reg: Reg,
+                  pw: int, iw: int, aw: int) -> None:
+    """Positions from ``pointers[j]`` to ``pointers[j+1]``, each one an
+    index-array lookup and a compare against the loaded bound."""
+    load_unsigned(asm, Reg.R10, ptr_reg, 0, pw)   # lo position
+    load_unsigned(asm, Reg.R11, ptr_reg, pw, pw)  # hi position
+    asm.addi(ptr_reg, ptr_reg, pw)
+    asm.cmp(Reg.R10, Reg.R11)
+    asm.bge(f"skip_{sign}")
+    asm.label(f"loop_{sign}")
+    if iw == 2:
+        asm.lsli(Reg.R12, Reg.R10, 1)
+        load_unsigned(asm, Reg.R12, idx_reg, Reg.R12, iw)
+    else:
+        load_unsigned(asm, Reg.R12, idx_reg, Reg.R10, iw)
+    if aw == 2:
+        asm.lsli(Reg.R12, Reg.R12, 1)
+    load_signed(asm, Reg.R12, Reg.R4, Reg.R12, aw)
+    _accumulate(asm, sign)
+    asm.addi(Reg.R10, Reg.R10, 1)
+    asm.cmp(Reg.R10, Reg.R11)
+    asm.blt(f"loop_{sign}")
+    asm.label(f"skip_{sign}")
+
+
+def _count_csc_polarity(spec: LayerKernelSpec, pointers: np.ndarray,
+                        indices: np.ndarray) -> OpCount:
+    per_elem = OpCount.block(
+        load=2,
+        alu=3  # acc add, position addi, cmp
+        + (1 if indices.itemsize == 2 else 0)
+        + (1 if spec.act_in_width == 2 else 0),
+    )
+    header = OpCount.block(load=2, alu=2)  # lo, hi, bump, cmp
+    # CSC's loop uses ADDI/CMP/BLT rather than SUBSI/BGT; both mixes
+    # tally as 2 alu + branch per element, so the shared accounting in
+    # _count_per_column_sections applies unchanged.
+    return _count_per_column_sections(
+        np.diff(pointers.astype(np.int64)), per_elem, None, header
+    )
 
 
 def generate_csc(
@@ -442,123 +392,33 @@ def generate_csc(
     output_addr: int | None = None,
     encoding: CSCEncoding | None = None,
 ) -> KernelImage:
-    enc = encoding or encode_for_kernel(spec, "csc")
-    memory = memory or MemoryMap.stm32()
-    flash = flash_allocator(memory)
-    flash_start = flash.used_bytes
-    ram = ram_allocator(memory)
-
-    pos_ptrs = flash.place(enc.pos.pointers)
-    pos_idx = flash.place(enc.pos.indices)
-    neg_ptrs = flash.place(enc.neg.pointers)
-    neg_idx = flash.place(enc.neg.indices)
-    bias_addr = flash.place(spec.bias.astype(np.int32))
-    mult_addr = (
-        flash.place(spec.mult.astype(np.int16))
-        if spec.per_neuron_mult else None
-    )
-    flash_bytes = flash.used_bytes - flash_start
-    if input_addr is None:
-        input_addr = ram.reserve(spec.n_in * spec.act_in_width,
-                                 align=spec.act_in_width)
-    if output_addr is None:
-        output_addr = ram.reserve(spec.n_out * spec.act_out_width,
-                                  align=spec.act_out_width)
-
-    aw = spec.act_in_width
-
-    asm = Assembler("neuroc_csc")
-    asm.movi(Reg.R0, pos_ptrs)
-    asm.movi(Reg.R1, neg_ptrs)
-    asm.movi(Reg.R2, pos_idx)
-    asm.movi(Reg.R3, neg_idx)
-    asm.movi(Reg.R4, input_addr)
-    asm.movi(Reg.R5, output_addr)
-    asm.movi(Reg.R6, bias_addr)
-    if spec.per_neuron_mult:
-        asm.movi(Reg.R7, mult_addr)
-    elif spec.mult is not None:
-        asm.movi(Reg.R7, int(spec.mult))
-    asm.movi(Reg.R8, spec.n_out)
-
-    asm.label("col")
-    asm.movi(Reg.R9, 0)
-
-    for sign, ptr_reg, idx_reg, polarity in (
-        ("pos", Reg.R0, Reg.R2, enc.pos),
-        ("neg", Reg.R1, Reg.R3, enc.neg),
-    ):
-        pw = polarity.pointers.itemsize
-        iw = polarity.indices.itemsize
-        load_unsigned(asm, Reg.R10, ptr_reg, 0, pw)   # lo position
-        load_unsigned(asm, Reg.R11, ptr_reg, pw, pw)  # hi position
-        asm.addi(ptr_reg, ptr_reg, pw)
-        asm.cmp(Reg.R10, Reg.R11)
-        asm.bge(f"skip_{sign}")
-        asm.label(f"loop_{sign}")
-        if iw == 2:
-            asm.lsli(Reg.R12, Reg.R10, 1)
-            load_unsigned(asm, Reg.R12, idx_reg, Reg.R12, iw)
-        else:
-            load_unsigned(asm, Reg.R12, idx_reg, Reg.R10, iw)
-        if aw == 2:
-            asm.lsli(Reg.R12, Reg.R12, 1)
-        load_signed(asm, Reg.R12, Reg.R4, Reg.R12, aw)
-        if sign == "pos":
-            asm.add(Reg.R9, Reg.R9, Reg.R12)
-        else:
-            asm.sub(Reg.R9, Reg.R9, Reg.R12)
-        asm.addi(Reg.R10, Reg.R10, 1)
-        asm.cmp(Reg.R10, Reg.R11)
-        asm.blt(f"loop_{sign}")
-        asm.label(f"skip_{sign}")
-
-    _emit_epilogue(asm, spec, Reg.R9, Reg.R10, Reg.R11, Reg.R7, Reg.R6,
-                   Reg.R5)
-    asm.subsi(Reg.R8, Reg.R8, 1)
-    asm.bgt("col")
-    asm.halt()
-
-    return KernelImage(
-        program=assert_static_discipline(asm.assemble(), memory), memory=memory,
-        input_addr=input_addr, input_count=spec.n_in,
-        input_width=spec.act_in_width,
-        output_addr=output_addr, output_count=spec.n_out,
-        output_width=spec.act_out_width,
-        flash_data_bytes=flash_bytes,
+    return _generate_columnwise(
+        spec, "neuroc_csc", encoding or encode_for_kernel(spec, "csc"),
+        _traverse_csc, memory, input_addr, output_addr,
     )
 
 
 def count_csc(
     spec: LayerKernelSpec, encoding: CSCEncoding | None = None
 ) -> OpCount:
-    enc = encoding or encode_for_kernel(spec, "csc")
-    setup = OpCount.block(alu=8 + (1 if spec.mult is not None else 0))
-    header = OpCount.block(load=2, alu=2)  # lo, hi, bump, cmp
-    total = OpCount() + setup
-    total += OpCount.block(alu=1).scaled(spec.n_out)  # movi acc, 0
-    for polarity in (enc.pos, enc.neg):
-        per_elem = OpCount.block(
-            load=2,
-            alu=3  # acc add, position addi, cmp
-            + (1 if polarity.indices.itemsize == 2 else 0)
-            + (1 if spec.act_in_width == 2 else 0),
-        )
-        counts = np.diff(polarity.pointers.astype(np.int64))
-        # CSC's loop uses ADDI/CMP/BLT rather than SUBSI/BGT; both mixes
-        # tally as 2 alu + branch per element, so the shared accounting in
-        # _count_per_column_sections applies unchanged.
-        total += _count_per_column_sections(counts, per_elem, None, header)
-    total += _count_epilogue(spec).scaled(spec.n_out)
-    total += OpCount.block(
-        alu=spec.n_out, branch_taken=spec.n_out - 1, branch_not_taken=1
+    return _count_columnwise(
+        spec, encoding or encode_for_kernel(spec, "csc"),
+        _count_csc_polarity,
     )
-    return total
 
 
 # ---------------------------------------------------------------------------
 # block
 # ---------------------------------------------------------------------------
+
+
+def _block_arrays(enc: BlockEncoding) -> tuple[np.ndarray, ...]:
+    """Every block's arrays joined per polarity, in column-wise order."""
+    return tuple(
+        np.concatenate([getattr(block, field) for block in blocks])
+        for blocks in (enc.pos_blocks, enc.neg_blocks)
+        for field in ("counts", "indices")
+    )
 
 
 def generate_block(
@@ -570,39 +430,11 @@ def generate_block(
     block_size: int = 256,
 ) -> KernelImage:
     enc = encoding or encode_for_kernel(spec, "block", block_size=block_size)
-    memory = memory or MemoryMap.stm32()
-    flash = flash_allocator(memory)
-    flash_start = flash.used_bytes
-    ram = ram_allocator(memory)
-
-    pos_counts = flash.place(
-        np.concatenate([b.counts for b in enc.pos_blocks])
+    arrays = _block_arrays(enc)
+    placement = place_layer(spec, memory, arrays, input_addr, output_addr)
+    acc_addr = ram_allocator(placement.memory).reserve(
+        spec.n_out * 4, align=4
     )
-    pos_idx = flash.place(
-        np.concatenate([b.indices for b in enc.pos_blocks])
-    )
-    neg_counts = flash.place(
-        np.concatenate([b.counts for b in enc.neg_blocks])
-    )
-    neg_idx = flash.place(
-        np.concatenate([b.indices for b in enc.neg_blocks])
-    )
-    bias_addr = flash.place(spec.bias.astype(np.int32))
-    mult_addr = (
-        flash.place(spec.mult.astype(np.int16))
-        if spec.per_neuron_mult else None
-    )
-    flash_bytes = flash.used_bytes - flash_start
-    if input_addr is None:
-        input_addr = ram.reserve(spec.n_in * spec.act_in_width,
-                                 align=spec.act_in_width)
-    if output_addr is None:
-        output_addr = ram.reserve(spec.n_out * spec.act_out_width,
-                                  align=spec.act_out_width)
-    acc_addr = ram.reserve(spec.n_out * 4, align=4)
-
-    cw = enc.pos_blocks[0].counts.itemsize
-    aw = spec.act_in_width
 
     asm = Assembler("neuroc_block")
 
@@ -616,73 +448,35 @@ def generate_block(
     asm.subsi(Reg.R8, Reg.R8, 1)
     asm.bgt("init")
 
-    # Phase 2: one accumulation pass per block.
-    asm.movi(Reg.R0, pos_counts)
-    asm.movi(Reg.R1, neg_counts)
-    asm.movi(Reg.R2, pos_idx)
-    asm.movi(Reg.R3, neg_idx)
-    asm.movi(Reg.R4, input_addr)
+    # Phase 2: one accumulation pass per block; mixed's walk over the
+    # 8-bit block-local indices.
+    _emit_bases(asm, placement)
     asm.movi(Reg.R6, enc.n_blocks)
     asm.label("block")
     asm.movi(Reg.R5, acc_addr)
     asm.movi(Reg.R8, spec.n_out)
     asm.label("bcol")
     asm.ldr(Reg.R9, Reg.R5, 0)
-    for sign, counts_reg, idx_reg in (
-        ("pos", Reg.R0, Reg.R2),
-        ("neg", Reg.R1, Reg.R3),
-    ):
-        load_unsigned(asm, Reg.R10, counts_reg, 0, cw)
-        asm.addi(counts_reg, counts_reg, cw)
-        asm.cmpi(Reg.R10, 0)
-        asm.beq(f"skip_{sign}")
-        asm.label(f"loop_{sign}")
-        asm.ldrb(Reg.R11, idx_reg, 0)       # 8-bit block-local index
-        asm.addi(idx_reg, idx_reg, 1)
-        if aw == 2:
-            asm.lsli(Reg.R11, Reg.R11, 1)
-        load_signed(asm, Reg.R12, Reg.R4, Reg.R11, aw)
-        if sign == "pos":
-            asm.add(Reg.R9, Reg.R9, Reg.R12)
-        else:
-            asm.sub(Reg.R9, Reg.R9, Reg.R12)
-        asm.subsi(Reg.R10, Reg.R10, 1)
-        asm.bgt(f"loop_{sign}")
-        asm.label(f"skip_{sign}")
+    _emit_polarities(asm, spec, arrays, _traverse_mixed)
     asm.str_(Reg.R9, Reg.R5, 0)
     asm.addi(Reg.R5, Reg.R5, 4)
     asm.subsi(Reg.R8, Reg.R8, 1)
     asm.bgt("bcol")
-    asm.addi(Reg.R4, Reg.R4, enc.block_size * aw)
+    asm.addi(Reg.R4, Reg.R4, enc.block_size * spec.act_in_width)
     asm.subsi(Reg.R6, Reg.R6, 1)
     asm.bgt("block")
 
     # Phase 3: requantize + bias + ReLU + store.
     asm.movi(Reg.R0, acc_addr)
-    asm.movi(Reg.R5, output_addr)
-    asm.movi(Reg.R6, bias_addr)
-    if spec.per_neuron_mult:
-        asm.movi(Reg.R7, mult_addr)
-    elif spec.mult is not None:
-        asm.movi(Reg.R7, int(spec.mult))
-    asm.movi(Reg.R8, spec.n_out)
+    emit_column_setup(asm, spec, placement)
     asm.label("finish")
     asm.ldr(Reg.R9, Reg.R0, 0)
     asm.addi(Reg.R0, Reg.R0, 4)
-    _emit_epilogue(asm, spec, Reg.R9, Reg.R10, Reg.R11, Reg.R7, Reg.R6,
-                   Reg.R5)
+    emit_epilogue(asm, spec, Reg.R10, Reg.R11)
     asm.subsi(Reg.R8, Reg.R8, 1)
     asm.bgt("finish")
     asm.halt()
-
-    return KernelImage(
-        program=assert_static_discipline(asm.assemble(), memory), memory=memory,
-        input_addr=input_addr, input_count=spec.n_in,
-        input_width=spec.act_in_width,
-        output_addr=output_addr, output_count=spec.n_out,
-        output_width=spec.act_out_width,
-        flash_data_bytes=flash_bytes,
-    )
+    return layer_image(asm, spec, placement)
 
 
 def count_block(
@@ -690,88 +484,83 @@ def count_block(
     block_size: int = 256,
 ) -> OpCount:
     enc = encoding or encode_for_kernel(spec, "block", block_size=block_size)
-    total = OpCount()
-    # Phase 1: three movis, then a clear loop (str + bump + subsi).
-    total += OpCount.block(alu=3)
-    init = OpCount.block(store=1, alu=2)
-    total += init.scaled(spec.n_out)
-    total += OpCount.block(
-        branch_taken=spec.n_out - 1, branch_not_taken=1
+    # Phase 1: three movis, then a clear loop (str + bump).
+    clear = OpCount.block(alu=3) + countdown_loop(
+        OpCount.block(store=1, alu=1), spec.n_out
     )
-    # Phase 2
-    total += OpCount.block(alu=6)  # six movis
-    header = OpCount.block(load=1, alu=2)
-    per_elem = OpCount.block(
-        load=2, alu=3 + (1 if spec.act_in_width == 2 else 0)
+    # Phase 2: six movis, then per block two movis, per column an acc
+    # ldr, str and bump, and the input bump.
+    bcols = countdown_loop(OpCount.block(load=1, store=1, alu=1), spec.n_out)
+    passes = OpCount.block(alu=6) + countdown_loop(
+        OpCount.block(alu=3) + bcols, enc.n_blocks
     )
-    n_bcols = enc.n_blocks * spec.n_out
-    total += OpCount.block(alu=2).scaled(enc.n_blocks)    # movi r5, movi r8
-    total += OpCount.block(load=1).scaled(n_bcols)        # acc ldr
-    for blocks in (enc.pos_blocks, enc.neg_blocks):
-        counts = np.concatenate([b.counts.astype(np.int64) for b in blocks])
-        total += _count_per_column_sections(counts, per_elem, None, header)
-    total += OpCount.block(store=1, alu=2).scaled(n_bcols)  # str, bump, subsi
-    total += OpCount.block(
-        branch_taken=n_bcols - enc.n_blocks, branch_not_taken=enc.n_blocks
+    passes += _count_polarities(spec, _block_arrays(enc),
+                                _count_mixed_polarity)
+    # Phase 3: the acc cursor, then per column its ldr and bump.
+    finish = OpCount.block(alu=1) + count_columns(
+        spec, OpCount.block(load=1, alu=1)
     )
-    total += OpCount.block(alu=2).scaled(enc.n_blocks)    # x bump, subsi
-    total += OpCount.block(
-        branch_taken=enc.n_blocks - 1, branch_not_taken=1
-    )
-    # Phase 3
-    total += OpCount.block(alu=4 + (1 if spec.mult is not None else 0))
-    finish = (
-        OpCount.block(load=1, alu=2)  # acc ldr + bump + subsi
-        + _count_epilogue(spec)
-    )
-    total += finish.scaled(spec.n_out)
-    total += OpCount.block(
-        branch_taken=spec.n_out - 1, branch_not_taken=1
-    )
-    return total
+    return OpCount() + clear + passes + finish
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-_GENERATORS = {
-    "csc": generate_csc,
-    "delta": generate_delta,
-    "mixed": generate_mixed,
-    "block": generate_block,
+
+class _Format(NamedTuple):
+    encode: Callable[[LayerKernelSpec, int], SparseEncoding]
+    generate: Callable[..., KernelImage]
+    count: Callable[..., OpCount]
+
+
+#: Each format's encoder (of a spec and a block size), kernel and count.
+_FORMATS = {
+    "csc": _Format(
+        lambda spec, _: CSCEncoding.from_matrix(spec.ternary_matrix),
+        generate_csc, count_csc,
+    ),
+    # Offsets are prescaled to byte strides so the kernel adds them to an
+    # address without shifting (Fig. 4's I_PTR += *P_PTR++).
+    "delta": _Format(
+        lambda spec, _: DeltaEncoding.from_matrix(
+            spec.ternary_matrix, stride=spec.act_in_width
+        ),
+        generate_delta, count_delta,
+    ),
+    "mixed": _Format(
+        lambda spec, _: MixedEncoding.from_matrix(spec.ternary_matrix),
+        generate_mixed, count_mixed,
+    ),
+    "block": _Format(
+        lambda spec, block_size: BlockEncoding.from_matrix(
+            spec.ternary_matrix, block_size=block_size
+        ),
+        generate_block, count_block,
+    ),
 }
-_COUNTERS = {
-    "csc": count_csc,
-    "delta": count_delta,
-    "mixed": count_mixed,
-    "block": count_block,
-}
+SPARSE_FORMATS = tuple(_FORMATS)
+
+
+def _format(format_name: str) -> _Format:
+    try:
+        return _FORMATS[format_name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown sparse format {format_name!r}; "
+            f"known: {SPARSE_FORMATS}"
+        ) from None
 
 
 def generate_sparse(
     spec: LayerKernelSpec, format_name: str, **kwargs
 ) -> KernelImage:
     """Generate the Neuro-C kernel for ``format_name``."""
-    try:
-        generator = _GENERATORS[format_name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown sparse format {format_name!r}; "
-            f"known: {SPARSE_FORMATS}"
-        ) from None
-    return generator(spec, **kwargs)
+    return _format(format_name).generate(spec, **kwargs)
 
 
 def count_sparse(
     spec: LayerKernelSpec, format_name: str, **kwargs
 ) -> OpCount:
     """Analytical operation counts for ``format_name``'s kernel."""
-    try:
-        counter = _COUNTERS[format_name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown sparse format {format_name!r}; "
-            f"known: {SPARSE_FORMATS}"
-        ) from None
-    return counter(spec, **kwargs)
+    return _format(format_name).count(spec, **kwargs)

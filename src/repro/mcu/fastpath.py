@@ -43,6 +43,7 @@ programs — fall back to the interpreter transparently.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable
 
@@ -674,6 +675,20 @@ class FastCPU:
         self.last_specialization = None
         self.last_block_counts: list[int] | None = None
         self.last_taken_counts: list[int] | None = None
+
+    def __deepcopy__(self, memo: dict) -> "FastCPU":
+        """A fresh engine on a copy of this one's memory map.
+
+        The per-program memos are left behind: they key on program
+        identity, so the copy resolves its programs through the
+        process-wide translation cache instead.
+        """
+        clone = FastCPU(
+            copy.deepcopy(self.memory, memo), self.costs,
+            self.max_instructions, self.prefer_v2,
+        )
+        memo[id(self)] = clone
+        return clone
 
     def translation(self, program: Program) -> TranslatedProgram | None:
         entry = self._translations.get(id(program))

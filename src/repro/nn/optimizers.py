@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -20,12 +22,18 @@ class Optimizer:
             p.zero_grad()
 
 
+def _check_lr(lr: float) -> None:
+    if not lr > 0:   # NaN too
+        raise ConfigurationError(f"learning rate must be positive: {lr}")
+    if not math.isfinite(lr):
+        raise ConfigurationError(f"learning rate must be finite: {lr}")
+
+
 class SGD(Optimizer):
     """Stochastic gradient descent with optional classical momentum."""
 
     def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        if not lr > 0:   # NaN too
-            raise ConfigurationError(f"learning rate must be positive: {lr}")
+        _check_lr(lr)
         if not 0.0 <= momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1): {momentum}")
         self.lr = lr
@@ -55,8 +63,7 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         epsilon: float = 1e-8,
     ) -> None:
-        if not lr > 0:   # NaN too
-            raise ConfigurationError(f"learning rate must be positive: {lr}")
+        _check_lr(lr)
         if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise ConfigurationError("betas must be in [0, 1)")
         self.lr = lr

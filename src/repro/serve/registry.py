@@ -92,18 +92,24 @@ class ModelArtifact:
     def replica(self, engine: str | None = None) -> DeployedModel:
         """A fresh board flashed with this artifact (no re-codegen).
 
-        A replica has its own RAM, CPU, and timer state; the compiled
-        programs and flash contents are copied verbatim, and fastpath
-        translations are shared (they are immutable and cached
-        process-wide by program content, so N replicas compile each
-        layer exactly once).  ``engine`` overrides the execution engine
-        for this replica only.  A ``verified`` replica copies the
-        artifact's WCET bounds, so an unverified artifact verifies once
-        here rather than once per replica.
+        A replica has its own memory map (flash contents copied
+        verbatim), CPU and timer state, and kernel images pointing at
+        them.  The quantized model (with its memoized encodings) and the
+        compiled programs never change after flashing, so every replica
+        shares the artifact's; fastpath translations are shared too
+        (they are immutable and cached process-wide by program content,
+        so N replicas compile each layer exactly once).  ``engine``
+        overrides the execution engine for this replica only.  A
+        ``verified`` replica copies the artifact's WCET bounds, so an
+        unverified artifact verifies once here rather than once per
+        replica.
         """
-        if (engine or self.deployed.engine) == VERIFIED_ENGINE:
-            self.deployed.layer_cycle_bounds()
-        replica = copy.deepcopy(self.deployed)
+        deployed = self.deployed
+        if (engine or deployed.engine) == VERIFIED_ENGINE:
+            deployed.layer_cycle_bounds()
+        frozen = [deployed.quantized]
+        frozen += [image.program for image in deployed.images]
+        replica = copy.deepcopy(deployed, {id(obj): obj for obj in frozen})
         if engine is not None:
             replica.set_engine(engine)
         return replica

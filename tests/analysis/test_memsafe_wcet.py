@@ -14,7 +14,6 @@ from repro.errors import VerificationError
 from repro.kernels.codegen_cnn import ConvKernelSpec, generate_conv
 from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
-from repro.kernels.codegen_unrolled import generate_dense_unrolled
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
 from repro.mcu.board import BOARD_PROFILES
 from repro.mcu.isa import Assembler, Reg
@@ -211,7 +210,7 @@ class TestKernelTightness:
             weights, bias, mult=None, act_out_width=4, relu=True
         )
         self._assert_tight(
-            generate_dense_unrolled(spec),
+            generate_dense(spec, unroll=4),
             rng.integers(-100, 100, 16).astype(np.int8),
         )
 

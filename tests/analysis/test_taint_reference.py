@@ -27,7 +27,6 @@ from repro.analysis.taint import (
 from repro.kernels.codegen_cnn import ConvKernelSpec, generate_conv
 from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
-from repro.kernels.codegen_unrolled import generate_dense_unrolled
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
 from repro.mcu.isa import (
     BRANCH_OPS,
@@ -177,7 +176,7 @@ def generated_kernels():
             images.append(generate_sparse(spec, "block", block_size=16))
             dense = _dense_spec(rng, act_width, relu)
             images.append(generate_dense(dense))
-            images.append(generate_dense_unrolled(dense, unroll=4))
+            images.append(generate_dense(dense, unroll=4))
     images.append(generate_conv(ConvKernelSpec(
         image_size=8, kernel_size=3, num_filters=2,
         weights=rng.integers(-10, 10, (2, 3, 3)).astype(np.int8),

@@ -298,7 +298,8 @@ class TestMalformedArguments:
         (["--epochs", "-1"], "epochs must be >= 1, got -1"),
         (["--epochs", "0"], "epochs must be >= 1, got 0"),
         (["--lr", "nan"], "learning rate must be positive: nan"),
-    ], ids=["epochs-negative", "epochs-0", "lr-nan"])
+        (["--lr", "inf"], "learning rate must be finite: inf"),
+    ], ids=["epochs-negative", "epochs-0", "lr-nan", "lr-inf"])
     def test_train_refuses_without_saving(
         self, tmp_path, capsys, args, message
     ):

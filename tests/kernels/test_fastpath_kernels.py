@@ -13,7 +13,6 @@ import pytest
 from repro.core.adjacency import clustered_adjacency
 from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
-from repro.kernels.codegen_unrolled import generate_dense_unrolled
 from repro.kernels.ref import layer_forward
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
 from repro.mcu.fastpath import FastCPU, make_cpu
@@ -87,7 +86,7 @@ class TestKernelEncodingsBitExact:
     @pytest.mark.parametrize("unroll", [2, 4])
     def test_dense_unrolled(self, unroll):
         _assert_bit_exact(
-            lambda spec: generate_dense_unrolled(spec, unroll=unroll),
+            lambda spec: generate_dense(spec, unroll=unroll),
             _dense_spec(),
         )
 
@@ -112,7 +111,7 @@ class TestKernelEncodingsBitExact:
         # to the interpreter: assert the translator accepts them.
         cases = [
             (generate_dense, _dense_spec()),
-            (lambda spec: generate_dense_unrolled(spec, unroll=4),
+            (lambda spec: generate_dense(spec, unroll=4),
              _dense_spec()),
         ] + [
             ((lambda spec, f=f: generate_sparse(spec, f)), _spec())

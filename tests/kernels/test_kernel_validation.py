@@ -162,6 +162,22 @@ def test_dense_kernel_three_way(aw, ow, relu, mult):
     assert result.cycles == analytic.cycles(COSTS)
 
 
+def test_dense_kernel_without_inputs():
+    """A layer with no inputs stores the epilogue of an empty sum: the
+    rolled kernel runs no MACC for it."""
+    rng = np.random.default_rng(3)
+    spec = make_dense_spec(
+        np.zeros((0, 7), np.int8), rng.integers(-80, 80, 7).astype(np.int32),
+        40, shift=9, act_in_width=1, act_out_width=2,
+    )
+    x = np.zeros(0, np.int64)
+    image = generate_dense(spec)
+    image.write_input(x)
+    result = image.run()
+    assert np.array_equal(image.read_output(), ref.layer_forward(spec, x))
+    assert result.cycles == count_dense(spec).cycles(COSTS)
+
+
 def test_dense_kernel_rejects_sparse_spec():
     from repro.errors import ConfigurationError
     rng = np.random.default_rng(0)

@@ -8,7 +8,6 @@ from repro.errors import ExecutionError
 from repro.kernels.codegen_cnn import ConvKernelSpec, generate_conv
 from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
-from repro.kernels.codegen_unrolled import generate_dense_unrolled
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
 from repro.mcu.isa import Assembler, Reg
 
@@ -174,7 +173,7 @@ class TestGeneratedKernels:
             rng.integers(-50, 50, 6).astype(np.int32),
             40, shift=9, act_in_width=1, act_out_width=2, relu=True,
         )
-        image = generate_dense_unrolled(spec, unroll=4)
+        image = generate_dense(spec, unroll=4)
         verify_static_control_flow(
             image.program, image.input_addr, 40
         ).require_clean()

@@ -19,7 +19,6 @@ from repro.core.adjacency import clustered_adjacency
 from repro.errors import ExecutionError
 from repro.kernels.codegen_dense import generate_dense
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, generate_sparse
-from repro.kernels.codegen_unrolled import generate_dense_unrolled
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
 from repro.mcu.board import STM32F072RB
 from repro.mcu.fastpath import (
@@ -77,9 +76,7 @@ def _dense_spec(n_in=96, n_out=16, seed=0):
 
 _BUILDERS = {
     "dense": lambda: generate_dense(_dense_spec()),
-    "dense-unroll4": lambda: generate_dense_unrolled(
-        _dense_spec(), unroll=4
-    ),
+    "dense-unroll4": lambda: generate_dense(_dense_spec(), unroll=4),
     **{
         f"sparse-{fmt}": (
             lambda fmt=fmt: generate_sparse(_sparse_spec(), fmt)

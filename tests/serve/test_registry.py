@@ -106,6 +106,34 @@ class TestReplicas:
         assert ra.label == rb.label
         assert ra.cycles == rb.cycles
 
+    def test_replica_shares_what_flashing_froze(self, small_artifact):
+        deployed = small_artifact.deployed
+        replica = small_artifact.replica()
+        assert replica.quantized is deployed.quantized
+        assert len(replica.images) == len(deployed.images)
+        for mine, theirs in zip(replica.images, deployed.images):
+            assert mine is not theirs
+            assert mine.program is theirs.program
+            assert mine.memory is replica.memory
+        assert replica.memory is not deployed.memory
+        assert replica.timer is not deployed.timer
+
+    def test_running_a_replica_leaves_the_artifact_ram_alone(
+        self, small_artifact, digits_small
+    ):
+        def ram(model):
+            return [
+                bytes(region.data) for region in model.memory.regions
+                if region.writable
+            ]
+
+        deployed = small_artifact.deployed
+        before = ram(deployed)
+        replica = small_artifact.replica(engine="interpreter")
+        replica.infer(digits_small.x_test[0])
+        assert ram(replica) != before          # the kernels ran
+        assert ram(deployed) == before
+
     def test_replica_matches_reference_backend(self, small_artifact,
                                                small_trained,
                                                digits_small):
