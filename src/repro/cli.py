@@ -148,8 +148,9 @@ def _cmd_deploy(args) -> int:
     if args.c_out:
         from repro.deploy.cgen import generate_c_source
 
+        source = generate_c_source(model)   # may refuse: write nothing
         with open(args.c_out, "w") as handle:
-            handle.write(generate_c_source(model))
+            handle.write(source)
         print(f"wrote C inference engine to {args.c_out}")
     if args.firmware_out:
         from repro.deploy.firmware import pack_firmware_image

@@ -86,15 +86,18 @@ class TrainedMLP:
         self.parameter_count = self.config.parameter_count
 
 
-def train_mlp(
+def fit_mlp(
     config: MLPConfig,
     dataset: Dataset,
     epochs: int = 30,
     lr: float = 0.002,
-    act_width: int = 1,
-    calibration_samples: int = 512,
-) -> TrainedMLP:
-    """Train, evaluate, and int8-quantize one MLP configuration."""
+) -> tuple[Sequential, History, float]:
+    """Build and train one MLP configuration in float.
+
+    Returns the model, its history and its float test accuracy.  This is
+    :func:`train_mlp` without the int8 export, for callers that quantize
+    the model their own way (the search's stage-2 proxy ternarizes it).
+    """
     model = build_mlp(config)
     x_train, y_train, x_val, y_val = dataset.split_validation(
         seed=config.seed
@@ -111,7 +114,24 @@ def train_mlp(
             lr_schedule="cosine",
         ),
     )
-    float_accuracy = model.accuracy(dataset.x_test, dataset.y_test)
+    return model, history, model.accuracy(dataset.x_test, dataset.y_test)
+
+
+def train_mlp(
+    config: MLPConfig,
+    dataset: Dataset,
+    epochs: int = 30,
+    lr: float = 0.002,
+    act_width: int = 1,
+    calibration_samples: int = 512,
+) -> TrainedMLP:
+    """Train, evaluate, and int8-quantize one MLP configuration.
+
+    Calibration rows come from the training split :func:`fit_mlp`
+    drew, redrawn from the same seed.
+    """
+    model, history, float_accuracy = fit_mlp(config, dataset, epochs, lr)
+    x_train = dataset.split_validation(seed=config.seed)[0]
     quantized = quantize_model(
         model, x_train[:calibration_samples], act_width=act_width
     )

@@ -88,17 +88,26 @@ def layer_program_memory(
     """Flash footprint of one layer's kernel (text + rodata).
 
     ``format_name`` selects the sparse encoding for ternary layers and is
-    ignored for dense ones.
+    ignored for dense ones.  The report is memoized on ``spec`` per
+    ``(format_name, block_size)``, like its encoding
+    (:func:`~repro.kernels.codegen_sparse.encode_for_kernel`): the size
+    does not depend on the board, so a model deployed on several boards
+    is sized once.  The memo is a private attribute outside the frozen
+    spec's fields.
     """
+    format_name = format_name or "block"
+    memo = spec.__dict__.setdefault("_program_memory", {})
+    key = (format_name, block_size)
+    if key in memo:
+        return memo[key]
     memory = scratch_memory()
     try:
-        image = layer_kernel(
-            spec, format_name or "block", block_size, memory=memory
-        )
-        return ProgramMemoryReport(
+        image = layer_kernel(spec, format_name, block_size, memory=memory)
+        memo[key] = ProgramMemoryReport(
             text_bytes=image.program.code_size_bytes(),
             rodata_bytes=image.flash_data_bytes,
         )
+        return memo[key]
     finally:
         for region in memory.regions:
             region.data.close()

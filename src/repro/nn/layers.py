@@ -11,8 +11,11 @@ The three weighted layers implement the architectures the paper compares:
 - :class:`TernaryLayer` — the TNN baseline of §5.2: identical to
   :class:`NeuroCLayer` with the per-neuron scale removed.
 
-All layers operate on float32 batches of shape ``(batch, features)`` and
-accumulate parameter gradients during :meth:`backward`.
+All layers operate on float32 batches of shape ``(batch, features)``.
+``backward(grad_out, input_grad=True)`` accumulates the parameter
+gradients and returns the input gradient, or ``None`` when
+``input_grad`` is false (the first layer of a model, whose input
+gradient is a gradient with respect to the data).
 """
 
 from __future__ import annotations
@@ -53,7 +56,9 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         raise NotImplementedError
 
     def post_update(self) -> None:
@@ -91,12 +96,14 @@ class DenseLayer(Layer):
             z = z + self.bias.value
         return z
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         x = self._x
         self.weight.grad += x.T @ grad_out
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.value.T
+        return grad_out @ self.weight.value.T if input_grad else None
 
 
 class NeuroCLayer(Layer):
@@ -224,7 +231,9 @@ class NeuroCLayer(Layer):
             return s * self.scale.value + self.bias.value
         return s + self.bias.value
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         x, s, adjacency = self._x, self._s, self._adjacency
         if self.scale is not None:
             self.scale.grad += (grad_out * s).sum(axis=0)
@@ -241,7 +250,7 @@ class NeuroCLayer(Layer):
             if self.support is not None:
                 mask = mask * self.support
             self.latent.grad += grad_adjacency * mask
-        return grad_s @ adjacency.T
+        return grad_s @ adjacency.T if input_grad else None
 
     def post_update(self) -> None:
         if self.latent is not None:
@@ -296,7 +305,11 @@ class ActivationLayer(Layer):
             self._x, self._y = x, y
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        if not input_grad:
+            return None
         return grad_out * self._grad_fn(self._x, self._y)
 
 
@@ -341,11 +354,15 @@ class BatchNormLayer(Layer):
             self._cache = (x_hat, inv_std)
         return self.gamma.value * x_hat + self.beta.value
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
         x_hat, inv_std = self._cache
         batch = grad_out.shape[0]
         self.gamma.grad += (grad_out * x_hat).sum(axis=0)
         self.beta.grad += grad_out.sum(axis=0)
+        if not input_grad:
+            return None
         grad_x_hat = grad_out * self.gamma.value
         return (
             inv_std
@@ -377,7 +394,11 @@ class DropoutLayer(Layer):
         ).astype(np.float32) / keep
         return x * self._mask
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_out: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        if not input_grad:
+            return None
         if self._mask is None:
             return grad_out
         return grad_out * self._mask

@@ -28,10 +28,17 @@ class Sequential:
             x = layer.forward(x, training)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray) -> None:
+        """Accumulate every parameter gradient from the loss gradient.
+
+        The first layer's input gradient would be a gradient with
+        respect to the data, which no parameter reads, so that layer
+        runs with ``input_grad=False``.
+        """
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
-        return grad
+        first.backward(grad, input_grad=False)
 
     def post_update(self) -> None:
         for layer in self.layers:

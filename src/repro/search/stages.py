@@ -7,8 +7,9 @@ Cheap to expensive, each stage prices a :class:`CandidateSpec`:
    order) cycle count, so SLO-infeasible candidates are rejected from
    operation counts alone.  It prices a candidate once and admits it on
    every board of the sweep.
-2. :func:`stage2_unit` — short-budget *float* training followed by
-   post-training ternarization + int8 export
+2. :func:`stage2_unit` — short-budget *float* training
+   (:func:`repro.core.mlp.fit_mlp`, with no int8 export of the dense
+   MLP) followed by post-training ternarization + int8 export
    (:func:`repro.quantize.ptq.ternarize_float_model`), priced by
    :func:`measure_on_board`.  A low-fidelity accuracy proxy: wrong in
    absolute terms, cheap, and rank-correlated with full QAT (pinned by
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.mlp import MLPConfig, train_mlp
+from repro.core.mlp import MLPConfig, fit_mlp
 from repro.core.neuroc import build_neuroc, train_neuroc
 from repro.datasets import load
 from repro.deploy.artifact import model_opcount
@@ -254,9 +255,11 @@ def stage2_unit(
             dropout=0.0, batch_norm=False, seed=cand_seed,
             name=f"{spec.key}-float",
         )
-        trained = train_mlp(float_config, dataset, epochs=epochs, lr=lr)
+        model, _, float_accuracy = fit_mlp(
+            float_config, dataset, epochs=epochs, lr=lr
+        )
         ternary = ternarize_float_model(
-            trained.model, threshold=spec.threshold,
+            model, threshold=spec.threshold,
             supports=_fixed_supports(config),
         )
         quantized = quantize_model(
@@ -268,7 +271,7 @@ def stage2_unit(
             "proxy_accuracy": quantized.accuracy(
                 dataset.x_test, dataset.y_test
             ),
-            "float_accuracy": trained.float_accuracy,
+            "float_accuracy": float_accuracy,
             "nnz": sum(layer.nnz for layer in ternary.neuroc_layers()),
         }
 

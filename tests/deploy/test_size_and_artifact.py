@@ -1,6 +1,7 @@
 """Program-memory model, deployed artifact, and the deploy() entry point."""
 
 import collections
+import dataclasses
 import os
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.encodings import (
 from repro.errors import BudgetExceededError
 from repro.kernels.codegen_sparse import SPARSE_FORMATS, encode_for_kernel
 from repro.kernels.spec import make_dense_spec, make_neuroc_spec
-from repro.mcu.board import STM32F072RB, board_by_name
+from repro.mcu.board import BOARD_PROFILES, STM32F072RB, board_by_name
 from repro.mcu.intermittent import IntermittentDeployment, PowerBudget
 from repro.quantize.ptq import QuantizedModel
 
@@ -112,7 +113,9 @@ class TestLayerProgramMemory:
         expected = layer_program_memory(spec)
         before = mappings()
         for _ in range(200):
-            assert layer_program_memory(spec) == expected
+            # A fresh spec each time: the report is memoized per spec.
+            fresh = dataclasses.replace(spec)
+            assert layer_program_memory(fresh) == expected
         assert mappings() == before
 
 
@@ -178,6 +181,44 @@ class TestOneEncodingPerSpec:
             assert not any(array.flags.writeable for array in arrays)
             with pytest.raises(ValueError, match="read-only"):
                 next(iter(arrays))[0] = 0
+
+
+class TestOneSizingPerSpec:
+    """A model is sized once per (format, block size), however many
+    boards it is deployed on."""
+
+    def test_deploying_on_every_board_sizes_each_layer_once(
+        self, monkeypatch
+    ):
+        import repro.deploy.size as size
+
+        sized = []
+        layer_kernel = size.layer_kernel
+
+        def counting(spec, *args, **kwargs):
+            sized.append(spec)
+            return layer_kernel(spec, *args, **kwargs)
+
+        monkeypatch.setattr(size, "layer_kernel", counting)
+        quantized = _ternary_model(6)
+        reports = {
+            deploy(quantized, "csc", board=board, verify=False)
+            .program_memory
+            for board in BOARD_PROFILES.values()
+        }
+        assert len(reports) == 1
+        assert list(map(id, sized)) == list(map(id, quantized.specs))
+        model_program_memory(quantized.specs, "block", 32)
+        assert len(sized) == 2 * len(quantized.specs)
+
+    def test_memoized_report_equals_a_fresh_sizing(self):
+        quantized = _ternary_model(7, act_width=2)
+        for fmt in SPARSE_FORMATS:
+            first = model_program_memory(quantized.specs, fmt)
+            fresh = [dataclasses.replace(s) for s in quantized.specs]
+            assert model_program_memory(quantized.specs, fmt) == first
+            assert model_program_memory(fresh, fmt) == first
+        assert "_program_memory" not in repr(quantized.specs[0])
 
 
 @pytest.mark.usefixtures("trained_neuroc")

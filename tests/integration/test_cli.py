@@ -58,6 +58,27 @@ class TestModelCommands:
         from repro.deploy.firmware import verify_firmware_image
         assert verify_firmware_image(fw_out.read_bytes()).crc_ok
 
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_refused_c_out_leaves_the_target_alone(
+        self, trained_mlp, tmp_path, capsys, existing
+    ):
+        dense = save_quantized_model(
+            trained_mlp.quantized, tmp_path / "dense.npz"
+        )
+        c_out = tmp_path / "dense.c"
+        if existing:
+            c_out.write_text("/* hand-written engine */\n")
+        assert main(
+            ["deploy", "--model", str(dense), "--c-out", str(c_out)]
+        ) == 1
+        assert "C generator targets Neuro-C models" in (
+            capsys.readouterr().err
+        )
+        if existing:
+            assert c_out.read_text() == "/* hand-written engine */\n"
+        else:
+            assert not c_out.exists()
+
     def test_encodings_table(self, model_file, capsys):
         assert main(["encodings", "--model", model_file]) == 0
         out = capsys.readouterr().out

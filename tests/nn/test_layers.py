@@ -19,6 +19,8 @@ from repro.nn.layers import (
     TernaryLayer,
 )
 from repro.nn.losses import MeanSquaredError
+from repro.nn.model import Sequential
+from repro.nn.quantizers import TernaryQuantizer
 
 
 def numerical_grad(f, value, epsilon=1e-4):
@@ -241,3 +243,69 @@ class TestDropoutLayer:
     def test_invalid_rate(self, rng):
         with pytest.raises(ConfigurationError):
             DropoutLayer(1.0, rng)
+
+
+#: Stacks of every layer kind, first layers included.
+STACKS = {
+    "dense": lambda rng: [
+        DenseLayer(12, 8, rng), ActivationLayer("relu"),
+        DenseLayer(8, 4, rng),
+    ],
+    "neuroc": lambda rng: [
+        NeuroCLayer(12, 8, rng, quantizer=TernaryQuantizer(0.4)),
+        ActivationLayer("relu"),
+        NeuroCLayer(8, 4, rng, quantizer=TernaryQuantizer("twn")),
+    ],
+    "tnn": lambda rng: [
+        TernaryLayer(12, 8, rng), ActivationLayer("relu"),
+        TernaryLayer(8, 4, rng),
+    ],
+    "fixed-support": lambda rng: [
+        NeuroCLayer(12, 8, rng, fixed_support=rng.random((12, 8)) < 0.4),
+        ActivationLayer("relu"),
+        NeuroCLayer(8, 4, rng, fixed_support=rng.random((8, 4)) < 0.5),
+    ],
+    "batchnorm-dropout": lambda rng: [
+        DenseLayer(12, 8, rng), BatchNormLayer(8), ActivationLayer("relu"),
+        DropoutLayer(0.3, rng), DenseLayer(8, 4, rng),
+    ],
+    "dropout-first": lambda rng: [
+        DropoutLayer(0.2, rng), DenseLayer(12, 8, rng),
+        ActivationLayer("tanh"), DenseLayer(8, 4, rng),
+    ],
+}
+
+
+class TestModelBackward:
+    """``Sequential.backward`` skips the first layer's input gradient;
+    every parameter gradient stays the one a full backward gives."""
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_parameter_gradients_match_a_full_backward(self, stack):
+        grads = []
+        for full in (True, False):
+            rng = np.random.default_rng(11)
+            model = Sequential(STACKS[stack](rng))
+            x = rng.standard_normal((9, 12)).astype(np.float32)
+            grad = rng.standard_normal((9, 4)).astype(np.float32)
+            model.forward(x, training=True)
+            if full:
+                for layer in reversed(model.layers):
+                    grad = layer.backward(grad)
+                assert grad.shape == x.shape
+            else:
+                assert model.backward(grad) is None
+            grads.append([
+                (p.grad.dtype, p.grad.tobytes()) for p in model.params()
+            ])
+        assert grads[0] == grads[1]
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_every_layer_returns_its_input_gradient_on_request(self, stack):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((3, 12)).astype(np.float32)
+        for layer in STACKS[stack](rng):
+            y = layer.forward(x, training=True)
+            assert layer.backward(np.ones_like(y), input_grad=False) is None
+            assert layer.backward(np.ones_like(y)).shape == x.shape
+            x = y

@@ -176,6 +176,22 @@ class TestOneTrainingForEveryBoard:
             assert row["error"] == "QuantizationError: dead layer"
             assert row["cycles"] == 0 and row["fits"] is False
 
+    def test_no_dense_export_is_made(self, monkeypatch):
+        """Stage 2 exports only the ternarized model: the float MLP is
+        never int8-quantized or scored, so an export of it that would
+        raise cannot mark the rows."""
+        import repro.core.mlp as mlp
+
+        def fail(*args, **kwargs):
+            raise QuantizationError("dense export")
+
+        monkeypatch.setattr(mlp, "quantize_model", fail)
+        rows = stage2_unit(small_spec().to_dict(), DATASET_KEY, BOARDS,
+                           1, 0.01, 7)
+        for row in rows:
+            assert row["error"] == ""
+            assert row["cycles"] > 0 and row["proxy_accuracy"] > 0.0
+
     def test_measuring_error_marks_only_its_board(self, monkeypatch):
         measure = stages.measure_on_board
 
