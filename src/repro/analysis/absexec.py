@@ -51,6 +51,9 @@ from repro.mcu.memory import MemoryMap
 
 _MASK32 = 0xFFFF_FFFF
 
+#: Abstract steps before a trace is declared a runaway loop.
+MAX_STEPS = 50_000_000
+
 
 @dataclass
 class AccessRange:
@@ -172,7 +175,6 @@ def abstract_execute(
     program: Program,
     memory: MemoryMap,
     costs: CycleCosts | None = None,
-    max_steps: int = 50_000_000,
 ) -> AbstractTrace:
     """Execute ``program`` abstractly; see the module docstring."""
     costs = costs or CycleCosts()
@@ -191,9 +193,9 @@ def abstract_execute(
         return trace
 
     while True:
-        if trace.steps >= max_steps:
+        if trace.steps >= MAX_STEPS:
             return fail(
-                pc, f"exceeded {max_steps} abstract steps (runaway loop?)"
+                pc, f"exceeded {MAX_STEPS} abstract steps (runaway loop?)"
             )
         if not 0 <= pc < n:
             return fail(pc, "pc left the program")

@@ -88,7 +88,6 @@ def run_forward(
     entry_state,
     transfer: Callable,
     join: Callable,
-    max_steps: int | None = None,
 ) -> list:
     """Iterate ``transfer`` to a fixpoint; return per-instruction in-states.
 
@@ -113,7 +112,7 @@ def run_forward(
             worklist.append(index)
 
     push(0, entry_state)
-    limit = max_steps if max_steps is not None else 64 * n * n + 1000
+    limit = 64 * n * n + 1000
     steps = 0
     while worklist:
         steps += 1

@@ -194,7 +194,6 @@ def verify_program(
     *,
     tainted_regions: tuple[tuple[int, int], ...] | None = None,
     costs: CycleCosts | None = None,
-    max_steps: int = 50_000_000,
 ) -> VerificationReport:
     """Run the full pass suite over ``program`` in ``memory``.
 
@@ -226,9 +225,7 @@ def verify_program(
         taint = verify_static_control_flow(program, 0, 0)
 
     initreg = check_initialized_reads(program)
-    trace = abstract_execute(
-        program, memory, costs=costs, max_steps=max_steps
-    )
+    trace = abstract_execute(program, memory, costs=costs)
     memsafe = check_memory_safety(trace)
     wcet = infer_wcet(cfg, trace)
     return VerificationReport(

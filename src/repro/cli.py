@@ -84,17 +84,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _matching_dataset(model, name: str):
+    """Load dataset ``name``, refusing one whose rows the model cannot
+    read."""
     from repro.datasets import load
+
+    dataset = load(name)
+    if dataset.num_features != model.n_in:
+        raise ReproError(
+            f"model expects {model.n_in} features but {name} "
+            f"has {dataset.num_features}"
+        )
+    return dataset
+
+
+def _cmd_evaluate(args) -> int:
     from repro.deploy.serialization import load_quantized_model
 
     model = load_quantized_model(args.model)
-    dataset = load(args.dataset)
-    if dataset.num_features != model.n_in:
-        raise ReproError(
-            f"model expects {model.n_in} features but {args.dataset} "
-            f"has {dataset.num_features}"
-        )
+    dataset = _matching_dataset(model, args.dataset)
     accuracy = model.accuracy(dataset.x_test, dataset.y_test)
     print(f"int8 accuracy on {args.dataset}: {accuracy:.4f}")
     return 0
@@ -190,9 +198,9 @@ def _cmd_verify(args) -> int:
                   f"(bound/measured = {bound / measured:.3f})")
     total = report.total_cycle_bound
     if report.ok and total is not None:
-        latency_ms = total / board.clock_hz * 1e3
         print(f"model verified: total bound {total} cycles "
-              f"({latency_ms:.2f} ms at {board.clock_hz // 10**6} MHz)")
+              f"({board.cycles_to_ms(total):.2f} ms at "
+              f"{board.clock_hz // 10**6} MHz)")
         return 0
     print("verification FAILED", file=sys.stderr)
     return 2
@@ -222,15 +230,7 @@ def _cmd_serve_bench(args) -> int:
 
     inputs = None
     if args.dataset:
-        from repro.datasets import load
-
-        dataset = load(args.dataset)
-        if dataset.num_features != model.n_in:
-            raise ReproError(
-                f"model expects {model.n_in} features but {args.dataset} "
-                f"has {dataset.num_features}"
-            )
-        inputs = dataset.x_test
+        inputs = _matching_dataset(model, args.dataset).x_test
     trace = synthetic_trace(
         args.requests, args.rate, model.n_in,
         seed=args.seed, deadline_ms=args.deadline_ms, inputs=inputs,
@@ -314,15 +314,7 @@ def _cmd_cluster_bench(args) -> int:
 
     inputs = None
     if args.dataset:
-        from repro.datasets import load
-
-        dataset = load(args.dataset)
-        if dataset.num_features != model.n_in:
-            raise ReproError(
-                f"model expects {model.n_in} features but {args.dataset} "
-                f"has {dataset.num_features}"
-            )
-        inputs = dataset.x_test
+        inputs = _matching_dataset(model, args.dataset).x_test
     result = run_cluster_scaling(
         artifact,
         fleet_counts=args.fleets,
@@ -671,15 +663,14 @@ def build_parser() -> argparse.ArgumentParser:
                         default=[STM32F072RB.name], choices=board_names,
                         help="board profiles to search for")
     search.add_argument("--count", type=int, default=24,
-                        help="candidates to sample "
-                             "(env: REPRO_SEARCH_COUNT)")
+                        help="candidates to sample")
     search.add_argument("--seed", type=int, default=0)
     search.add_argument("--jobs", type=int, default=None,
                         help="worker processes for stage-2/3 units "
                              "(default: $REPRO_JOBS or 1; 0 = all cores)")
     search.add_argument("--stage2-epochs", type=int, default=8,
                         help="short-budget float epochs for the PTQ "
-                             "proxy (env: REPRO_SEARCH_STAGE2_EPOCHS)")
+                             "proxy")
     search.add_argument("--epochs", type=int, default=24,
                         help="full QAT epochs for promoted candidates")
     search.add_argument("--lr", type=float, default=0.004)

@@ -30,11 +30,9 @@ from repro.cluster.deploy import (
 from repro.cluster.fleet import (
     Fleet,
     FleetGeneration,
-)
-from repro.cluster.invariants import (
     generation_namespace,
-    verify_cluster_invariants,
 )
+from repro.cluster.invariants import verify_cluster_invariants
 from repro.cluster.router import (
     ROUTER_POLICIES,
     NoRoutableFleetError,

@@ -29,6 +29,11 @@ from repro.serve.request import InferenceRequest
 from repro.serve.runtime import ServeConfig, ServeReport, ServeRuntime
 
 
+def generation_namespace(fleet: str, generation: int) -> str:
+    """The trace namespace a fleet stamps on a generation's spans."""
+    return fleet if generation == 0 else f"{fleet}.g{generation}"
+
+
 class FleetGeneration:
     """One runtime generation (blue or green) of a fleet."""
 
@@ -85,11 +90,9 @@ class Fleet:
     def _build_generation(self, artifact: ModelArtifact) -> FleetGeneration:
         index = self._gen_count
         self._gen_count += 1
-        namespace = (
-            self.name if index == 0 else f"{self.name}.g{index}"
-        )
         config = dataclasses.replace(
-            self.config, trace_namespace=namespace
+            self.config,
+            trace_namespace=generation_namespace(self.name, index),
         )
         runtime = ServeRuntime(
             artifact, config, loop=self.loop, answers=self._answers

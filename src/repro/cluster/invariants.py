@@ -33,19 +33,13 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.cluster.cluster import ClusterReport
+from repro.cluster.fleet import generation_namespace
 from repro.serve.tracing import verify_trace_invariants
-
-
-def generation_namespace(fleet: str, generation: int) -> str:
-    """The trace namespace a fleet stamps on a generation's spans."""
-    return fleet if generation == 0 else f"{fleet}.g{generation}"
 
 
 def verify_cluster_invariants(
     report: ClusterReport,
     submitted_ids: list[int],
-    *,
-    tolerance_ms: float = 1e-6,
 ) -> list[str]:
     """Check every cluster-scope invariant; [] means all hold."""
     violations: list[str] = []
@@ -53,9 +47,7 @@ def verify_cluster_invariants(
     # 1. every generation individually sound (full serve-level suite).
     for gen in report.generations:
         label = f"{gen.fleet}/g{gen.generation}"
-        for violation in verify_trace_invariants(
-            gen.report, tolerance_ms=tolerance_ms
-        ):
+        for violation in verify_trace_invariants(gen.report):
             violations.append(f"{label}: {violation}")
 
     # 2. cluster conservation against the submission ledger.

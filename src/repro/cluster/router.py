@@ -49,7 +49,7 @@ ROUTER_POLICIES = ("hash", "least-queue-wait", "deadline-p2c")
 #: Virtual nodes per fleet on the consistent-hash ring.  More vnodes
 #: smooth the key distribution; 64 keeps remap fractions within a few
 #: percent of the ideal K/N without bloating ring rebuilds.
-DEFAULT_VNODES = 64
+VNODES = 64
 
 
 def _stable_hash(key: str) -> int:
@@ -70,17 +70,13 @@ class Router:
         policy: str = "hash",
         *,
         seed: int = 0,
-        vnodes: int = DEFAULT_VNODES,
     ) -> None:
         if policy not in ROUTER_POLICIES:
             raise ConfigurationError(
                 f"unknown router policy {policy!r}; "
                 f"known: {ROUTER_POLICIES}"
             )
-        if vnodes < 1:
-            raise ConfigurationError("vnodes must be >= 1")
         self.policy = policy
-        self.vnodes = vnodes
         self._rng = random.Random(seed)
         # Ring cache keyed by the tuple of member fleet names, so the
         # ring is rebuilt only when membership actually changes.
@@ -96,7 +92,7 @@ class Router:
         if key != self._ring_key:
             ring = []
             for fleet in fleets:
-                for v in range(self.vnodes):
+                for v in range(VNODES):
                     point = _stable_hash(f"fleet:{fleet.name}:vnode:{v}")
                     ring.append((point, fleet.fleet_id))
             ring.sort()

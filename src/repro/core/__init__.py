@@ -1,10 +1,15 @@
 """The paper's contribution layer: Neuro-C models, baselines, selection.
 
 - :mod:`repro.core.adjacency` — the four §3.2 connectivity strategies,
-- :mod:`repro.core.neuroc` — Neuro-C construction + training pipeline,
+- :mod:`repro.core.neuroc` — Neuro-C construction, and the one §5.2
+  training protocol both families share (:func:`fit_model`, then the
+  int8 :func:`export_model` into a :class:`TrainedModel`),
 - :mod:`repro.core.tnn` — the §5.2 TNN ablation (``w_j`` removed),
-- :mod:`repro.core.mlp` — the conventional MLP baseline,
-- :mod:`repro.core.search` — the §5.2 MLP random-search protocol,
+- :mod:`repro.core.mlp` — the conventional MLP baseline, trained through
+  that protocol,
+- :mod:`repro.core.search` — the §5.2 MLP random-search sampler and the
+  one pricing on the paper's board (:func:`paper_board_metrics`);
+  Figure 6 (:mod:`repro.experiments.fig6`) runs the search and pairs,
 - :mod:`repro.core.zoo` — pinned configurations and paper reference values.
 """
 
@@ -17,21 +22,16 @@ from repro.core.adjacency import (
     make_fixed_adjacency,
     random_adjacency,
 )
-from repro.core.mlp import MLPConfig, TrainedMLP, build_mlp, train_mlp
+from repro.core.mlp import MLPConfig, build_mlp, train_mlp
 from repro.core.neuroc import (
     NeuroCConfig,
-    TrainedNeuroC,
+    TrainedModel,
     build_neuroc,
+    export_model,
+    fit_model,
     train_neuroc,
 )
-from repro.core.search import (
-    SearchRecord,
-    best_deployable,
-    evaluate_trained_mlp,
-    random_mlp_configs,
-    run_mlp_search,
-    smallest_matching,
-)
+from repro.core.search import paper_board_metrics, random_mlp_configs
 from repro.core.tnn import tnn_config_from, train_tnn
 from repro.core.zoo import (
     BEST_DEPLOYABLE,
@@ -49,22 +49,19 @@ __all__ = [
     "NEUROC_ZOO",
     "NeuroCConfig",
     "PAPER_REFERENCE",
-    "SearchRecord",
-    "TrainedMLP",
-    "TrainedNeuroC",
+    "TrainedModel",
     "ZooEntry",
-    "best_deployable",
     "build_mlp",
     "build_neuroc",
     "clustered_adjacency",
     "constrained_random_adjacency",
-    "evaluate_trained_mlp",
+    "export_model",
+    "fit_model",
     "locality_adjacency",
     "make_fixed_adjacency",
+    "paper_board_metrics",
     "random_adjacency",
     "random_mlp_configs",
-    "run_mlp_search",
-    "smallest_matching",
     "tnn_config_from",
     "train_mlp",
     "train_neuroc",

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.neuroc import TrainedModel, export_model, fit_model
 from repro.datasets.base import Dataset
 from repro.errors import ConfigurationError
 from repro.nn.layers import (
@@ -15,9 +16,7 @@ from repro.nn.layers import (
     DropoutLayer,
 )
 from repro.nn.model import Sequential
-from repro.nn.optimizers import Adam
-from repro.nn.trainer import History, TrainConfig, Trainer
-from repro.quantize.ptq import QuantizedModel, quantize_model
+from repro.nn.trainer import History
 
 
 @dataclass(frozen=True)
@@ -70,22 +69,6 @@ def build_mlp(config: MLPConfig) -> Sequential:
     return Sequential(layers, name=config.name or "mlp")
 
 
-@dataclass
-class TrainedMLP:
-    """A trained + quantized MLP baseline."""
-
-    config: MLPConfig
-    model: Sequential
-    history: History
-    float_accuracy: float
-    quantized: QuantizedModel
-    quantized_accuracy: float
-    parameter_count: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.parameter_count = self.config.parameter_count
-
-
 def fit_mlp(
     config: MLPConfig,
     dataset: Dataset,
@@ -99,22 +82,10 @@ def fit_mlp(
     the model their own way (the search's stage-2 proxy ternarizes it).
     """
     model = build_mlp(config)
-    x_train, y_train, x_val, y_val = dataset.split_validation(
-        seed=config.seed
+    history, _, float_accuracy = fit_model(
+        model, config.seed, dataset, epochs, lr
     )
-    trainer = Trainer(
-        model, Adam(lr), rng=np.random.default_rng(config.seed + 1)
-    )
-    # Same schedule as the Neuro-C pipeline, for a fair baseline.
-    history = trainer.fit(
-        x_train, y_train, x_val, y_val,
-        TrainConfig(
-            epochs=epochs,
-            patience=max(10, epochs // 3),
-            lr_schedule="cosine",
-        ),
-    )
-    return model, history, model.accuracy(dataset.x_test, dataset.y_test)
+    return model, history, float_accuracy
 
 
 def train_mlp(
@@ -123,24 +94,10 @@ def train_mlp(
     epochs: int = 30,
     lr: float = 0.002,
     act_width: int = 1,
-    calibration_samples: int = 512,
-) -> TrainedMLP:
-    """Train, evaluate, and int8-quantize one MLP configuration.
-
-    Calibration rows come from the training split :func:`fit_mlp`
-    drew, redrawn from the same seed.
-    """
-    model, history, float_accuracy = fit_mlp(config, dataset, epochs, lr)
-    x_train = dataset.split_validation(seed=config.seed)[0]
-    quantized = quantize_model(
-        model, x_train[:calibration_samples], act_width=act_width
-    )
-    quantized_accuracy = quantized.accuracy(dataset.x_test, dataset.y_test)
-    return TrainedMLP(
-        config=config,
-        model=model,
-        history=history,
-        float_accuracy=float_accuracy,
-        quantized=quantized,
-        quantized_accuracy=quantized_accuracy,
+) -> TrainedModel:
+    """Train, evaluate, and int8-quantize one MLP configuration."""
+    model = build_mlp(config)
+    fit = fit_model(model, config.seed, dataset, epochs, lr)
+    return export_model(
+        config, model, fit, dataset, act_width, config.parameter_count
     )

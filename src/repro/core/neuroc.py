@@ -6,11 +6,16 @@ the ternary threshold that governs sparsity, and the adjacency strategy.
 :func:`train_neuroc` runs the full §5.1 pipeline — fake-quantized training,
 int8 post-training quantization — and returns everything downstream
 experiments need.
+
+The pipeline's two steps are the §5.2 protocol both families share:
+:func:`fit_model` trains and :func:`export_model` exports, and the MLP
+baseline (:mod:`repro.core.mlp`) runs through the same two functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +28,12 @@ from repro.nn.optimizers import Adam
 from repro.nn.quantizers import TernaryQuantizer
 from repro.nn.trainer import History, TrainConfig, Trainer
 from repro.quantize.ptq import QuantizedModel, quantize_model
+
+if TYPE_CHECKING:  # avoids a circular import (the MLP trains through here)
+    from repro.core.mlp import MLPConfig
+
+#: Training rows that calibrate the int8 export (§5.1).
+CALIBRATION_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -94,39 +105,33 @@ def build_neuroc(config: NeuroCConfig) -> Sequential:
 
 
 @dataclass
-class TrainedNeuroC:
-    """Everything §5's experiments consume for one trained config."""
+class TrainedModel:
+    """Everything §5's experiments consume for one trained config, of
+    either family."""
 
-    config: NeuroCConfig
+    config: NeuroCConfig | MLPConfig
     model: Sequential
     history: History
     float_accuracy: float
     quantized: QuantizedModel
     quantized_accuracy: float
-    parameter_count: int = field(init=False)
+    #: The family's deployed count: an MLP's weights plus biases, or
+    #: Neuro-C's neurons plus non-zero adjacency entries.
+    parameter_count: int
 
-    def __post_init__(self) -> None:
-        self.parameter_count = self.model.parameter_count
 
+def fit_model(
+    model: Sequential, seed: int, dataset: Dataset, epochs: int, lr: float
+) -> tuple[History, np.ndarray, float]:
+    """Train ``model`` in float under the one §5.2 protocol.
 
-def train_neuroc(
-    config: NeuroCConfig,
-    dataset: Dataset,
-    epochs: int = 40,
-    lr: float = 0.004,
-    act_width: int = 1,
-    calibration_samples: int = 512,
-) -> TrainedNeuroC:
-    """Full pipeline: train → evaluate float → PTQ → evaluate int8."""
-    model = build_neuroc(config)
-    x_train, y_train, x_val, y_val = dataset.split_validation(
-        seed=config.seed
-    )
-    trainer = Trainer(
-        model, Adam(lr), rng=np.random.default_rng(config.seed + 1)
-    )
+    Returns the history, the training rows and the float test accuracy.
+    """
+    x_train, y_train, x_val, y_val = dataset.split_validation(seed=seed)
+    trainer = Trainer(model, Adam(lr), rng=np.random.default_rng(seed + 1))
     # Cosine annealing with generous patience: STE ternary training keeps
     # improving late, as the shrinking steps let the adjacency settle.
+    # The MLP baseline trains on the same schedule, for a fair baseline.
     history = trainer.fit(
         x_train, y_train, x_val, y_val,
         TrainConfig(
@@ -135,16 +140,46 @@ def train_neuroc(
             lr_schedule="cosine",
         ),
     )
-    float_accuracy = model.accuracy(dataset.x_test, dataset.y_test)
+    return history, x_train, model.accuracy(dataset.x_test, dataset.y_test)
+
+
+def export_model(
+    config: NeuroCConfig | MLPConfig,
+    model: Sequential,
+    fit: tuple[History, np.ndarray, float],
+    dataset: Dataset,
+    act_width: int,
+    parameter_count: int,
+) -> TrainedModel:
+    """Int8 PTQ on the first :data:`CALIBRATION_ROWS` training rows of
+    :func:`fit_model`'s ``fit``, scored on the test set."""
+    history, x_train, float_accuracy = fit
     quantized = quantize_model(
-        model, x_train[:calibration_samples], act_width=act_width
+        model, x_train[:CALIBRATION_ROWS], act_width=act_width
     )
-    quantized_accuracy = quantized.accuracy(dataset.x_test, dataset.y_test)
-    return TrainedNeuroC(
+    return TrainedModel(
         config=config,
         model=model,
         history=history,
         float_accuracy=float_accuracy,
         quantized=quantized,
-        quantized_accuracy=quantized_accuracy,
+        quantized_accuracy=quantized.accuracy(
+            dataset.x_test, dataset.y_test
+        ),
+        parameter_count=parameter_count,
+    )
+
+
+def train_neuroc(
+    config: NeuroCConfig,
+    dataset: Dataset,
+    epochs: int = 40,
+    lr: float = 0.004,
+    act_width: int = 1,
+) -> TrainedModel:
+    """Full pipeline: train → evaluate float → PTQ → evaluate int8."""
+    model = build_neuroc(config)
+    fit = fit_model(model, config.seed, dataset, epochs, lr)
+    return export_model(
+        config, model, fit, dataset, act_width, model.parameter_count
     )

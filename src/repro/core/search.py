@@ -3,24 +3,23 @@
 The paper: "we perform an extensive random search over more than 50 MLP
 configurations by varying the numbers of layers, dropout rates, and
 whether batch normalization is employed."  :func:`random_mlp_configs`
-samples that space deterministically from a seed;
-:func:`run_mlp_search` trains each configuration and attaches deployment
-metrics (latency, program memory, deployability), yielding the point cloud
-of Figures 6a/6b and the pairing pool for Figures 6c/6d.
+samples that space deterministically from a seed, and
+:func:`paper_board_metrics` prices a trained model of either family on
+the paper's board.  Figure 6 (:mod:`repro.experiments.fig6`) trains the
+sample, yielding the point cloud of Figures 6a/6b and the pairing pool
+for Figures 6c/6d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.mlp import MLPConfig, TrainedMLP, train_mlp
-from repro.datasets.base import Dataset
+from repro.core.mlp import MLPConfig
 from repro.deploy.artifact import analytic_model_latency_ms
 from repro.deploy.size import model_program_memory
 from repro.errors import ConfigurationError
-from repro.mcu.board import BoardProfile, STM32F072RB
+from repro.mcu.board import STM32F072RB
+from repro.quantize.ptq import QuantizedModel
 
 #: The random-search space of §5.2.
 WIDTH_CHOICES = (8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256)
@@ -67,103 +66,14 @@ def random_mlp_configs(
     return configs
 
 
-@dataclass(frozen=True)
-class SearchRecord:
-    """One trained configuration with its deployment metrics."""
-
-    config: MLPConfig
-    accuracy: float
-    parameter_count: int
-    program_memory_kb: float
-    latency_ms: float
-    deployable: bool
-    trained: TrainedMLP
-
-
-def evaluate_trained_mlp(
-    trained: TrainedMLP, board: BoardProfile = STM32F072RB
-) -> SearchRecord:
-    """Attach deployment metrics to a trained MLP."""
-    memory = model_program_memory(trained.quantized.specs)
-    latency = analytic_model_latency_ms(trained.quantized, board=board)
-    return SearchRecord(
-        config=trained.config,
-        accuracy=trained.quantized_accuracy,
-        parameter_count=trained.parameter_count,
-        program_memory_kb=memory.total_kb,
-        latency_ms=latency,
-        deployable=memory.fits(board),
-        trained=trained,
+def paper_board_metrics(
+    quantized: QuantizedModel,
+) -> tuple[float, float, bool]:
+    """``(program memory KB, latency ms, fits)`` of an exported model in
+    the block encoding on the paper's STM32F072RB."""
+    memory = model_program_memory(quantized.specs, format_name="block")
+    return (
+        memory.total_kb,
+        analytic_model_latency_ms(quantized, "block", STM32F072RB),
+        memory.fits(STM32F072RB),
     )
-
-
-def _search_unit(
-    config: MLPConfig,
-    dataset: Dataset,
-    epochs: int,
-    board: BoardProfile,
-) -> SearchRecord:
-    """One baseline configuration as a (pool-transportable) work unit."""
-    return evaluate_trained_mlp(train_mlp(config, dataset, epochs=epochs),
-                                board)
-
-
-def run_mlp_search(
-    dataset: Dataset,
-    count: int = 50,
-    epochs: int = 25,
-    seed: int = 0,
-    board: BoardProfile = STM32F072RB,
-    jobs: int | None = None,
-) -> list[SearchRecord]:
-    """Train the sampled configurations and collect deployment metrics.
-
-    Fans out over :func:`repro.experiments.runner.map_units` (uncached
-    units — the dataset argument has no stable disk identity), so
-    ``jobs=1`` matches the old sequential loop byte for byte.
-    """
-    # Imported lazily: the experiments package's figure modules import
-    # this module back.
-    from repro.experiments import runner
-
-    configs = random_mlp_configs(
-        dataset.num_features, dataset.num_classes, count=count, seed=seed
-    )
-    units = [
-        runner.WorkUnit(
-            key=(
-                f"mlpsearch-{dataset.name}-c{count}-e{epochs}-s{seed}"
-                f"-{board.name}-{config.name}"
-            ),
-            fn=_search_unit,
-            args=(config, dataset, epochs, board),
-            cache=False,
-        )
-        for config in configs
-    ]
-    return runner.map_units("mlp-search", units, jobs=jobs)
-
-
-def smallest_matching(
-    records: list[SearchRecord],
-    target_accuracy: float,
-    require_deployable: bool = True,
-) -> SearchRecord | None:
-    """The paper's pairing rule for Fig. 6c/6d: the *smallest* searched MLP
-    whose accuracy meets the target (None if no model qualifies)."""
-    candidates = [
-        r for r in records
-        if r.accuracy >= target_accuracy
-        and (r.deployable or not require_deployable)
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda r: r.parameter_count)
-
-
-def best_deployable(records: list[SearchRecord]) -> SearchRecord | None:
-    """The paper's Fig. 7 selection: most accurate model that still fits."""
-    deployable = [r for r in records if r.deployable]
-    if not deployable:
-        return None
-    return max(deployable, key=lambda r: r.accuracy)

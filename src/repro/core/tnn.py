@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.neuroc import (
-    NeuroCConfig,
-    TrainedNeuroC,
-    train_neuroc,
-)
+from repro.core.neuroc import NeuroCConfig, TrainedModel, train_neuroc
 from repro.datasets.base import Dataset
 
 
@@ -30,7 +26,7 @@ def train_tnn(
     epochs: int = 40,
     lr: float = 0.004,
     act_width: int = 1,
-) -> TrainedNeuroC:
+) -> TrainedModel:
     """Train the TNN ablation of ``config`` (which may already be a TNN
     config, or a Neuro-C config to strip)."""
     tnn_config = (

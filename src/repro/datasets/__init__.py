@@ -12,7 +12,6 @@ Load with :func:`repro.datasets.load`.
 
 from repro.datasets.base import (
     Dataset,
-    clear_cache,
     dataset_names,
     load,
     register_dataset,
@@ -29,7 +28,6 @@ EVALUATION_DATASETS = ("mnist_like", "fashion_like", "cifar5_like")
 __all__ = [
     "Dataset",
     "EVALUATION_DATASETS",
-    "clear_cache",
     "dataset_names",
     "load",
     "make_cifar5_like",

@@ -147,8 +147,3 @@ def load(
 
 def dataset_names() -> tuple[str, ...]:
     return tuple(sorted(_GENERATORS))
-
-
-def clear_cache() -> None:
-    """Drop memoized datasets (used by tests to bound memory)."""
-    _CACHE.clear()

@@ -103,7 +103,3 @@ class CSCEncoding(SparseEncoding):
     def index_width(self) -> int:
         """Bytes per index element (1 or 2); max across polarities."""
         return max(self.pos.indices.itemsize, self.neg.indices.itemsize)
-
-    @property
-    def pointer_width(self) -> int:
-        return max(self.pos.pointers.itemsize, self.neg.pointers.itemsize)

@@ -20,17 +20,11 @@ from dataclasses import dataclass
 
 from repro.core.mlp import train_mlp
 from repro.core.neuroc import train_neuroc
-from repro.core.search import (
-    evaluate_trained_mlp,
-    random_mlp_configs,
-)
+from repro.core.search import paper_board_metrics, random_mlp_configs
 from repro.core.zoo import zoo_entry
 from repro.datasets import load
-from repro.deploy.artifact import analytic_model_latency_ms
-from repro.deploy.size import model_program_memory
 from repro.experiments import runner
 from repro.experiments.tables import format_table
-from repro.mcu.board import STM32F072RB
 
 #: v2: one cache entry per searched configuration / per tier (the unit
 #: granularity the parallel runner fans out over).
@@ -94,15 +88,17 @@ def _search_unit(index: int, count: int, epochs: int,
     )
     config = configs[index]
     trained = train_mlp(config, dataset, epochs=epochs)
-    record = evaluate_trained_mlp(trained)
+    memory_kb, latency_ms, deployable = paper_board_metrics(
+        trained.quantized
+    )
     return {
         "name": config.name,
         "hidden": list(config.hidden),
-        "accuracy": record.accuracy,
-        "parameters": record.parameter_count,
-        "memory_kb": record.program_memory_kb,
-        "latency_ms": record.latency_ms,
-        "deployable": record.deployable,
+        "accuracy": trained.quantized_accuracy,
+        "parameters": trained.parameter_count,
+        "memory_kb": memory_kb,
+        "latency_ms": latency_ms,
+        "deployable": deployable,
     }
 
 
@@ -145,8 +141,8 @@ def _tier_unit(tier: str, epochs: int) -> dict:
     trained = train_neuroc(
         entry.config, dataset, epochs=epochs, lr=entry.lr
     )
-    memory = model_program_memory(
-        trained.quantized.specs, format_name="block"
+    memory_kb, latency_ms, deployable = paper_board_metrics(
+        trained.quantized
     )
     return {
         "accuracy": trained.quantized_accuracy,
@@ -154,11 +150,9 @@ def _tier_unit(tier: str, epochs: int) -> dict:
         "nnz": sum(
             layer.nnz for layer in trained.model.neuroc_layers()
         ),
-        "memory_kb": memory.total_kb,
-        "latency_ms": analytic_model_latency_ms(
-            trained.quantized, "block"
-        ),
-        "deployable": memory.fits(STM32F072RB),
+        "memory_kb": memory_kb,
+        "latency_ms": latency_ms,
+        "deployable": deployable,
     }
 
 
@@ -188,7 +182,13 @@ def neuroc_tier_points(jobs: int | None = None) -> dict[str, NeuroCPoint]:
 def tier_comparisons(
     seed: int = 0, jobs: int | None = None
 ) -> list[TierComparison]:
-    """Figure 6c/6d: pair each tier with the smallest matching MLP."""
+    """Figure 6c/6d: pair each tier with the smallest matching MLP.
+
+    The one §5.2 pairing rule: the searched MLP with the fewest
+    parameters whose accuracy is at least the tier's minus 0.002,
+    deployable or not (the paper pairs its large tier with a >200 KB
+    MLP).
+    """
     mlps = mlp_search_points(seed, jobs=jobs)
     tiers = neuroc_tier_points(jobs=jobs)
     comparisons = []

@@ -3,8 +3,8 @@
 Protocol (§5.2): for each dataset, the best-performing *deployable* model
 of each family — for MLPs, the best random-search configuration that still
 fits the 128 KB flash (the winning configurations are pinned below; the
-search protocol itself lives in :mod:`repro.core.search` and is exercised
-live for Figure 6a); for Neuro-C, the zoo's best configuration.
+search itself runs live for Figure 6a, :mod:`repro.experiments.fig6`);
+for Neuro-C, the zoo's best configuration.
 
 Claims reproduced: Neuro-C matches or beats the deployable MLP's accuracy
 on every dataset while cutting latency by multiple × and program memory
@@ -16,14 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.mlp import MLPConfig, train_mlp
-from repro.core.neuroc import train_neuroc
+from repro.core.neuroc import TrainedModel, train_neuroc
+from repro.core.search import paper_board_metrics
 from repro.core.zoo import BEST_DEPLOYABLE, zoo_entry
 from repro.datasets import EVALUATION_DATASETS, load
-from repro.deploy.artifact import analytic_model_latency_ms
-from repro.deploy.size import model_program_memory
 from repro.experiments import runner
 from repro.experiments.tables import format_table
-from repro.mcu.board import STM32F072RB
 
 #: v2: one cache entry per (dataset, family) training unit.
 SCHEMA = "fig7-v2"
@@ -53,18 +51,25 @@ class Fig7Row:
     deployable: bool
 
 
+def _row(name: str, family: str, trained: TrainedModel) -> dict:
+    """One figure row of a trained model, priced on the paper's board."""
+    memory_kb, latency_ms, deployable = paper_board_metrics(
+        trained.quantized
+    )
+    return {
+        "dataset": name, "family": family,
+        "accuracy": trained.quantized_accuracy,
+        "latency_ms": latency_ms,
+        "memory_kb": memory_kb,
+        "deployable": deployable,
+    }
+
+
 def _mlp_unit(name: str, epochs: int) -> dict:
     """The best deployable MLP on one dataset (one training unit)."""
     dataset = load(name)
     mlp = train_mlp(BEST_MLP_CONFIGS[name], dataset, epochs=epochs)
-    mlp_memory = model_program_memory(mlp.quantized.specs)
-    return {
-        "dataset": name, "family": "mlp",
-        "accuracy": mlp.quantized_accuracy,
-        "latency_ms": analytic_model_latency_ms(mlp.quantized),
-        "memory_kb": mlp_memory.total_kb,
-        "deployable": mlp_memory.fits(STM32F072RB),
-    }
+    return _row(name, "mlp", mlp)
 
 
 def _neuroc_unit(name: str, epochs: int) -> dict:
@@ -73,18 +78,7 @@ def _neuroc_unit(name: str, epochs: int) -> dict:
     entry = zoo_entry(BEST_DEPLOYABLE[name])
     neuroc = train_neuroc(entry.config, dataset,
                           epochs=epochs, lr=entry.lr)
-    nc_memory = model_program_memory(
-        neuroc.quantized.specs, format_name="block"
-    )
-    return {
-        "dataset": name, "family": "neuroc",
-        "accuracy": neuroc.quantized_accuracy,
-        "latency_ms": analytic_model_latency_ms(
-            neuroc.quantized, "block"
-        ),
-        "memory_kb": nc_memory.total_kb,
-        "deployable": nc_memory.fits(STM32F072RB),
-    }
+    return _row(name, "neuroc", neuroc)
 
 
 def figure_units() -> list[runner.WorkUnit]:

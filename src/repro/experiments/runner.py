@@ -30,8 +30,7 @@ Every ``REPRO_*`` integer knob parses through :func:`env_int` — one
 error message, one empty-value rule — and any knob that changes the
 work a unit performs must be embedded in that unit's cache key.  The
 full knob table lives in ``docs/search.md`` ("Environment knobs"):
-``REPRO_JOBS``, ``REPRO_MAX_EPOCHS``, ``REPRO_FIG6_SEARCH_COUNT``,
-``REPRO_SEARCH_COUNT``, ``REPRO_SEARCH_STAGE2_EPOCHS``.
+``REPRO_JOBS``, ``REPRO_MAX_EPOCHS``, ``REPRO_FIG6_SEARCH_COUNT``.
 
 Timing: every :func:`map_units` call records per-unit and per-figure
 wall times plus cold/warm flags into a process-global registry —

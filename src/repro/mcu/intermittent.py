@@ -33,6 +33,8 @@ from repro.errors import ConfigurationError, ExecutionError
 CHECKPOINT_CYCLES_PER_BYTE = 4
 #: Fixed cost of a restore (locate checkpoint, rehydrate the buffer).
 RESTORE_OVERHEAD_CYCLES = 400
+#: Reboots one inference may take before it is declared stuck.
+MAX_POWER_CYCLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,7 @@ class IntermittentDeployment:
             costs.append(state_bytes * CHECKPOINT_CYCLES_PER_BYTE)
         return costs
 
-    def charge(
-        self,
-        budget: PowerBudget,
-        max_power_cycles: int = 10_000,
-    ) -> IntermittentCharge:
+    def charge(self, budget: PowerBudget) -> IntermittentCharge:
         """What one inference costs under the given charge budget.
 
         The smallest layer+checkpoint unit must fit one charge, or the
@@ -136,7 +134,7 @@ class IntermittentDeployment:
             # is lost; reboot, restore, retry on a fresh charge.
             wasted += max(remaining, 0)
             power_cycles += 1
-            if power_cycles > max_power_cycles:
+            if power_cycles > MAX_POWER_CYCLES:
                 raise ExecutionError(
                     "exceeded the power-cycle limit without completing"
                 )
@@ -151,12 +149,7 @@ class IntermittentDeployment:
             wasted_cycles=wasted,
         )
 
-    def run(
-        self,
-        x: np.ndarray,
-        budget: PowerBudget,
-        max_power_cycles: int = 10_000,
-    ) -> IntermittentRun:
+    def run(self, x: np.ndarray, budget: PowerBudget) -> IntermittentRun:
         """One inference under the given charge budget: :meth:`charge`
         plus the label.
 
@@ -164,7 +157,7 @@ class IntermittentDeployment:
         idempotent over their checkpointed inputs.  So it comes from the
         deployed model's normal path.
         """
-        charge = self.charge(budget, max_power_cycles)
+        charge = self.charge(budget)
         result = self.deployed.infer(x)
         return IntermittentRun(
             **vars(charge),

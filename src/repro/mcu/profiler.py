@@ -47,10 +47,6 @@ class BlockProfile:
     taken: int                 # conditional-branch taken count
     cycles: int
 
-    @property
-    def instructions_executed(self) -> int:
-        return self.executions * (self.end - self.start + 1)
-
 
 class Profiler:
     """Times program executions on a board, TIM2-style."""

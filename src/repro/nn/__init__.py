@@ -6,8 +6,8 @@ Neuro-C, TNN), batch normalization and dropout for the MLP random search,
 and a mini-batch trainer with early stopping and convergence detection.
 """
 
-from repro.nn.activations import activation_names, get_activation, softmax
-from repro.nn.initializers import get_initializer, neuron_scale_init
+from repro.nn.activations import get_activation, softmax
+from repro.nn.initializers import neuron_scale_init
 from repro.nn.layers import (
     ActivationLayer,
     BatchNormLayer,
@@ -58,11 +58,9 @@ __all__ = [
     "TrainConfig",
     "Trainer",
     "accuracy",
-    "activation_names",
     "chance_accuracy",
     "confusion_matrix",
     "get_activation",
-    "get_initializer",
     "neuron_scale_init",
     "per_class_accuracy",
     "softmax",

@@ -85,7 +85,3 @@ def get_activation(name: str):
         raise ConfigurationError(
             f"unknown activation {name!r}; known: {known}"
         ) from None
-
-
-def activation_names() -> tuple[str, ...]:
-    return tuple(sorted(_ACTIVATIONS))

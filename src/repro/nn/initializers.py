@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-
 
 def glorot_uniform(
     rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -15,16 +13,6 @@ def glorot_uniform(
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     shape = shape if shape is not None else (fan_in, fan_out)
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
-
-
-def he_normal(
-    rng: np.random.Generator, fan_in: int, fan_out: int,
-    shape: tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """He normal: N(0, sqrt(2/fan_in)), suited to ReLU stacks."""
-    std = np.sqrt(2.0 / fan_in)
-    shape = shape if shape is not None else (fan_in, fan_out)
-    return (rng.standard_normal(shape) * std).astype(np.float32)
 
 
 def latent_ternary_uniform(
@@ -55,23 +43,3 @@ def neuron_scale_init(
     jitter = rng.uniform(0.9, 1.1, size=n_out)
     return (base * jitter).astype(np.float32)
 
-
-def zeros(n: int) -> np.ndarray:
-    return np.zeros(n, dtype=np.float32)
-
-
-_INITIALIZERS = {
-    "glorot_uniform": glorot_uniform,
-    "he_normal": he_normal,
-    "latent_ternary_uniform": latent_ternary_uniform,
-}
-
-
-def get_initializer(name: str):
-    try:
-        return _INITIALIZERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_INITIALIZERS))
-        raise ConfigurationError(
-            f"unknown initializer {name!r}; known: {known}"
-        ) from None

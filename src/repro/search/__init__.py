@@ -20,7 +20,6 @@ from repro.search.frontier import (
     load_frontier,
     pareto_points,
     reference_point,
-    save_frontier,
 )
 from repro.search.space import (
     CandidateSpec,
@@ -51,7 +50,6 @@ __all__ = [
     "reference_point",
     "run_search",
     "sample_space",
-    "save_frontier",
     "stage2_unit",
     "stage3_unit",
 ]

@@ -48,9 +48,8 @@ SCHEMA = "search-v2"
 #: different models.
 SEED_NAMESPACE = "search-v1"
 
-#: Defaults for the two sweep-budget knobs (overridable per run and via
-#: ``REPRO_SEARCH_COUNT`` / ``REPRO_SEARCH_STAGE2_EPOCHS`` — the knob
-#: table lives in docs/search.md).
+#: Defaults for the two sweep-budget fields (``--count`` and
+#: ``--stage2-epochs`` on the command line).
 DEFAULT_COUNT = 24
 DEFAULT_STAGE2_EPOCHS = 8
 
@@ -118,25 +117,20 @@ class SearchSettings:
     # -- knob resolution ---------------------------------------------------
 
     def resolved_count(self) -> int:
-        """``REPRO_SEARCH_COUNT`` env > the ``count`` field."""
-        count = runner.env_int("REPRO_SEARCH_COUNT", self.count)
-        if count < 1:
+        if self.count < 1:
             raise ConfigurationError(
-                f"search count must be >= 1, got {count}"
+                f"search count must be >= 1, got {self.count}"
             )
-        return count
+        return self.count
 
     def resolved_stage2_epochs(self) -> int:
-        """``REPRO_SEARCH_STAGE2_EPOCHS`` env > field, then the global
+        """The ``stage2_epochs`` field under the global
         ``REPRO_MAX_EPOCHS`` cap."""
-        epochs = runner.env_int(
-            "REPRO_SEARCH_STAGE2_EPOCHS", self.stage2_epochs
-        )
-        if epochs < 1:
+        if self.stage2_epochs < 1:
             raise ConfigurationError(
-                f"stage-2 epochs must be >= 1, got {epochs}"
+                f"stage-2 epochs must be >= 1, got {self.stage2_epochs}"
             )
-        return runner.effective_epochs(epochs)
+        return runner.effective_epochs(self.stage2_epochs)
 
     def resolved_qat_epochs(self) -> int:
         if self.qat_epochs < 1:
@@ -423,7 +417,7 @@ def run_search(
         funnel.stage3 = [rows[spec.key, name] for spec in promoted[name]]
         funnel.stage3_trained = len(funnel.stage3)
         funnel.frontier = pareto_points(
-            FrontierPoint.from_stage3(row)
+            FrontierPoint.from_dict(row)
             for row in funnel.stage3
             if not row["error"] and row["fits"]
         )

@@ -1,11 +1,14 @@
 """Per-board Pareto frontiers over (accuracy, cycles, flash).
 
 The frontier is the search's product: the non-dominated set of fully
-QAT-trained candidates per board, persisted as a JSON artifact that
+QAT-trained candidates per board, persisted in the search report's
+artifact (:meth:`repro.search.engine.SearchReport.write_artifact`, the
+file ``repro search --out`` writes), which
 :func:`repro.deploy.planner.plan_from_catalog` consumes as a model
-catalog.  Frontier quality is compared via dominated hypervolume — the
-volume of objective space a frontier covers against a shared reference
-point — which is the scalar the staged-vs-flat benchmark asserts on.
+catalog through :func:`catalog_entries`.  Frontier quality is compared
+via dominated hypervolume — the volume of objective space a frontier
+covers against a shared reference point — which is the scalar the
+staged-vs-flat benchmark asserts on.
 """
 
 from __future__ import annotations
@@ -48,23 +51,15 @@ class FrontierPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FrontierPoint":
+        """Build from a frontier entry of an artifact, or from a stage-3
+        unit row (see ``stages.stage3_unit``), which carries the same
+        fields."""
         return cls(
             key=d["key"], board=d["board"],
             accuracy=float(d["accuracy"]), cycles=int(d["cycles"]),
             latency_ms=float(d["latency_ms"]),
             flash_kb=float(d["flash_kb"]), nnz=int(d["nnz"]),
             spec=dict(d["spec"]),
-        )
-
-    @classmethod
-    def from_stage3(cls, row: dict) -> "FrontierPoint":
-        """Build from a stage-3 unit result (see ``stages.stage3_unit``)."""
-        return cls(
-            key=row["key"], board=row["board"],
-            accuracy=float(row["accuracy"]), cycles=int(row["cycles"]),
-            latency_ms=float(row["latency_ms"]),
-            flash_kb=float(row["flash_kb"]), nnz=int(row["nnz"]),
-            spec=dict(row["spec"]),
         )
 
 
@@ -157,40 +152,18 @@ def hypervolume(
     return volume
 
 
-def save_frontier(
-    path: str | Path, frontiers: dict[str, list[FrontierPoint]],
-    meta: dict | None = None,
-) -> Path:
-    """Persist per-board frontiers as a deterministic JSON artifact.
-
-    No timestamps or host facts go in: reruns at any ``--jobs`` must be
-    byte-identical (the CI smoke job diffs two runs).
-    """
-    path = Path(path)
-    payload = {
-        "schema": "search-frontier-v1",
-        "meta": meta or {},
-        "frontiers": {
-            board: [p.to_dict() for p in points]
-            for board, points in sorted(frontiers.items())
-        },
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return path
-
-
 def load_frontier(path: str | Path) -> dict[str, list[FrontierPoint]]:
-    """Load a frontier artifact back into typed points."""
+    """Load the per-board frontiers of a search artifact back into typed
+    points."""
     payload = json.loads(Path(path).read_text())
     return {
-        board: [FrontierPoint.from_dict(d) for d in points]
-        for board, points in payload["frontiers"].items()
+        board: [FrontierPoint.from_dict(d) for d in funnel["frontier"]]
+        for board, funnel in payload["boards"].items()
     }
 
 
 def catalog_entries(path: str | Path) -> list[dict]:
-    """Flatten a frontier artifact into planner catalog rows."""
+    """Flatten a search artifact's frontiers into planner catalog rows."""
     return [
         p.to_dict()
         for points in load_frontier(path).values()

@@ -72,6 +72,9 @@ DEVICE_BUSY_KINDS = frozenset({"dispatch_overhead", "execute", "retry"})
 
 _KNOWN_KINDS = frozenset(SPAN_KINDS)
 
+#: Slack of the invariants' time comparisons, in ms.
+TOLERANCE_MS = 1e-6
+
 
 class _SpanFields(NamedTuple):
     kind: str
@@ -329,9 +332,7 @@ def merged_chrome_trace(
 
 # -- invariants ----------------------------------------------------------
 
-def verify_trace_invariants(
-    report, *, tolerance_ms: float = 1e-6
-) -> list[str]:
+def verify_trace_invariants(report) -> list[str]:
     """Check the runtime's accounting invariants against a replay trace.
 
     Takes a :class:`~repro.serve.runtime.ServeReport` whose ``trace``
@@ -384,13 +385,13 @@ def verify_trace_invariants(
 
     # 4. no span runs backwards; queue waits non-negative.
     for span in spans:
-        if span.end_ms < span.start_ms - tolerance_ms:
+        if span.end_ms < span.start_ms - TOLERANCE_MS:
             violations.append(
                 f"span runs backwards: {span.kind} request "
                 f"{span.request_id} [{span.start_ms} → {span.end_ms}]"
             )
     for outcome in report.outcomes:
-        if outcome.queue_ms < -tolerance_ms:
+        if outcome.queue_ms < -TOLERANCE_MS:
             violations.append(
                 f"request {outcome.request_id} has negative queue wait "
                 f"{outcome.queue_ms}"
@@ -404,7 +405,7 @@ def verify_trace_invariants(
     for device_id, track in sorted(tracks.items()):
         track.sort(key=timeline_order)
         for prev, cur in zip(track, track[1:]):
-            if cur.start_ms < prev.end_ms - tolerance_ms:
+            if cur.start_ms < prev.end_ms - TOLERANCE_MS:
                 violations.append(
                     f"device {device_id} spans overlap: "
                     f"{prev.kind}@[{prev.start_ms}, {prev.end_ms}] then "
@@ -415,7 +416,7 @@ def verify_trace_invariants(
         )
         recorded = report.device_busy_ms.get(f"device.{device_id}")
         if recorded is not None:
-            slack = max(1.0, abs(recorded)) * 1e-9 + tolerance_ms
+            slack = max(1.0, abs(recorded)) * 1e-9 + TOLERANCE_MS
             if abs(recorded - busy_spans) > slack:
                 violations.append(
                     f"device {device_id} busy_ms {recorded:.6f} != "
@@ -423,7 +424,7 @@ def verify_trace_invariants(
                 )
         late = [
             s for s in track
-            if s.end_ms > report.makespan_ms + tolerance_ms
+            if s.end_ms > report.makespan_ms + TOLERANCE_MS
         ]
         if late:
             violations.append(

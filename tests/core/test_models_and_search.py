@@ -1,16 +1,12 @@
-"""Model builders, the TNN ablation, the MLP random search, and the zoo."""
+"""Model builders, the shared training protocol, the TNN ablation, the MLP
+random search, and the zoo."""
 
 import numpy as np
 import pytest
 
 from repro.core.mlp import MLPConfig, build_mlp
-from repro.core.neuroc import NeuroCConfig, build_neuroc
-from repro.core.search import (
-    SearchRecord,
-    best_deployable,
-    random_mlp_configs,
-    smallest_matching,
-)
+from repro.core.neuroc import CALIBRATION_ROWS, NeuroCConfig, build_neuroc
+from repro.core.search import random_mlp_configs
 from repro.core.tnn import tnn_config_from
 from repro.core.zoo import BEST_DEPLOYABLE, NEUROC_ZOO, zoo_entry
 from repro.errors import ConfigurationError
@@ -21,6 +17,7 @@ from repro.nn.layers import (
     DropoutLayer,
     NeuroCLayer,
 )
+from repro.quantize.ptq import quantize_model
 
 
 class TestNeuroCConfig:
@@ -102,6 +99,36 @@ class TestMLPConfig:
             MLPConfig(64, 10, hidden=(8,), dropout=1.5)
 
 
+class TestTrainingProtocol:
+    """Both families fit and export through one protocol."""
+
+    @pytest.mark.parametrize("family", ["trained_mlp", "trained_neuroc"])
+    def test_export_calibrates_on_the_fit_training_rows(
+        self, family, request, digits_small
+    ):
+        trained = request.getfixturevalue(family)
+        x_train = digits_small.split_validation(seed=trained.config.seed)[0]
+        again = quantize_model(trained.model, x_train[:CALIBRATION_ROWS])
+        x_test = digits_small.x_test
+        assert again.input_scale == trained.quantized.input_scale
+        assert np.array_equal(
+            again.forward(x_test), trained.quantized.forward(x_test)
+        )
+        assert trained.quantized_accuracy == again.accuracy(
+            x_test, digits_small.y_test
+        )
+
+    def test_each_family_counts_its_deployed_parameters(
+        self, trained_mlp, trained_neuroc
+    ):
+        assert trained_mlp.parameter_count == (
+            trained_mlp.config.parameter_count
+        )
+        assert trained_neuroc.parameter_count == (
+            trained_neuroc.model.parameter_count
+        )
+
+
 class TestRandomSearch:
     def test_sampling_is_deterministic(self):
         a = random_mlp_configs(784, 10, count=20, seed=4)
@@ -119,46 +146,6 @@ class TestRandomSearch:
         assert any(c.dropout > 0 for c in configs)
         assert any(c.batch_norm for c in configs)
         assert any(not c.batch_norm for c in configs)
-
-
-def _record(accuracy, params, deployable=True):
-    return SearchRecord(
-        config=MLPConfig(8, 2, hidden=(4,)),
-        accuracy=accuracy,
-        parameter_count=params,
-        program_memory_kb=params / 1024,
-        latency_ms=params / 1000,
-        deployable=deployable,
-        trained=None,
-    )
-
-
-class TestSelectionRules:
-    def test_smallest_matching_picks_minimum_params(self):
-        records = [_record(0.97, 30_000), _record(0.98, 20_000),
-                   _record(0.99, 90_000)]
-        chosen = smallest_matching(records, target_accuracy=0.975)
-        assert chosen.parameter_count == 20_000
-
-    def test_smallest_matching_respects_deployability(self):
-        records = [_record(0.99, 10_000, deployable=False),
-                   _record(0.99, 50_000, deployable=True)]
-        chosen = smallest_matching(records, 0.985)
-        assert chosen.parameter_count == 50_000
-        any_fit = smallest_matching(records, 0.985,
-                                    require_deployable=False)
-        assert any_fit.parameter_count == 10_000
-
-    def test_smallest_matching_none_when_unreachable(self):
-        assert smallest_matching([_record(0.9, 100)], 0.95) is None
-
-    def test_best_deployable(self):
-        records = [_record(0.99, 10, deployable=False),
-                   _record(0.95, 20), _record(0.97, 30)]
-        assert best_deployable(records).accuracy == 0.97
-        assert best_deployable(
-            [_record(0.9, 1, deployable=False)]
-        ) is None
 
 
 class TestZoo:

@@ -1,5 +1,7 @@
 """The command-line interface, end to end."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -408,16 +410,23 @@ class TestSearchCommand:
         assert '"schema"' in payload and "search-v2" in payload
 
     def test_search_env_count_knob(self, tmp_path, monkeypatch, capsys):
+        """``--count`` is the sweep size: a ``REPRO_SEARCH_COUNT`` left in
+        the environment is not read, and the artifact agrees with
+        itself."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setenv("REPRO_SEARCH_COUNT", "2")
+        monkeypatch.setenv("REPRO_SEARCH_COUNT", "3")
         from repro.experiments.cache import clear_memory_cache
 
         clear_memory_cache()
+        artifact = tmp_path / "frontier.json"
         assert main([
-            "search", "--count", "24", "--stage2-epochs", "2",
+            "search", "--count", "2", "--stage2-epochs", "2",
             "--epochs", "3", "--n-train", "400", "--n-test", "150",
+            "--out", str(artifact),
         ]) == 0
         assert "searched 2 candidates" in capsys.readouterr().out
+        payload = json.loads(artifact.read_text())
+        assert payload["count"] == payload["settings"]["count"] == 2
 
 
     @pytest.mark.parametrize("flag, value, message", [

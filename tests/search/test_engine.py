@@ -1,4 +1,4 @@
-"""The staged engine: funnel, promotion, knobs, caching, artifacts."""
+"""The staged engine: funnel, promotion, settings, caching, artifacts."""
 
 import json
 
@@ -51,30 +51,11 @@ class TestSettings:
         with pytest.raises(ConfigurationError):
             SearchSettings(min_promote=0)
 
-    def test_env_knobs_override_fields(self, monkeypatch):
-        settings = SearchSettings(count=24, stage2_epochs=8)
-        monkeypatch.setenv("REPRO_SEARCH_COUNT", "5")
-        monkeypatch.setenv("REPRO_SEARCH_STAGE2_EPOCHS", "3")
-        assert settings.resolved_count() == 5
-        assert settings.resolved_stage2_epochs() == 3
-
-    def test_env_knobs_default_to_fields(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SEARCH_COUNT", raising=False)
-        monkeypatch.delenv("REPRO_SEARCH_STAGE2_EPOCHS", raising=False)
-        settings = SearchSettings(count=24, stage2_epochs=8)
-        assert settings.resolved_count() == 24
-        assert settings.resolved_stage2_epochs() == 8
-
     def test_global_epoch_cap_applies(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_EPOCHS", "2")
         settings = SearchSettings(stage2_epochs=8, qat_epochs=24)
         assert settings.resolved_stage2_epochs() == 2
         assert settings.resolved_qat_epochs() == 2
-
-    def test_bad_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SEARCH_COUNT", "many")
-        with pytest.raises(ConfigurationError, match="REPRO_SEARCH_COUNT"):
-            SearchSettings().resolved_count()
 
     def test_unit_keys_embed_identity(self):
         settings = SearchSettings(**SMALL)
@@ -233,13 +214,13 @@ class TestArtifactAndCatalog:
         assert payload["schema"] == "search-v2"
         assert payload["qat_units"] == report.qat_units
 
-        from repro.search import save_frontier
-
-        frontier_path = save_frontier(
-            tmp_path / "frontier.json", report.frontiers
-        )
-        entries = catalog_entries(frontier_path)
-        assert entries
+        # The planner reads the very file the report wrote.
+        entries = catalog_entries(path)
+        assert entries == [
+            p.to_dict()
+            for _, points in sorted(report.frontiers.items())
+            for p in points
+        ]
         plan = plan_from_catalog(entries, DeploySLO(max_latency_ms=50.0))
         best = max(
             (e for e in entries), key=lambda e: e["accuracy"]

@@ -9,8 +9,8 @@ from repro.search import (
     load_frontier,
     pareto_points,
     reference_point,
-    save_frontier,
 )
+from repro.search.engine import BoardFunnel, SearchReport, SearchSettings
 
 
 def point(key, acc, cycles, flash, board="STM32F072RB"):
@@ -105,29 +105,35 @@ class TestHypervolume:
         assert reference_point() == (0.0, 1.0, 1.0)
 
 
+def write_report(path, frontiers):
+    """A search artifact, written the way ``repro search --out`` does,
+    holding ``frontiers``."""
+    report = SearchReport(
+        settings=SearchSettings(boards=tuple(frontiers)), mode="staged",
+        count=0, stage2_epochs=1, qat_epochs=1,
+        funnels={
+            board: BoardFunnel(board=board, frontier=points)
+            for board, points in frontiers.items()
+        },
+    )
+    return report.write_artifact(path)
+
+
 class TestArtifact:
     def test_save_load_roundtrip(self, tmp_path):
         frontiers = {
             "STM32F072RB": [point("a", 0.9, 1000, 4.0)],
             "Kinetis-K64F": [point("b", 0.8, 700, 3.0, "Kinetis-K64F")],
         }
-        path = save_frontier(
-            tmp_path / "frontier.json", frontiers, meta={"seed": 0}
-        )
+        path = write_report(tmp_path / "frontier.json", frontiers)
         assert load_frontier(path) == frontiers
-
-    def test_artifact_is_deterministic_bytes(self, tmp_path):
-        frontiers = {"STM32F072RB": [point("a", 0.9, 1000, 4.0)]}
-        p1 = save_frontier(tmp_path / "one.json", frontiers)
-        p2 = save_frontier(tmp_path / "two.json", frontiers)
-        assert p1.read_bytes() == p2.read_bytes()
 
     def test_catalog_entries_flatten(self, tmp_path):
         frontiers = {
             "STM32F072RB": [point("a", 0.9, 1000, 4.0)],
             "Kinetis-K64F": [point("b", 0.8, 700, 3.0, "Kinetis-K64F")],
         }
-        path = save_frontier(tmp_path / "frontier.json", frontiers)
+        path = write_report(tmp_path / "frontier.json", frontiers)
         entries = catalog_entries(path)
         assert {e["key"] for e in entries} == {"a", "b"}
         assert all(

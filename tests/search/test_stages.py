@@ -180,12 +180,12 @@ class TestOneTrainingForEveryBoard:
         """Stage 2 exports only the ternarized model: the float MLP is
         never int8-quantized or scored, so an export of it that would
         raise cannot mark the rows."""
-        import repro.core.mlp as mlp
+        import repro.core.neuroc as neuroc
 
         def fail(*args, **kwargs):
             raise QuantizationError("dense export")
 
-        monkeypatch.setattr(mlp, "quantize_model", fail)
+        monkeypatch.setattr(neuroc, "quantize_model", fail)
         rows = stage2_unit(small_spec().to_dict(), DATASET_KEY, BOARDS,
                            1, 0.01, 7)
         for row in rows:
