@@ -32,8 +32,9 @@ def _cold_search(tmp_path, monkeypatch, jobs: int, tag: str):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache-{tag}"))
     monkeypatch.setenv("REPRO_FIG6_SEARCH_COUNT", str(SEARCH_UNITS))
     monkeypatch.setenv("REPRO_MAX_EPOCHS", str(EPOCH_CAP))
+    monkeypatch.setenv("REPRO_JOBS", str(jobs))   # what `--jobs` sets
     clear_memory_cache()
-    points = fig6.mlp_search_points(jobs=jobs)
+    points = fig6.mlp_search_points()
     run = runner.runs()[-1]
     assert run.figure == "fig6-search" and run.jobs == jobs
     assert run.cold_units == SEARCH_UNITS  # fresh dir: nothing warm

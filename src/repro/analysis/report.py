@@ -192,15 +192,14 @@ def verify_program(
     program: Program,
     memory: MemoryMap,
     *,
-    tainted_regions: tuple[tuple[int, int], ...] | None = None,
     costs: CycleCosts | None = None,
 ) -> VerificationReport:
     """Run the full pass suite over ``program`` in ``memory``.
 
-    ``tainted_regions`` defaults to *every writable region* of the map:
-    anything RAM-resident (inputs, intermediate activations, scratch) is
-    treated as attacker-chosen, which is the strongest discipline a
-    kernel can satisfy and the one deployment demands.
+    Every writable region of the map is tainted: anything RAM-resident
+    (inputs, intermediate activations, scratch) is treated as
+    attacker-chosen, which is the strongest discipline a kernel can
+    satisfy and the one deployment demands.
     """
     try:
         cfg = build_cfg(program)
@@ -211,10 +210,7 @@ def verify_program(
             wcet=None,
         )
 
-    if tainted_regions is None:
-        spans = _writable_spans(memory)
-    else:
-        spans = list(tainted_regions)
+    spans = _writable_spans(memory)
     if spans:
         (input_addr, input_end), *extra = spans
         taint = verify_static_control_flow(
@@ -301,18 +297,17 @@ class ModelVerificationReport:
         return "\n".join(lines)
 
 
-def verify_deployed_model(model, board=None) -> ModelVerificationReport:
+def verify_deployed_model(model) -> ModelVerificationReport:
     """Verify every layer kernel of a deployed model.
 
     Uses only ``model.images`` and ``model.board`` so any object exposing
     those (including test doubles) can be verified.
     """
-    board = board or model.board
     layers = tuple(
         LayerVerification(
             layer=i,
             report=verify_program(
-                image.program, image.memory, costs=board.costs
+                image.program, image.memory, costs=model.board.costs
             ),
         )
         for i, image in enumerate(model.images)

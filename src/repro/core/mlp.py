@@ -10,10 +10,10 @@ from repro.core.neuroc import TrainedModel, export_model, fit_model
 from repro.datasets.base import Dataset
 from repro.errors import ConfigurationError
 from repro.nn.layers import (
-    ActivationLayer,
     BatchNormLayer,
     DenseLayer,
     DropoutLayer,
+    ReLULayer,
 )
 from repro.nn.model import Sequential
 from repro.nn.trainer import History
@@ -63,7 +63,7 @@ def build_mlp(config: MLPConfig) -> Sequential:
         if not is_last:
             if config.batch_norm:
                 layers.append(BatchNormLayer(n_out))
-            layers.append(ActivationLayer("relu"))
+            layers.append(ReLULayer())
             if config.dropout > 0.0:
                 layers.append(DropoutLayer(config.dropout, rng))
     return Sequential(layers, name=config.name or "mlp")

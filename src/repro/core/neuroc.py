@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.adjacency import ALL_STRATEGIES, make_fixed_adjacency
 from repro.datasets.base import Dataset
 from repro.errors import ConfigurationError
-from repro.nn.layers import ActivationLayer, NeuroCLayer
+from repro.nn.layers import NeuroCLayer, ReLULayer
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam
 from repro.nn.quantizers import TernaryQuantizer
@@ -44,8 +44,7 @@ class NeuroCConfig:
     n_out: int
     hidden: tuple[int, ...]
     #: Fixed ternary threshold in (0, 1): higher → sparser adjacency.
-    #: "twn" adapts it to the latent weight scale instead.
-    threshold: float | str = 0.82
+    threshold: float = 0.82
     strategy: str = "quantization"
     use_scale: bool = True          # False → the §5.2 TNN baseline
     seed: int = 0
@@ -100,7 +99,7 @@ def build_neuroc(config: NeuroCConfig) -> Sequential:
             )
         layers.append(layer)
         if not is_last:
-            layers.append(ActivationLayer("relu"))
+            layers.append(ReLULayer())
     return Sequential(layers, name=config.name or "neuroc")
 
 

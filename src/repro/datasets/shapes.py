@@ -2,7 +2,7 @@
 
 ``fashion_like`` uses filled garment silhouettes; ``cifar5_like`` layers a
 coloured background, a foreground polygon, and texture.  Polygons are
-defined in the unit square and filled with a vectorized ray-casting
+defined in the unit square and filled with a whole-array ray-casting
 point-in-polygon test — no plotting libraries involved.
 
 As in :mod:`repro.datasets.strokes`, ``draw_*`` takes one sample's random

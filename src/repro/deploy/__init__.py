@@ -32,7 +32,6 @@ from repro.deploy.size import (
     STARTUP_TEXT_BYTES,
     ProgramMemoryReport,
     layer_program_memory,
-    mlp_rodata_estimate,
     model_program_memory,
     scratch_memory,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "save_quantized_model",
     "verify_firmware_image",
     "layer_program_memory",
-    "mlp_rodata_estimate",
     "model_program_memory",
     "scratch_memory",
 ]

@@ -47,7 +47,6 @@ from repro.kernels.spec import LayerKernelSpec
 from repro.mcu.board import BoardProfile, STM32F072RB
 from repro.mcu.fastpath import DEFAULT_ENGINE, ENGINES, make_cpu
 from repro.mcu.memory import Allocator
-from repro.mcu.profiler import Tim2
 from repro.quantize.ptq import QuantizedModel
 
 #: Reference forward + the verifier's per-layer WCET cycles.  A
@@ -164,7 +163,6 @@ class DeployedModel:
             ) from exc
 
         self._cpu = _make_model_cpu(self.memory, board, engine)
-        self.timer = Tim2(board.clock_hz)
         #: Lazily computed fused-pipeline cache:
         #: None = not computed, (False,) = not fusible, (True, sps) = go.
         self._fused: tuple | None = None
@@ -234,15 +232,12 @@ class DeployedModel:
         the row), plus one inference's cycles and latency at the WCET
         bounds."""
         logits, ok = model_forward_batch(self.quantized.specs, x_int)
-        bounds = self.layer_cycle_bounds()
-        self.timer.start()
-        for cycles in bounds:
-            self.timer.advance(cycles)
+        cycles = sum(self.layer_cycle_bounds())
         return (
             logits.astype(_WIDTH_DTYPES[self.images[-1].output_width]),
             ok,
-            sum(bounds),
-            self.timer.elapsed_ms(),
+            cycles,
+            self.board.cycles_to_ms(cycles),
         )
 
     # -- batch fusion -------------------------------------------------------
@@ -364,13 +359,11 @@ class DeployedModel:
         span = first.input_count * first.input_width
         mats[positions[j]][:, off:off + span] = raw
 
-        self.timer.start()
         total_cycles = 0
         for sp in sps:
             sp.fn(mats)
             charge_batch_traffic(self.memory, sp, batch)
             total_cycles += sp.cycles
-        self.timer.advance(total_cycles)
         commit_batch_row(self.memory, mats, batch - 1)
 
         jo, ooff = self._locate(last.output_addr)
@@ -383,7 +376,7 @@ class DeployedModel:
             logits=logits,
             labels=logits.argmax(axis=1),
             cycles_per_inference=total_cycles,
-            latency_ms=self.timer.elapsed_ms(),
+            latency_ms=self.board.cycles_to_ms(total_cycles),
             fused=True,
         )
 
@@ -440,18 +433,15 @@ class DeployedModel:
                     latency_ms=latency_ms,
                 )
         self.images[0].write_input(x_int)
-        self.timer.start()
         total_cycles = 0
         for image in self.images:
-            result = self._cpu.run(image.program)
-            total_cycles += result.cycles
-            self.timer.advance(result.cycles)
+            total_cycles += self._cpu.run(image.program).cycles
         logits = self.images[-1].read_output()
         return InferenceResult(
             logits=logits,
             label=int(np.argmax(logits)),
             cycles=total_cycles,
-            latency_ms=self.timer.elapsed_ms(),
+            latency_ms=self.board.cycles_to_ms(total_cycles),
         )
 
     def infer_rows(
@@ -500,31 +490,16 @@ class DeployedModel:
             for row in rows
         ]
 
-    def predict(
-        self, x_batch: np.ndarray, *, vectorized: bool = False
-    ) -> np.ndarray:
-        """Labels for a batch.
-
-        By default each sample runs the full on-device path — cost is
-        one whole interpreted inference *per row*, so batch evaluation
-        scales linearly in batch size and interpreter speed.  With
-        ``vectorized=True`` the batch runs through the vectorized
-        reference backend instead, which is bit-identical to the device
-        kernels (the test suite enforces exact agreement) and orders of
-        magnitude faster for accuracy sweeps.
-        """
+    def predict(self, x_batch: np.ndarray) -> np.ndarray:
+        """Labels for a batch, from :meth:`infer_batch` on this model's
+        engine (``QuantizedModel.predict`` is the reference they equal)."""
         x_batch = self._validate_input(x_batch, batch=True)
-        if vectorized:
-            return self.quantized.predict(x_batch)
         if not len(x_batch):
             return np.array([])
         return np.asarray(self.infer_batch(x_batch).labels)
 
-    def accuracy(
-        self, x_batch: np.ndarray, y: np.ndarray, *,
-        vectorized: bool = False,
-    ) -> float:
-        predictions = self.predict(x_batch, vectorized=vectorized)
+    def accuracy(self, x_batch: np.ndarray, y: np.ndarray) -> float:
+        predictions = self.predict(x_batch)
         return float((predictions == np.asarray(y)).mean())
 
     # -- cost reporting -------------------------------------------------------
@@ -575,8 +550,7 @@ def analytic_model_latency_ms(
     quantized: QuantizedModel,
     format_name: str = "block",
     board: BoardProfile = STM32F072RB,
-    block_size: int = 256,
 ) -> float:
     return board.cycles_to_ms(
-        analytic_model_cycles(quantized, format_name, board, block_size)
+        analytic_model_cycles(quantized, format_name, board)
     )

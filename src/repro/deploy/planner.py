@@ -158,16 +158,15 @@ def plan_deployment(
     quantized: QuantizedModel,
     slo: DeploySLO | None = None,
     boards: Sequence[BoardProfile] | None = None,
-    formats: Sequence[str] = SPARSE_FORMATS,
-    block_size: int = 256,
     verify: bool = True,
 ) -> DeploymentPlan:
     """Pick and build the best ``(encoding, engine, board)`` for an SLO.
 
-    Enumerates ``formats x boards`` (defaults: every sparse encoding on
-    every reference profile), prices each candidate analytically, applies
-    the SLO admission rules, ranks the feasible set by the lexicographic
-    objective described in the module docstring, and builds the winner
+    Enumerates every sparse encoding (at block size 256) on every board
+    in ``boards`` (default: every reference profile), prices each
+    candidate analytically, applies the SLO admission rules, ranks the
+    feasible set by the lexicographic objective described in the module
+    docstring, and builds the winner
     via :func:`~repro.deploy.deployer.deploy` with ``require_fit=True``.
 
     Raises :class:`~repro.errors.BudgetExceededError` with the full
@@ -177,23 +176,21 @@ def plan_deployment(
     board_list = tuple(
         boards if boards is not None else BOARD_PROFILES.values()
     )
-    if not board_list or not formats:
-        raise ConfigurationError("plan needs at least one board and format")
+    if not board_list:
+        raise ConfigurationError("plan needs at least one board")
 
     # Flash and operation counts are board-independent: price each
     # encoding once, then cost it with every board's cycle table.
     priced = {
         fmt: (
-            model_program_memory(
-                quantized.specs, format_name=fmt, block_size=block_size
-            ).total_kb,
-            model_opcount(quantized.specs, fmt, block_size),
+            model_program_memory(quantized.specs, format_name=fmt).total_kb,
+            model_opcount(quantized.specs, fmt),
         )
-        for fmt in formats
+        for fmt in SPARSE_FORMATS
     }
     considered = []
     for board in board_list:
-        for fmt in formats:
+        for fmt in SPARSE_FORMATS:
             flash_kb, ops = priced[fmt]
             cycles = ops.cycles(board.costs)
             reason = rejection_reason(board, cycles, flash_kb, slo)
@@ -201,7 +198,7 @@ def plan_deployment(
                 format_name=fmt,
                 board=board,
                 engine=board.resolve_engine(),
-                block_size=block_size,
+                block_size=256,
                 cycles=cycles,
                 latency_ms=board.cycles_to_ms(cycles),
                 flash_kb=flash_kb,

@@ -124,15 +124,3 @@ def model_program_memory(
             spec, format_name=format_name, block_size=block_size
         )
     return report
-
-
-def mlp_rodata_estimate(layer_dims: list[int]) -> int:
-    """Closed-form .rodata of an int8 MLP with the given layer widths.
-
-    Used by capacity sweeps that size many configurations without training
-    them: ``n_in·n_out`` weight bytes + ``4·n_out`` bias bytes per layer.
-    """
-    total = 0
-    for n_in, n_out in zip(layer_dims, layer_dims[1:]):
-        total += n_in * n_out + 4 * n_out
-    return total

@@ -1,16 +1,12 @@
-"""The four sparse-connectivity encodings of §4.2.
+"""The four sparse-connectivity encodings of §4.2: csc, delta, mixed and
+block, in the paper's presentation order.
 
-Importing this package registers all formats; select one by name via
-:func:`get_encoding` or enumerate them with :func:`encoding_names`.
-Registration order matches the paper's presentation order: csc, delta,
-mixed, block.
+Each class names itself in ``format_name``; the layer kernels select
+one by that name from ``repro.kernels.codegen_sparse.SPARSE_FORMATS``.
 """
 
 from repro.encodings.base import (
     SparseEncoding,
-    encoding_names,
-    get_encoding,
-    register_encoding,
     validate_ternary,
     width_bytes_for,
 )
@@ -29,9 +25,6 @@ __all__ = [
     "describe_encodings",
     "toy_matrix",
     "SparseEncoding",
-    "encoding_names",
-    "get_encoding",
-    "register_encoding",
     "validate_ternary",
     "width_bytes_for",
 ]

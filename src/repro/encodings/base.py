@@ -117,7 +117,7 @@ class SparseEncoding(ABC):
     metadata the kernel generator needs (widths, block size, ...).
     """
 
-    #: Registry key and kernel-selector name, e.g. ``"csc"``.
+    #: Kernel-selector name, e.g. ``"csc"`` (see ``SPARSE_FORMATS``).
     format_name: str = ""
 
     @classmethod
@@ -152,31 +152,3 @@ class SparseEncoding(ABC):
     @property
     @abstractmethod
     def nnz(self) -> int: ...
-
-
-_REGISTRY: dict[str, type[SparseEncoding]] = {}
-
-
-def register_encoding(cls: type[SparseEncoding]) -> type[SparseEncoding]:
-    """Class decorator adding an encoding to the format registry."""
-    if not cls.format_name:
-        raise EncodingError(f"{cls.__name__} lacks a format_name")
-    if cls.format_name in _REGISTRY:
-        raise EncodingError(f"duplicate encoding {cls.format_name!r}")
-    _REGISTRY[cls.format_name] = cls
-    return cls
-
-
-def get_encoding(name: str) -> type[SparseEncoding]:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise EncodingError(
-            f"unknown encoding {name!r}; known: {known}"
-        ) from None
-
-
-def encoding_names() -> tuple[str, ...]:
-    """All registered format names, in registration (paper) order."""
-    return tuple(_REGISTRY)

@@ -21,7 +21,6 @@ from repro.encodings.base import (
     Polarity,
     SparseEncoding,
     array_with_width,
-    register_encoding,
     split_polarities,
     width_bytes_for,
 )
@@ -62,7 +61,6 @@ def _split_blocks(
     return split
 
 
-@register_encoding
 class BlockEncoding(SparseEncoding):
     """Per-block mixed encodings with guaranteed 8-bit indices."""
 

@@ -19,7 +19,6 @@ from repro.encodings.base import (
     SparseEncoding,
     array_with_width,
     narrowest_array,
-    register_encoding,
     split_polarities,
     width_bytes_for,
 )
@@ -47,7 +46,6 @@ class PolarityCSC:
         return self.indices[lo:hi].astype(np.int64)
 
 
-@register_encoding
 class CSCEncoding(SparseEncoding):
     """Standard compressed-sparse-column layout, one per polarity."""
 

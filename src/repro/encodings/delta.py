@@ -23,7 +23,6 @@ from repro.encodings.base import (
     Polarity,
     SparseEncoding,
     narrowest_array,
-    register_encoding,
     split_polarities,
 )
 from repro.errors import EncodingError
@@ -68,7 +67,6 @@ class PolarityDelta:
         return out
 
 
-@register_encoding
 class DeltaEncoding(SparseEncoding):
     """First-absolute-then-offsets stream with per-column counts."""
 

@@ -18,7 +18,6 @@ from repro.encodings.base import (
     SparseEncoding,
     array_with_width,
     narrowest_array,
-    register_encoding,
     split_polarities,
     width_bytes_for,
 )
@@ -50,7 +49,6 @@ class PolarityMixed:
         return out
 
 
-@register_encoding
 class MixedEncoding(SparseEncoding):
     """Per-column counts + absolute indices."""
 

@@ -24,15 +24,19 @@ from repro.nn.optimizers import Adam
 from repro.nn.trainer import TrainConfig, Trainer
 
 #: v2: one cache entry per (strategy, hidden, level) training unit with a
-#: unit-key-derived trainer seed, and vectorized fixed-adjacency
+#: unit-key-derived trainer seed, and whole-array fixed-adjacency
 #: generators (different RNG stream, same distributions).
 SCHEMA = "fig1-v2"
 
+#: Training epochs per grid point (before the ``REPRO_MAX_EPOCHS`` cap).
+EPOCHS = 30
 HIDDEN_GRID = (16, 32, 64)
 DENSITY_GRID = (0.05, 0.1, 0.2)
 #: Thresholds giving the quantization strategy a comparable sparsity sweep
 #: (latent init is U(-1,1), so threshold ≈ resulting zero fraction).
 THRESHOLD_GRID = (0.95, 0.9, 0.8)
+#: Parameter budgets of the per-strategy frontier.
+BUDGETS = (600, 1200, 2400)
 
 
 @dataclass(frozen=True)
@@ -100,25 +104,23 @@ def grid_units(epochs: int) -> list[runner.WorkUnit]:
     return units
 
 
-def run_fig1(epochs: int = 30, jobs: int | None = None
-             ) -> list[StrategyPoint]:
+def run_fig1() -> list[StrategyPoint]:
     """Train the full strategy × size × sparsity grid (cached)."""
-    epochs = runner.effective_epochs(epochs)
+    epochs = runner.effective_epochs(EPOCHS)
     raw = runner.map_units(
-        "fig1", grid_units(epochs), jobs=jobs,
-        setup=lambda: load("digits_like"),
+        "fig1", grid_units(epochs), setup=lambda: load("digits_like"),
     )
     return [StrategyPoint(**p) for p in raw]
 
 
 def frontier_by_strategy(
-    points: list[StrategyPoint], budgets: tuple[int, ...] = (600, 1200, 2400)
+    points: list[StrategyPoint],
 ) -> dict[str, dict[int, float]]:
-    """Best accuracy per strategy under each parameter budget."""
+    """Best accuracy per strategy under each of :data:`BUDGETS`."""
     out: dict[str, dict[int, float]] = {}
     for point in points:
         row = out.setdefault(point.strategy, {})
-        for budget in budgets:
+        for budget in BUDGETS:
             if point.parameters <= budget:
                 row[budget] = max(row.get(budget, 0.0), point.accuracy)
     return out

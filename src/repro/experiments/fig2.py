@@ -23,7 +23,7 @@ from repro.kernels.codegen_cnn import ConvKernelSpec, count_conv
 from repro.kernels.codegen_dense import count_dense
 from repro.kernels.ref import conv_macc_count, fc_macc_count
 from repro.kernels.spec import make_dense_spec
-from repro.mcu.board import STM32F072RB, BoardProfile
+from repro.mcu.board import STM32F072RB
 
 SCHEMA = "fig2-v1"
 
@@ -45,8 +45,8 @@ class Fig2Row:
     latency_ms: float
 
 
-def make_conv_spec(k: int, s: int, seed: int = 0) -> ConvKernelSpec:
-    rng = np.random.default_rng(seed)
+def make_conv_spec(k: int, s: int) -> ConvKernelSpec:
+    rng = np.random.default_rng(0)
     return ConvKernelSpec(
         image_size=IMAGE_SIZE,
         kernel_size=s,
@@ -65,8 +65,8 @@ def matched_fc_n_out(k: int, s: int) -> int:
     return max(1, round(maccs / (IMAGE_SIZE * IMAGE_SIZE)))
 
 
-def make_fc_spec(n_out: int, seed: int = 0):
-    rng = np.random.default_rng(seed)
+def make_fc_spec(n_out: int):
+    rng = np.random.default_rng(0)
     n_in = IMAGE_SIZE * IMAGE_SIZE
     return make_dense_spec(
         weights=rng.integers(-60, 60, (n_in, n_out)).astype(np.int8),
@@ -78,14 +78,14 @@ def make_fc_spec(n_out: int, seed: int = 0):
     )
 
 
-def _pair_unit(
-    index: int, k: int, s: int, board: BoardProfile = STM32F072RB
-) -> list[dict]:
-    """Both rows of one (CNN, FC) size pair — an independent work unit.
+def _pair_unit(index: int, k: int, s: int) -> list[dict]:
+    """Both rows of one (CNN, FC) size pair on the paper's board — an
+    independent work unit.
 
     Analytic only (no training), so the unit stays cache-free; it rides
     the runner for uniform parallel dispatch and timing.
     """
+    board = STM32F072RB
     conv = make_conv_spec(k, s)
     conv_cycles = count_conv(conv).cycles(board.costs)
     m = conv.output_size
@@ -110,17 +110,15 @@ def _pair_unit(
     ]
 
 
-def run_fig2(
-    board: BoardProfile = STM32F072RB, jobs: int | None = None
-) -> list[Fig2Row]:
+def run_fig2() -> list[Fig2Row]:
     units = [
         runner.WorkUnit(
             key=f"{SCHEMA}-pair{index}-k{k}-s{s}",
-            fn=_pair_unit, args=(index, k, s, board), cache=False,
+            fn=_pair_unit, args=(index, k, s), cache=False,
         )
         for index, (k, s) in enumerate(PAIRS, start=1)
     ]
-    results = runner.map_units("fig2", units, jobs=jobs)
+    results = runner.map_units("fig2", units)
     return [Fig2Row(**raw) for pair in results for raw in pair]
 
 

@@ -32,7 +32,7 @@ from repro.kernels.codegen_sparse import (
     encode_for_kernel,
 )
 from repro.kernels.spec import LayerKernelSpec, make_neuroc_spec
-from repro.mcu.board import STM32F072RB, BoardProfile
+from repro.mcu.board import STM32F072RB
 
 SCHEMA = "fig5-v1"
 
@@ -52,8 +52,8 @@ class EncodingPoint:
     flash_kb: float           # connectivity + bias + mult (the layer data)
 
 
-def make_fig5_spec(n_out: int, seed: int = 0) -> LayerKernelSpec:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n_out]))
+def make_fig5_spec(n_out: int) -> LayerKernelSpec:
+    rng = np.random.default_rng(np.random.SeedSequence([0, n_out]))
     adjacency = clustered_adjacency(INPUT_DIM, n_out, DENSITY, rng)
     return make_neuroc_spec(
         adjacency=adjacency,
@@ -66,10 +66,10 @@ def make_fig5_spec(n_out: int, seed: int = 0) -> LayerKernelSpec:
     )
 
 
-def _size_unit(
-    n_out: int, board: BoardProfile = STM32F072RB
-) -> list[dict]:
-    """All four encodings at one output size — an independent unit."""
+def _size_unit(n_out: int) -> list[dict]:
+    """All four encodings at one output size on the paper's board — an
+    independent unit."""
+    board = STM32F072RB
     spec = make_fig5_spec(n_out)
     layer_overhead = 4 * n_out + 2 * n_out  # bias (int32) + mult (int16)
     rows = []
@@ -91,17 +91,15 @@ def _size_unit(
     return rows
 
 
-def run_fig5(
-    board: BoardProfile = STM32F072RB, jobs: int | None = None
-) -> list[EncodingPoint]:
+def run_fig5() -> list[EncodingPoint]:
     units = [
         runner.WorkUnit(
             key=f"{SCHEMA}-n{n_out}",
-            fn=_size_unit, args=(n_out, board), cache=False,
+            fn=_size_unit, args=(n_out,), cache=False,
         )
         for n_out in OUTPUT_SIZES
     ]
-    results = runner.map_units("fig5", units, jobs=jobs)
+    results = runner.map_units("fig5", units)
     return [
         EncodingPoint(**raw) for size_rows in results for raw in size_rows
     ]

@@ -34,6 +34,8 @@ SCHEMA = "fig6-v2"
 #: point cloud on both sides of the deployability frontier.
 SEARCH_COUNT = 28
 SEARCH_EPOCHS = 18
+#: The sampler seed of the searched configurations.
+SEARCH_SEED = 0
 
 
 def search_count() -> int:
@@ -73,18 +75,17 @@ class TierComparison:
     mlp: MLPPoint | None     # None when no searched MLP reaches the tier
 
 
-def _search_unit(index: int, count: int, epochs: int,
-                 seed: int) -> dict:
+def _search_unit(index: int, count: int, epochs: int) -> dict:
     """Train and evaluate searched configuration ``index``.
 
     The worker regenerates the (deterministic) configuration list and
     trains exactly one entry — the unit is a pure function of
-    ``(index, count, epochs, seed)``.
+    ``(index, count, epochs)``.
     """
     dataset = load("mnist_like")
     configs = random_mlp_configs(
         dataset.num_features, dataset.num_classes,
-        count=count, seed=seed,
+        count=count, seed=SEARCH_SEED,
     )
     config = configs[index]
     trained = train_mlp(config, dataset, epochs=epochs)
@@ -102,26 +103,26 @@ def _search_unit(index: int, count: int, epochs: int,
     }
 
 
-def search_units(seed: int = 0) -> list[runner.WorkUnit]:
+def search_units() -> list[runner.WorkUnit]:
     count = search_count()
     epochs = runner.effective_epochs(SEARCH_EPOCHS)
     return [
         runner.WorkUnit(
-            key=f"{SCHEMA}-search-c{count}-e{epochs}-s{seed}-i{index:02d}",
+            key=(
+                f"{SCHEMA}-search-c{count}-e{epochs}-s{SEARCH_SEED}"
+                f"-i{index:02d}"
+            ),
             fn=_search_unit,
-            args=(index, count, epochs, seed),
+            args=(index, count, epochs),
         )
         for index in range(count)
     ]
 
 
-def mlp_search_points(
-    seed: int = 0, jobs: int | None = None
-) -> list[MLPPoint]:
+def mlp_search_points() -> list[MLPPoint]:
     """Figure 6a/6b's point cloud (cached per configuration)."""
     raw = runner.map_units(
-        "fig6-search", search_units(seed), jobs=jobs,
-        setup=lambda: load("mnist_like"),
+        "fig6-search", search_units(), setup=lambda: load("mnist_like"),
     )
     return [
         MLPPoint(
@@ -167,11 +168,10 @@ def tier_units() -> list[runner.WorkUnit]:
     return units
 
 
-def neuroc_tier_points(jobs: int | None = None) -> dict[str, NeuroCPoint]:
+def neuroc_tier_points() -> dict[str, NeuroCPoint]:
     """Train (or load) the three MNIST zoo scales."""
     raw = runner.map_units(
-        "fig6-tiers", tier_units(), jobs=jobs,
-        setup=lambda: load("mnist_like"),
+        "fig6-tiers", tier_units(), setup=lambda: load("mnist_like"),
     )
     return {
         tier: NeuroCPoint(tier=tier, **row)
@@ -179,9 +179,7 @@ def neuroc_tier_points(jobs: int | None = None) -> dict[str, NeuroCPoint]:
     }
 
 
-def tier_comparisons(
-    seed: int = 0, jobs: int | None = None
-) -> list[TierComparison]:
+def tier_comparisons() -> list[TierComparison]:
     """Figure 6c/6d: pair each tier with the smallest matching MLP.
 
     The one §5.2 pairing rule: the searched MLP with the fewest
@@ -189,8 +187,8 @@ def tier_comparisons(
     deployable or not (the paper pairs its large tier with a >200 KB
     MLP).
     """
-    mlps = mlp_search_points(seed, jobs=jobs)
-    tiers = neuroc_tier_points(jobs=jobs)
+    mlps = mlp_search_points()
+    tiers = neuroc_tier_points()
     comparisons = []
     for tier in TIERS:
         neuroc = tiers[tier]

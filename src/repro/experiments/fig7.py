@@ -105,11 +105,9 @@ def _warm_datasets() -> None:
         load(name)
 
 
-def run_fig7(jobs: int | None = None) -> list[Fig7Row]:
+def run_fig7() -> list[Fig7Row]:
     """Train (or load) both families on the three datasets."""
-    raw = runner.map_units(
-        "fig7", figure_units(), jobs=jobs, setup=_warm_datasets,
-    )
+    raw = runner.map_units("fig7", figure_units(), setup=_warm_datasets)
     return [Fig7Row(**r) for r in raw]
 
 

@@ -143,10 +143,8 @@ def _warm_datasets() -> None:
         load(name)
 
 
-def run_fig8(jobs: int | None = None) -> list[Fig8Row]:
-    raw = runner.map_units(
-        "fig8", figure_units(), jobs=jobs, setup=_warm_datasets,
-    )
+def run_fig8() -> list[Fig8Row]:
+    raw = runner.map_units("fig8", figure_units(), setup=_warm_datasets)
     return [Fig8Row(**r) for r in raw]
 
 

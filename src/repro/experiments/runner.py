@@ -47,11 +47,12 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.cache import cache_dir, cached_json
 
 
@@ -70,7 +71,6 @@ class WorkUnit:
     key: str
     fn: Callable[..., Any]
     args: tuple = ()
-    kwargs: dict | None = None
     cache: bool = True
 
 
@@ -166,12 +166,11 @@ def _run_one(unit: WorkUnit) -> tuple[Any, float, bool]:
     Returns ``(value, seconds, cold)`` where ``cold`` is True when the
     unit's ``fn`` actually ran (vs a cache read).
     """
-    kwargs = unit.kwargs or {}
     computed = []
 
     def compute() -> Any:
         computed.append(True)
-        return unit.fn(*unit.args, **kwargs)
+        return unit.fn(*unit.args)
 
     start = time.perf_counter()
     if unit.cache:
@@ -210,9 +209,11 @@ def map_units(
     With ``jobs=1`` every unit runs inline through ``cached_json`` —
     exactly the pre-runner sequential behaviour.  With ``jobs>1`` the
     cold cached units run on a process pool and land in the shared disk
-    cache; the parent then reads the published JSON (recomputing
-    inline only if a worker died without publishing).  Uncached units'
-    values travel back through the pool directly.
+    cache; the parent then reads the published JSON.  Uncached units'
+    values travel back through the pool directly.  A worker that dies
+    (killed, out of memory) breaks the pool: that raises
+    :class:`~repro.errors.ReproError`, and rerunning resumes from the
+    units the workers already published.
     """
     keys = [unit.key for unit in units]
     if len(set(keys)) != len(keys):
@@ -230,21 +231,28 @@ def map_units(
         setup()
     if use_pool:
         cache_root = str(cache_dir())
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cold_units)),
-            mp_context=_mp_context(),
-        ) as pool:
-            futures = [
-                pool.submit(_pool_worker, unit, cache_root)
-                for unit in cold_units
-            ]
-            for future in futures:
-                key, value, seconds, cold = future.result()
-                timings.append(UnitTiming(
-                    figure=figure, key=key, seconds=seconds,
-                    cold=cold, worker="pool",
-                ))
-                values[key] = value
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(cold_units)),
+                mp_context=_mp_context(),
+            ) as pool:
+                futures = [
+                    pool.submit(_pool_worker, unit, cache_root)
+                    for unit in cold_units
+                ]
+                for future in futures:
+                    key, value, seconds, cold = future.result()
+                    timings.append(UnitTiming(
+                        figure=figure, key=key, seconds=seconds,
+                        cold=cold, worker="pool",
+                    ))
+                    values[key] = value
+        except BrokenProcessPool as exc:
+            raise ReproError(
+                f"a worker process died while running {figure!r} units "
+                "(killed or out of memory); rerun the same command to "
+                "resume from the units already in the cache"
+            ) from exc
 
     for unit in units:
         if unit.key in values and not unit.cache:
@@ -313,7 +321,7 @@ def timing_summary() -> list[dict]:
     return rows
 
 
-def write_timings(path: str | Path, extra: dict | None = None) -> Path:
+def write_timings(path: str | Path) -> Path:
     """Persist the registry (summary + per-unit detail) as JSON."""
     path = Path(path)
     payload = {
@@ -322,8 +330,6 @@ def write_timings(path: str | Path, extra: dict | None = None) -> Path:
         "figures": timing_summary(),
         "units": [asdict(t) for run in runs() for t in run.unit_timings],
     }
-    if extra:
-        payload.update(extra)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=1) + "\n")
     return path

@@ -56,7 +56,6 @@ from repro.mcu.profiler import (
     LatencyReport,
     Profiler,
 )
-from repro.mcu.timer import Tim2
 
 __all__ = [
     "Assembler",
@@ -97,7 +96,6 @@ __all__ = [
     "Region",
     "STM32F072RB",
     "SpecializedProgram",
-    "Tim2",
     "TranslatedProgram",
     "board_by_name",
     "classify_board",

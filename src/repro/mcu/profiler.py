@@ -17,7 +17,6 @@ from repro.mcu.cpu import ExecutionResult
 from repro.mcu.fastpath import DEFAULT_ENGINE, FastCPU, make_cpu
 from repro.mcu.isa import Program, Reg
 from repro.mcu.memory import MemoryMap
-from repro.mcu.timer import Tim2
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ class BlockProfile:
 
 
 class Profiler:
-    """Times program executions on a board, TIM2-style."""
+    """Times program executions on a board's clock."""
 
     def __init__(
         self,
@@ -61,16 +60,12 @@ class Profiler:
         self.memory = memory
         self.engine = engine
         self.cpu = make_cpu(memory, costs=board.costs, engine=engine)
-        self.timer = Tim2(board.clock_hz)
 
     def run_once(
         self, program: Program, registers: dict[Reg, int] | None = None
     ) -> ExecutionResult:
-        """Single execution with timer bracketing."""
-        self.timer.start()
-        result = self.cpu.run(program, registers)
-        self.timer.advance(result.cycles)
-        return result
+        """Single execution."""
+        return self.cpu.run(program, registers)
 
     def measure(
         self,

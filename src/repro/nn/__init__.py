@@ -1,42 +1,36 @@
 """From-scratch NumPy training framework (the Larq substitute).
 
 Provides quantization-aware training with straight-through-estimator
-ternarization, the three layer families the paper compares (dense MLP,
-Neuro-C, TNN), batch normalization and dropout for the MLP random search,
-and a mini-batch trainer with early stopping and convergence detection.
+ternarization at a fixed threshold, the layer families the paper compares
+(dense MLP, and Neuro-C with or without its per-neuron scale, the TNN),
+batch normalization and dropout for the MLP random search, ReLU, and a
+mini-batch Adam trainer on softmax cross-entropy with early stopping and
+convergence detection.
 """
 
-from repro.nn.activations import get_activation, softmax
 from repro.nn.initializers import neuron_scale_init
 from repro.nn.layers import (
-    ActivationLayer,
     BatchNormLayer,
     DenseLayer,
     DropoutLayer,
     Layer,
     NeuroCLayer,
     Parameter,
-    TernaryLayer,
+    ReLULayer,
 )
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
-from repro.nn.metrics import (
-    accuracy,
-    chance_accuracy,
-    confusion_matrix,
-    per_class_accuracy,
-)
+from repro.nn.losses import SoftmaxCrossEntropy, softmax
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam, Optimizer
-from repro.nn.quantizers import LATENT_CLIP, TWN_FACTOR, TernaryQuantizer
+from repro.nn.optimizers import Adam
+from repro.nn.quantizers import LATENT_CLIP, TernaryQuantizer
 from repro.nn.trainer import (
     CONVERGENCE_MARGIN,
     History,
     TrainConfig,
     Trainer,
+    chance_accuracy,
 )
 
 __all__ = [
-    "ActivationLayer",
     "Adam",
     "BatchNormLayer",
     "CONVERGENCE_MARGIN",
@@ -45,23 +39,15 @@ __all__ = [
     "History",
     "LATENT_CLIP",
     "Layer",
-    "MeanSquaredError",
     "NeuroCLayer",
-    "Optimizer",
     "Parameter",
-    "SGD",
+    "ReLULayer",
     "Sequential",
     "SoftmaxCrossEntropy",
-    "TWN_FACTOR",
-    "TernaryLayer",
     "TernaryQuantizer",
     "TrainConfig",
     "Trainer",
-    "accuracy",
     "chance_accuracy",
-    "confusion_matrix",
-    "get_activation",
     "neuron_scale_init",
-    "per_class_accuracy",
     "softmax",
 ]

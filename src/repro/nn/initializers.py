@@ -6,18 +6,17 @@ import numpy as np
 
 
 def glorot_uniform(
-    rng: np.random.Generator, fan_in: int, fan_out: int,
-    shape: tuple[int, ...] | None = None,
+    rng: np.random.Generator, fan_in: int, fan_out: int
 ) -> np.ndarray:
     """Glorot/Xavier uniform: U(-limit, limit), limit = sqrt(6/(in+out))."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    shape = shape if shape is not None else (fan_in, fan_out)
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(
+        np.float32
+    )
 
 
 def latent_ternary_uniform(
-    rng: np.random.Generator, fan_in: int, fan_out: int,
-    shape: tuple[int, ...] | None = None,
+    rng: np.random.Generator, fan_in: int, fan_out: int
 ) -> np.ndarray:
     """Latent-weight init for STE-ternarized layers: U(-1, 1).
 
@@ -25,8 +24,7 @@ def latent_ternary_uniform(
     even spread around its threshold, so initial sparsity is governed by the
     threshold alone rather than by the init distribution's shape.
     """
-    shape = shape if shape is not None else (fan_in, fan_out)
-    return rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
+    return rng.uniform(-1.0, 1.0, size=(fan_in, fan_out)).astype(np.float32)
 
 
 def neuron_scale_init(

@@ -1,15 +1,17 @@
 """Layers for the NumPy training framework.
 
-The three weighted layers implement the architectures the paper compares:
+The two weighted layers implement the architectures the paper compares:
 
 - :class:`DenseLayer` — the conventional MLP baseline (per-connection
   float weights).
 - :class:`NeuroCLayer` — the paper's contribution (Eq. 1): ternary
   adjacency ``A``, per-neuron scale ``w_j``, bias ``b_j``; the adjacency is
   either learned through STE ternarization or fixed (for the random and
-  locality strategies of §3.2).
-- :class:`TernaryLayer` — the TNN baseline of §5.2: identical to
-  :class:`NeuroCLayer` with the per-neuron scale removed.
+  locality strategies of §3.2).  With ``use_scale=False`` it is the TNN
+  baseline of §5.2: the per-neuron scale removed.
+
+ReLU is the one activation: the integer kernels apply it as a free
+``max(0, x)``.
 
 All layers operate on float32 batches of shape ``(batch, features)``.
 ``backward(grad_out, input_grad=True)`` accumulates the parameter
@@ -23,13 +25,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nn.activations import get_activation
 from repro.nn.initializers import (
     glorot_uniform,
     latent_ternary_uniform,
     neuron_scale_init,
 )
 from repro.nn.quantizers import TernaryQuantizer
+
+#: Batch norm's running-statistics decay and variance guard.
+BN_MOMENTUM = 0.9
+BN_EPSILON = 1e-5
 
 
 class Parameter:
@@ -71,47 +76,43 @@ class Layer:
 
 
 class DenseLayer(Layer):
-    """Fully connected layer with per-connection float weights."""
+    """Fully connected layer with per-connection float weights and a bias."""
 
     def __init__(
-        self, n_in: int, n_out: int, rng: np.random.Generator,
-        use_bias: bool = True,
+        self, n_in: int, n_out: int, rng: np.random.Generator
     ) -> None:
         if n_in < 1 or n_out < 1:
             raise ConfigurationError("layer dimensions must be positive")
         self.n_in = n_in
         self.n_out = n_out
         self.weight = Parameter(glorot_uniform(rng, n_in, n_out), "weight")
-        self.bias = Parameter(np.zeros(n_out, np.float32), "bias") \
-            if use_bias else None
+        self.bias = Parameter(np.zeros(n_out, np.float32), "bias")
         self._x: np.ndarray | None = None
 
     def params(self) -> list[Parameter]:
-        return [self.weight] + ([self.bias] if self.bias else [])
+        return [self.weight, self.bias]
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         self._x = x if training else None
-        z = x @ self.weight.value
-        if self.bias is not None:
-            z = z + self.bias.value
-        return z
+        return x @ self.weight.value + self.bias.value
 
     def backward(
         self, grad_out: np.ndarray, input_grad: bool = True
     ) -> np.ndarray | None:
         x = self._x
         self.weight.grad += x.T @ grad_out
-        if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
+        self.bias.grad += grad_out.sum(axis=0)
         return grad_out @ self.weight.value.T if input_grad else None
 
 
 class NeuroCLayer(Layer):
     """Eq. 1: ``o_j = f(w_j · Σ_i a_ij · o_i + b_j)`` (f applied outside).
 
-    With ``fixed_adjacency`` the connectivity is frozen (random / locality
-    strategies); otherwise a latent float matrix is ternarized on every
-    forward pass via the STE quantizer and learns which connections to keep.
+    With ``fixed_adjacency`` the connectivity is frozen (the stage-2
+    proxy's ternarized weights); with ``fixed_support`` the random and
+    locality strategies pin which connections exist; otherwise a latent
+    float matrix is ternarized on every forward pass via ``quantizer``
+    and learns which connections to keep.
     """
 
     def __init__(
@@ -123,7 +124,6 @@ class NeuroCLayer(Layer):
         fixed_adjacency: np.ndarray | None = None,
         fixed_support: np.ndarray | None = None,
         use_scale: bool = True,
-        expected_fan_in: float | None = None,
     ) -> None:
         if n_in < 1 or n_out < 1:
             raise ConfigurationError("layer dimensions must be positive")
@@ -166,17 +166,19 @@ class NeuroCLayer(Layer):
                 latent_ternary_uniform(rng, n_in, n_out), "latent_adjacency"
             )
             fan_in_nnz = float(fixed_support.sum(axis=0).mean())
+        elif quantizer is None:
+            raise ConfigurationError(
+                "a learned adjacency needs a quantizer"
+            )
         else:
             self.fixed_adjacency = None
-            self.quantizer = quantizer or TernaryQuantizer()
+            self.quantizer = quantizer
             self.latent = Parameter(
                 latent_ternary_uniform(rng, n_in, n_out), "latent_adjacency"
             )
             fan_in_nnz = (
-                expected_fan_in
-                if expected_fan_in is not None
-                else (1.0 - self.quantizer.sparsity(self.latent.value)) * n_in
-            )
+                1.0 - quantizer.sparsity(self.latent.value)
+            ) * n_in
 
         if use_scale:
             self.scale = Parameter(
@@ -269,48 +271,23 @@ class NeuroCLayer(Layer):
         return neuron_params + self.nnz
 
 
-class TernaryLayer(NeuroCLayer):
-    """The §5.2 TNN baseline: Neuro-C with the per-neuron scale removed."""
+class ReLULayer(Layer):
+    """Element-wise ``max(0, x)``."""
 
-    def __init__(
-        self,
-        n_in: int,
-        n_out: int,
-        rng: np.random.Generator,
-        quantizer: TernaryQuantizer | None = None,
-        fixed_adjacency: np.ndarray | None = None,
-        fixed_support: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(
-            n_in, n_out, rng,
-            quantizer=quantizer,
-            fixed_adjacency=fixed_adjacency,
-            fixed_support=fixed_support,
-            use_scale=False,
-        )
-
-
-class ActivationLayer(Layer):
-    """Element-wise activation wrapper."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._fn, self._grad_fn = get_activation(name)
+    def __init__(self) -> None:
         self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        y = self._fn(x)
         if training:
-            self._x, self._y = x, y
-        return y
+            self._x = x
+        return np.maximum(x, 0.0)
 
     def backward(
         self, grad_out: np.ndarray, input_grad: bool = True
     ) -> np.ndarray | None:
         if not input_grad:
             return None
-        return grad_out * self._grad_fn(self._x, self._y)
+        return grad_out * (self._x > 0.0).astype(self._x.dtype)
 
 
 class BatchNormLayer(Layer):
@@ -322,11 +299,8 @@ class BatchNormLayer(Layer):
     tests can demonstrate the deployability restriction.
     """
 
-    def __init__(self, n: int, momentum: float = 0.9,
-                 epsilon: float = 1e-5) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
-        self.momentum = momentum
-        self.epsilon = epsilon
         self.gamma = Parameter(np.ones(n, np.float32), "gamma")
         self.beta = Parameter(np.zeros(n, np.float32), "beta")
         self.running_mean = np.zeros(n, np.float32)
@@ -341,14 +315,14 @@ class BatchNormLayer(Layer):
             mean = x.mean(axis=0)
             var = x.var(axis=0)
             self.running_mean = (
-                self.momentum * self.running_mean + (1 - self.momentum) * mean
+                BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
             ).astype(np.float32)
             self.running_var = (
-                self.momentum * self.running_var + (1 - self.momentum) * var
+                BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
             ).astype(np.float32)
         else:
             mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
         x_hat = (x - mean) * inv_std
         if training:
             self._cache = (x_hat, inv_std)

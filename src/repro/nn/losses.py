@@ -1,28 +1,25 @@
-"""Loss functions (forward value + gradient w.r.t. the model output)."""
+"""The training loss: softmax cross-entropy over integer class labels."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nn.activations import softmax
 
 
-class Loss:
-    """Interface: ``forward`` returns the scalar loss, ``backward`` the
-    gradient w.r.t. the predictions that were passed to ``forward``."""
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def backward(self) -> np.ndarray:
-        raise NotImplementedError
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Row-wise softmax with the max-subtraction stability trick."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    expx = np.exp(shifted)
+    return expx / expx.sum(axis=-1, keepdims=True)
 
 
-class SoftmaxCrossEntropy(Loss):
+class SoftmaxCrossEntropy:
     """Softmax + cross-entropy fused for numerical stability.
 
     ``targets`` are integer class labels of shape ``(batch,)``.
+    ``forward`` returns the scalar loss and ``backward`` its gradient
+    with respect to the logits passed to ``forward``.
     """
 
     def __init__(self) -> None:
@@ -47,23 +44,3 @@ class SoftmaxCrossEntropy(Loss):
         grad = probs.copy()
         grad[np.arange(len(targets)), targets] -= 1.0
         return (grad / len(targets)).astype(np.float32)
-
-
-class MeanSquaredError(Loss):
-    """Plain MSE for regression-style examples."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != predictions.shape:
-            raise ConfigurationError(
-                f"targets shape {targets.shape} != predictions "
-                f"{predictions.shape}"
-            )
-        self._diff = predictions - targets
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        return (2.0 * self._diff / self._diff.size).astype(np.float32)

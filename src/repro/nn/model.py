@@ -7,6 +7,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nn.layers import Layer, NeuroCLayer, Parameter
 
+#: Rows per inference-mode forward in :meth:`Sequential.predict`.
+PREDICT_BATCH = 256
+
 
 class Sequential:
     """A stack of layers trained end to end."""
@@ -44,11 +47,11 @@ class Sequential:
         for layer in self.layers:
             layer.post_update()
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Class predictions (argmax of logits) in inference mode."""
         outputs = [
-            self.forward(x[i : i + batch_size], training=False)
-            for i in range(0, len(x), batch_size)
+            self.forward(x[i : i + PREDICT_BATCH], training=False)
+            for i in range(0, len(x), PREDICT_BATCH)
         ]
         return np.concatenate(outputs).argmax(axis=1)
 

@@ -1,4 +1,4 @@
-"""Gradient-descent optimizers operating on Parameter lists."""
+"""Adam, the one optimizer, operating on Parameter lists."""
 
 from __future__ import annotations
 
@@ -10,16 +10,10 @@ from repro.errors import ConfigurationError
 from repro.nn.layers import Parameter
 
 
-class Optimizer:
-    """Interface: ``step`` applies one update from accumulated gradients."""
-
-    def step(self, params: list[Parameter]) -> None:
-        raise NotImplementedError
-
-    @staticmethod
-    def zero_grads(params: list[Parameter]) -> None:
-        for p in params:
-            p.zero_grad()
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's values).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 def _check_lr(lr: float) -> None:
@@ -27,28 +21,6 @@ def _check_lr(lr: float) -> None:
         raise ConfigurationError(f"learning rate must be positive: {lr}")
     if not math.isfinite(lr):
         raise ConfigurationError(f"learning rate must be finite: {lr}")
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0) -> None:
-        _check_lr(lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1): {momentum}")
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self, params: list[Parameter]) -> None:
-        for p in params:
-            if self.momentum:
-                v = self._velocity.setdefault(id(p), np.zeros_like(p.value))
-                v *= self.momentum
-                v -= self.lr * p.grad
-                p.value += v
-            else:
-                p.value -= self.lr * p.grad
 
 
 class _AdamState:
@@ -77,25 +49,14 @@ class _AdamState:
         return self.wide
 
 
-class Adam(Optimizer):
-    """Adam (Kingma & Ba) — the default for ternary STE training, whose
-    sparse, spiky latent-weight gradients benefit from per-parameter
-    step-size adaptation."""
+class Adam:
+    """Adam (Kingma & Ba) — the optimizer of every training run: ternary
+    STE training's sparse, spiky latent-weight gradients benefit from
+    per-parameter step-size adaptation."""
 
-    def __init__(
-        self,
-        lr: float = 0.002,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
+    def __init__(self, lr: float) -> None:
         _check_lr(lr)
-        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
-            raise ConfigurationError("betas must be in [0, 1)")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self._states: dict[tuple[int, ...], _AdamState] = {}
         self._t = 0
 
@@ -122,8 +83,8 @@ class Adam(Optimizer):
         the float32 value.
         """
         self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
+        bias1 = 1.0 - BETA1**self._t
+        bias2 = 1.0 - BETA2**self._t
         if not params:
             return
         key = tuple(map(id, params))
@@ -134,17 +95,17 @@ class Adam(Optimizer):
             state.grad, state.m, state.v, state.scratch, state.denom
         )
         np.concatenate([p.grad for p in params], axis=None, out=g)
-        m *= self.beta1
-        np.multiply(g, 1 - self.beta1, out=scratch)
+        m *= BETA1
+        np.multiply(g, 1 - BETA1, out=scratch)
         m += scratch
-        v *= self.beta2
+        v *= BETA2
         np.square(g, out=scratch)
-        scratch *= 1 - self.beta2
+        scratch *= 1 - BETA2
         v += scratch
         m_hat = np.divide(m, bias1, out=scratch)
         np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += self.epsilon
+        denom += EPSILON
         update = state.update_buffer(np.result_type(self.lr, m_hat))
         np.multiply(m_hat, self.lr, out=update)
         update /= denom

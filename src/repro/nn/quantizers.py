@@ -7,14 +7,9 @@ range).  This is the paper's third adjacency strategy (§3.2,
 "quantization-aware training") and the mechanism Larq's ``SteTern``
 quantizer implements.
 
-Two threshold policies are provided:
-
-``"twn"``
-    The Ternary Weight Networks heuristic: Δ = 0.7 · mean(|W|), adapting as
-    the latent weights move.  Sparsity emerges from training.
-``float``
-    A fixed Δ.  Larger thresholds force more zeros; useful for controlled
-    sparsity sweeps (Figure 1's grid search, the sparsity ablation).
+The threshold Δ is fixed: larger thresholds force more zeros, which is
+how the sparsity sweeps (Figure 1's grid search, the sparsity ablation)
+and the search's threshold axis control density.
 """
 
 from __future__ import annotations
@@ -28,38 +23,23 @@ from repro.errors import ConfigurationError
 #: Latent weights live in [-CLIP, CLIP]; gradients vanish outside (STE clip).
 LATENT_CLIP = 1.0
 
-#: TWN threshold factor (Li & Liu 2016): Δ = 0.7 E|W|.
-TWN_FACTOR = 0.7
-
 
 @dataclass(frozen=True)
 class TernaryQuantizer:
-    """STE ternarizer with a TWN-adaptive or fixed threshold."""
+    """STE ternarizer with a fixed threshold Δ."""
 
-    threshold: float | str = "twn"
+    threshold: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.threshold, str):
-            if self.threshold != "twn":
-                raise ConfigurationError(
-                    f"threshold must be 'twn' or a float, "
-                    f"got {self.threshold!r}"
-                )
-        elif not 0.0 <= float(self.threshold) < LATENT_CLIP:
+        if not 0.0 <= float(self.threshold) < LATENT_CLIP:
             raise ConfigurationError(
                 f"fixed threshold must be in [0, {LATENT_CLIP}), "
                 f"got {self.threshold}"
             )
 
-    def delta_for(self, latent: np.ndarray) -> float:
-        """The effective threshold Δ for the given latent tensor."""
-        if self.threshold == "twn":
-            return float(TWN_FACTOR * np.abs(latent).mean())
-        return float(self.threshold)
-
     def quantize(self, latent: np.ndarray) -> np.ndarray:
         """Forward pass: map latent weights to int8 ternary values."""
-        delta = self.delta_for(latent)
+        delta = float(self.threshold)
         ternary = np.zeros(latent.shape, dtype=np.int8)
         ternary[latent > delta] = 1
         ternary[latent < -delta] = -1

@@ -13,13 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
-from repro.nn.metrics import chance_accuracy
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
-from repro.nn.optimizers import Adam, Optimizer
+from repro.nn.optimizers import Adam
 
 #: A run counts as converged if best val accuracy beats chance by this much.
 CONVERGENCE_MARGIN = 0.15
+#: Mini-batch rows per optimizer step.
+BATCH_SIZE = 64
+#: A validation gain smaller than this does not reset the patience.
+MIN_DELTA = 1e-4
+#: Where the cosine schedule anneals the learning rate to.
+LR_FLOOR = 1e-4
+
+
+def chance_accuracy(targets: np.ndarray) -> float:
+    """Accuracy of always predicting the majority class."""
+    _, counts = np.unique(np.asarray(targets), return_counts=True)
+    return float(counts.max() / counts.sum())
 
 
 @dataclass
@@ -57,16 +68,11 @@ class TrainConfig:
     """Hyper-parameters for one training run."""
 
     epochs: int = 30
-    batch_size: int = 64
     patience: int = 8        # early stop after this many non-improving epochs
-    min_delta: float = 1e-4  # improvement smaller than this does not count
-    shuffle: bool = True
-    verbose: bool = False
     #: "constant" keeps the optimizer's lr; "cosine" anneals it to
-    #: ``lr_floor`` over the epoch budget (helps STE ternary training
+    #: :data:`LR_FLOOR` over the epoch budget (helps STE ternary training
     #: settle its adjacency in late epochs).
     lr_schedule: str = "constant"
-    lr_floor: float = 1e-4
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -78,19 +84,16 @@ class TrainConfig:
 
 
 class Trainer:
-    """Trains a :class:`Sequential` model on arrays of (x, y)."""
+    """Trains a :class:`Sequential` model on arrays of (x, y) under
+    softmax cross-entropy; ``rng`` shuffles every epoch."""
 
     def __init__(
-        self,
-        model: Sequential,
-        optimizer: Optimizer | None = None,
-        loss: Loss | None = None,
-        rng: np.random.Generator | None = None,
+        self, model: Sequential, optimizer: Adam, rng: np.random.Generator
     ) -> None:
         self.model = model
-        self.optimizer = optimizer or Adam()
-        self.loss = loss or SoftmaxCrossEntropy()
-        self.rng = rng or np.random.default_rng(0)
+        self.optimizer = optimizer
+        self.loss = SoftmaxCrossEntropy()
+        self.rng = rng
 
     def fit(
         self,
@@ -98,9 +101,8 @@ class Trainer:
         y_train: np.ndarray,
         x_val: np.ndarray,
         y_val: np.ndarray,
-        config: TrainConfig | None = None,
+        config: TrainConfig,
     ) -> History:
-        config = config or TrainConfig()
         x_train = np.asarray(x_train, dtype=np.float32)
         y_train = np.asarray(y_train)
         if len(x_train) != len(y_train):
@@ -114,25 +116,22 @@ class Trainer:
         params = self.model.params()
         best = -np.inf
         stale = 0
-        base_lr = getattr(self.optimizer, "lr", None)
+        base_lr = self.optimizer.lr
 
         for epoch in range(config.epochs):
-            if config.lr_schedule == "cosine" and base_lr is not None:
+            if config.lr_schedule == "cosine":
                 progress = epoch / max(config.epochs - 1, 1)
-                self.optimizer.lr = config.lr_floor + 0.5 * (
-                    base_lr - config.lr_floor
+                self.optimizer.lr = LR_FLOOR + 0.5 * (
+                    base_lr - LR_FLOOR
                 ) * (1.0 + np.cos(np.pi * progress))
-            order = (
-                self.rng.permutation(len(x_train))
-                if config.shuffle
-                else np.arange(len(x_train))
-            )
+            order = self.rng.permutation(len(x_train))
             epoch_loss = 0.0
             correct = 0
-            for start in range(0, len(order), config.batch_size):
-                idx = order[start : start + config.batch_size]
+            for start in range(0, len(order), BATCH_SIZE):
+                idx = order[start : start + BATCH_SIZE]
                 xb, yb = x_train[idx], y_train[idx]
-                self.optimizer.zero_grads(params)
+                for p in params:
+                    p.zero_grad()
                 logits = self.model.forward(xb, training=True)
                 if not np.isfinite(logits).all():
                     raise TrainingError(
@@ -151,14 +150,8 @@ class Trainer:
             val_acc = self.model.accuracy(x_val, y_val)
             history.val_accuracy.append(val_acc)
             history.epochs_run = epoch + 1
-            if config.verbose:
-                print(
-                    f"epoch {epoch + 1:3d}  loss {history.train_loss[-1]:.4f}"
-                    f"  train {history.train_accuracy[-1]:.4f}"
-                    f"  val {val_acc:.4f}"
-                )
 
-            if val_acc > best + config.min_delta:
+            if val_acc > best + MIN_DELTA:
                 best = val_acc
                 stale = 0
             else:

@@ -1,8 +1,6 @@
 """Post-training int8/int16 quantization and fixed-point helpers."""
 
 from repro.quantize.fixed_point import (
-    float_to_q,
-    q_to_float,
     quantize_multiplier,
     quantize_multipliers_shared_shift,
     requantize,
@@ -17,8 +15,6 @@ from repro.quantize.ptq import (
 __all__ = [
     "CALIBRATION_HEADROOM",
     "QuantizedModel",
-    "float_to_q",
-    "q_to_float",
     "quantize_model",
     "ternarize_float_model",
     "quantize_multiplier",

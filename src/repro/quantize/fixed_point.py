@@ -13,27 +13,6 @@ import numpy as np
 from repro.errors import QuantizationError
 
 
-def float_to_q(value: float, frac_bits: int, width_bits: int = 16) -> int:
-    """Encode ``value`` in signed Q(width-frac-1).frac format."""
-    if not 0 <= frac_bits < width_bits:
-        raise QuantizationError(
-            f"frac_bits {frac_bits} invalid for width {width_bits}"
-        )
-    fixed = int(round(value * (1 << frac_bits)))
-    lo, hi = -(1 << (width_bits - 1)), (1 << (width_bits - 1)) - 1
-    if not lo <= fixed <= hi:
-        raise QuantizationError(
-            f"{value} does not fit Q format with {frac_bits} fractional "
-            f"bits in {width_bits} bits"
-        )
-    return fixed
-
-
-def q_to_float(fixed: int, frac_bits: int) -> float:
-    """Decode a Q-format integer back to float."""
-    return fixed / (1 << frac_bits)
-
-
 def quantize_multiplier(
     scale: float, mult_bits: int = 15, max_shift: int = 31
 ) -> tuple[int, int]:

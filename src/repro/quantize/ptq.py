@@ -31,11 +31,12 @@ from repro.errors import QuantizationError
 from repro.kernels.ref import model_forward, model_predict
 from repro.kernels.spec import LayerKernelSpec
 from repro.nn.layers import (
-    ActivationLayer,
+    BN_EPSILON,
     BatchNormLayer,
     DenseLayer,
     DropoutLayer,
     NeuroCLayer,
+    ReLULayer,
 )
 from repro.nn.model import Sequential
 from repro.quantize.fixed_point import (
@@ -66,7 +67,7 @@ def _fold_batchnorm(
     weights: np.ndarray, bias: np.ndarray, bn: BatchNormLayer
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold inference-time BN into the preceding dense layer."""
-    inv_std = 1.0 / np.sqrt(bn.running_var + bn.epsilon)
+    inv_std = 1.0 / np.sqrt(bn.running_var + BN_EPSILON)
     factor = bn.gamma.value * inv_std
     folded_w = weights * factor[None, :]
     folded_b = (bias - bn.running_mean) * factor + bn.beta.value
@@ -92,11 +93,7 @@ def _extract_stages(model: Sequential) -> list[_Stage]:
         elif isinstance(layer, DenseLayer):
             kind = "dense"
             weights = layer.weight.value.copy()
-            bias = (
-                layer.bias.value.copy()
-                if layer.bias is not None
-                else np.zeros(layer.n_out, np.float32)
-            )
+            bias = layer.bias.value.copy()
             scale = None
         else:
             raise QuantizationError(
@@ -119,12 +116,7 @@ def _extract_stages(model: Sequential) -> list[_Stage]:
                     )
                 weights, bias = _fold_batchnorm(weights, bias, follower)
                 i += 1
-            elif isinstance(follower, ActivationLayer):
-                if follower.name != "relu":
-                    raise QuantizationError(
-                        f"activation {follower.name!r} is not supported by "
-                        "the integer kernels (only ReLU quantizes freely)"
-                    )
+            elif isinstance(follower, ReLULayer):
                 relu = True
                 i += 1
                 break
@@ -288,7 +280,7 @@ def ternarize_float_model(
         layer.bias.value = stage.bias.astype(np.float32)
         layers.append(layer)
         if stage.relu:
-            layers.append(ActivationLayer("relu"))
+            layers.append(ReLULayer())
     return Sequential(layers, name=f"{model.name}-ptq-ternary")
 
 

@@ -28,8 +28,10 @@ import numpy as np
 from repro.deploy.artifact import VERIFIED_ENGINE, DeployedModel
 from repro.deploy.deployer import Deployment, deploy
 from repro.mcu.board import BoardProfile, STM32F072RB
-from repro.mcu.fastpath import DEFAULT_ENGINE
 from repro.quantize.ptq import QuantizedModel
+
+#: The block encoding's block size of every registered artifact.
+BLOCK_SIZE = 256
 
 
 def content_hash(
@@ -93,9 +95,9 @@ class ModelArtifact:
         """A fresh board flashed with this artifact (no re-codegen).
 
         A replica has its own memory map (flash contents copied
-        verbatim), CPU and timer state, and kernel images pointing at
-        them.  The quantized model (with its memoized encodings) and the
-        compiled programs never change after flashing, so every replica
+        verbatim), CPU state, and kernel images pointing at them.  The
+        quantized model (with its memoized encodings) and the compiled
+        programs never change after flashing, so every replica
         shares the artifact's; fastpath translations are shared too
         (they are immutable and cached process-wide by program content,
         so N replicas compile each layer exactly once).  ``engine``
@@ -129,25 +131,23 @@ class ModelRegistry:
         quantized: QuantizedModel,
         format_name: str = "block",
         board: BoardProfile = STM32F072RB,
-        block_size: int = 256,
         verify: bool = True,
-        engine: str = DEFAULT_ENGINE,
     ) -> ModelArtifact:
         """Deploy + verify the model once; identical content is cached.
 
-        Fastpath translations are warmed here, next to codegen and
+        Artifacts use :data:`BLOCK_SIZE` and the default engine.  Fastpath
+        translations are warmed here, next to codegen and
         verification, so they too run exactly once per distinct artifact
         — every later replica reuses the process-wide translation cache.
         """
-        model_id = content_hash(quantized, format_name, board, block_size)
+        model_id = content_hash(quantized, format_name, board, BLOCK_SIZE)
         artifact = self._artifacts.get(model_id)
         if artifact is not None:
             self.cache_hits += 1
         else:
             deployment = deploy(
                 quantized, format_name=format_name, board=board,
-                block_size=block_size, require_fit=True, verify=verify,
-                engine=engine,
+                block_size=BLOCK_SIZE, require_fit=True, verify=verify,
             )
             assert deployment.model is not None
             deployment.model.warm_translations()
@@ -156,7 +156,7 @@ class ModelRegistry:
                 deployment=deployment,
                 format_name=format_name,
                 board=board,
-                block_size=block_size,
+                block_size=BLOCK_SIZE,
             )
             self._artifacts[model_id] = artifact
         return artifact

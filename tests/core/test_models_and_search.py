@@ -11,11 +11,11 @@ from repro.core.tnn import tnn_config_from
 from repro.core.zoo import BEST_DEPLOYABLE, NEUROC_ZOO, zoo_entry
 from repro.errors import ConfigurationError
 from repro.nn.layers import (
-    ActivationLayer,
     BatchNormLayer,
     DenseLayer,
     DropoutLayer,
     NeuroCLayer,
+    ReLULayer,
 )
 from repro.quantize.ptq import quantize_model
 
@@ -36,7 +36,7 @@ class TestNeuroCConfig:
     def test_build_structure(self):
         model = build_neuroc(NeuroCConfig(64, 10, hidden=(32,)))
         kinds = [type(l).__name__ for l in model.layers]
-        assert kinds == ["NeuroCLayer", "ActivationLayer", "NeuroCLayer"]
+        assert kinds == ["NeuroCLayer", "ReLULayer", "NeuroCLayer"]
         assert all(l.use_scale for l in model.neuroc_layers())
 
     def test_build_tnn_variant(self):
@@ -92,7 +92,7 @@ class TestMLPConfig:
         assert kinds.count(DenseLayer) == 3
         assert kinds.count(BatchNormLayer) == 2
         assert kinds.count(DropoutLayer) == 2
-        assert kinds.count(ActivationLayer) == 2
+        assert kinds.count(ReLULayer) == 2
 
     def test_invalid_dropout(self):
         with pytest.raises(ConfigurationError):

@@ -164,7 +164,7 @@ def test_difficulty_ordering_matches_paper():
     """mnist < fashion < cifar5 in difficulty, measured by one fixed small
     trained classifier, chance-normalized across class counts."""
     from repro.nn import (
-        ActivationLayer, Adam, DenseLayer, Sequential, TrainConfig, Trainer,
+        Adam, DenseLayer, ReLULayer, Sequential, TrainConfig, Trainer,
     )
 
     scores = {}
@@ -173,7 +173,7 @@ def test_difficulty_ordering_matches_paper():
         x_tr, y_tr, x_val, y_val = ds.split_validation(seed=0)
         rng = np.random.default_rng(0)
         model = Sequential(
-            [DenseLayer(ds.num_features, 16, rng), ActivationLayer("relu"),
+            [DenseLayer(ds.num_features, 16, rng), ReLULayer(),
              DenseLayer(16, ds.num_classes, rng)]
         )
         Trainer(model, Adam(0.003), rng=np.random.default_rng(1)).fit(

@@ -3,8 +3,8 @@
 ISSUE-2 satellite: ``infer()``/``predict()`` must reject malformed
 inputs up front with :class:`~repro.errors.InvalidInputError` instead of
 surfacing a raw numpy failure from deep inside the memory map, and
-``predict(vectorized=True)`` must agree bit-for-bit with the on-device
-path.
+``predict()`` must agree bit-for-bit with the reference backend,
+``QuantizedModel.predict``.
 """
 
 import numpy as np
@@ -58,13 +58,14 @@ class TestPredictValidation:
 
 
 class TestVectorizedFastPath:
+    """The NumPy reference backend agrees with the device path."""
+
     def test_matches_on_device_path(self, deployed, digits_small):
         x = digits_small.x_test[:16]
-        fast = deployed.predict(x, vectorized=True)
+        fast = deployed.quantized.predict(x)
         slow = deployed.predict(x)
         assert np.array_equal(fast, slow)
 
     def test_accuracy_paths_agree(self, deployed, digits_small):
         x, y = digits_small.x_test[:16], digits_small.y_test[:16]
-        assert deployed.accuracy(x, y, vectorized=True) == \
-            deployed.accuracy(x, y)
+        assert deployed.quantized.accuracy(x, y) == deployed.accuracy(x, y)

@@ -1,7 +1,7 @@
-"""Differential check: vectorized batch inference vs the device path.
+"""Differential check: the reference backend vs the device path.
 
-``predict(vectorized=True)`` bypasses the interpreted per-row kernels
-for the vectorized reference backend; the two must agree bit-for-bit on
+``QuantizedModel.predict`` runs the NumPy reference instead of the
+generated kernels; the two must agree bit-for-bit on
 every sparse encoding (the generated kernels differ per format, the
 semantics must not) and on dense layers.  Logits are compared too, not
 just argmax labels — a near-miss in the accumulator path can leave
@@ -32,7 +32,7 @@ class TestSparseEncodings:
     @pytest.mark.parametrize("format_name", SPARSE_FORMATS)
     def test_labels_agree(self, trained_neuroc, batch, format_name):
         model = _deployed_per_format(trained_neuroc, format_name)
-        fast = model.predict(batch, vectorized=True)
+        fast = model.quantized.predict(batch)
         slow = model.predict(batch)
         assert np.array_equal(fast, slow)
 
@@ -49,7 +49,7 @@ class TestSparseEncodings:
 class TestDenseLayers:
     def test_labels_agree(self, trained_mlp, batch):
         model = DeployedModel(trained_mlp.quantized)
-        fast = model.predict(batch, vectorized=True)
+        fast = model.quantized.predict(batch)
         slow = model.predict(batch)
         assert np.array_equal(fast, slow)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.deploy.artifact import DeployedModel
 from repro.deploy.firmware import (
@@ -171,15 +173,20 @@ class TestFirmware:
 
     def test_verification_accepts_intact_image(self, image):
         info = verify_firmware_image(image.blob)
-        assert info.crc_ok
         assert info.text_bytes == image.text_bytes
         assert info.n_layers == image.n_layers
 
     def test_bitflip_detected_by_crc(self, image):
         corrupted = bytearray(image.blob)
         corrupted[HEADER_BYTES + 5] ^= 0x40
-        info = verify_firmware_image(bytes(corrupted))
-        assert not info.crc_ok
+        with pytest.raises(ConfigurationError, match="checksum"):
+            verify_firmware_image(bytes(corrupted))
+
+    def test_layer_count_is_under_the_crc(self, image):
+        corrupted = bytearray(image.blob)
+        corrupted[16] ^= 0x01                  # the n_layers word
+        with pytest.raises(ConfigurationError, match="checksum"):
+            verify_firmware_image(bytes(corrupted))
 
     def test_header_tamper_rejected(self, image):
         bad_magic = b"XXXX" + image.blob[4:]
@@ -195,6 +202,24 @@ class TestFirmware:
         )
         with pytest.raises(ConfigurationError, match="size"):
             verify_firmware_image(bad_size)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_mutant_is_refused(self, image, data):
+        """A flipped bit anywhere, a truncation and an extension each
+        raise the typed error; none parses."""
+        blob = image.blob
+        kind = data.draw(st.sampled_from(["flip", "truncate", "extend"]))
+        if kind == "flip":
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+            mutant = bytearray(blob)
+            mutant[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "truncate":
+            mutant = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            mutant = blob + data.draw(st.binary(min_size=1, max_size=64))
+        with pytest.raises(ConfigurationError):
+            verify_firmware_image(bytes(mutant))
 
     def test_packing_is_deterministic(self, trained_neuroc):
         a = pack_firmware_image(

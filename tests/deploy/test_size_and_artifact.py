@@ -18,7 +18,6 @@ from repro.deploy.size import (
     STARTUP_TEXT_BYTES,
     ProgramMemoryReport,
     layer_program_memory,
-    mlp_rodata_estimate,
     model_program_memory,
 )
 from repro.encodings import (
@@ -96,11 +95,6 @@ class TestLayerProgramMemory:
         report = model_program_memory([spec])
         assert report.total_kb > 128
         assert not report.fits(STM32F072RB)
-
-    def test_mlp_rodata_estimate(self):
-        assert mlp_rodata_estimate([784, 32, 10]) == (
-            784 * 32 + 4 * 32 + 32 * 10 + 4 * 10
-        )
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
                         reason="needs /proc/self/maps")

@@ -196,9 +196,9 @@ def _count_verifications(monkeypatch) -> list:
     calls: list = []
     original = report_module.verify_deployed_model
 
-    def counting(model, board=None):
+    def counting(model):
         calls.append(model)
-        return original(model, board)
+        return original(model)
 
     monkeypatch.setattr(report_module, "verify_deployed_model", counting)
     return calls

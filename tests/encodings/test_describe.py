@@ -22,7 +22,12 @@ def test_description_lists_all_arrays_and_ratios():
 
 
 def test_sizes_in_text_match_encoding_accounting():
-    from repro.encodings import get_encoding
+    from repro.encodings import (
+        BlockEncoding,
+        CSCEncoding,
+        DeltaEncoding,
+        MixedEncoding,
+    )
     matrix = toy_matrix()
     text = describe_encodings(matrix, block_size=256)
     stated = [
@@ -31,11 +36,10 @@ def test_sizes_in_text_match_encoding_accounting():
         if "B total" in line
     ]
     actual = [
-        get_encoding("csc").from_matrix(matrix).size_bytes(),
-        get_encoding("delta").from_matrix(matrix).size_bytes(),
-        get_encoding("mixed").from_matrix(matrix).size_bytes(),
-        get_encoding("block").from_matrix(matrix,
-                                          block_size=256).size_bytes(),
+        CSCEncoding.from_matrix(matrix).size_bytes(),
+        DeltaEncoding.from_matrix(matrix).size_bytes(),
+        MixedEncoding.from_matrix(matrix).size_bytes(),
+        BlockEncoding.from_matrix(matrix, block_size=256).size_bytes(),
     ]
     assert stated == actual
 

@@ -8,14 +8,19 @@ from repro.encodings import (
     CSCEncoding,
     DeltaEncoding,
     MixedEncoding,
-    encoding_names,
-    get_encoding,
     validate_ternary,
     width_bytes_for,
 )
-from repro.errors import EncodingError
+from repro.errors import ConfigurationError, EncodingError
+from repro.kernels.codegen_sparse import SPARSE_FORMATS, encode_for_kernel
+from repro.kernels.spec import make_neuroc_spec
 
 ALL_FORMATS = ("csc", "delta", "mixed", "block")
+#: The four encoding classes by format name, in the paper's order.
+ENCODINGS = {
+    cls.format_name: cls
+    for cls in (CSCEncoding, DeltaEncoding, MixedEncoding, BlockEncoding)
+}
 
 
 def ternary(rng, n_in, n_out, density=0.2):
@@ -54,17 +59,21 @@ class TestBase:
             width_bytes_for(-1)
 
     def test_registry_lists_paper_order(self):
-        assert encoding_names() == ALL_FORMATS
+        """The kernels' one format table names each class, in order."""
+        assert SPARSE_FORMATS == ALL_FORMATS == tuple(ENCODINGS)
 
     def test_unknown_format(self):
-        with pytest.raises(EncodingError, match="unknown"):
-            get_encoding("csr")
+        spec = make_neuroc_spec(
+            np.eye(3), np.zeros(3, np.int32), None, act_out_width=4
+        )
+        with pytest.raises(ConfigurationError, match="unknown"):
+            encode_for_kernel(spec, "csr")
 
 
 @pytest.mark.parametrize("name", ALL_FORMATS)
 class TestRoundtrip:
     def encode(self, name, matrix, **kw):
-        return get_encoding(name).from_matrix(matrix, **kw)
+        return ENCODINGS[name].from_matrix(matrix, **kw)
 
     def test_roundtrip(self, name, matrix):
         enc = self.encode(name, matrix)
@@ -204,7 +213,7 @@ class TestBlock:
         # indices plus pointers make it the largest.
         matrix = ternary(rng, 784, 32, density=0.1)
         sizes = {
-            name: get_encoding(name).from_matrix(
+            name: ENCODINGS[name].from_matrix(
                 matrix, **({"stride": 2} if name == "delta" else {})
             ).size_bytes()
             for name in ALL_FORMATS

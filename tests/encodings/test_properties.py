@@ -5,8 +5,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.encodings import encoding_names, get_encoding
+from repro.encodings import (
+    BlockEncoding,
+    CSCEncoding,
+    DeltaEncoding,
+    MixedEncoding,
+)
 from repro.encodings.base import split_polarities
+
+#: The four encoding classes by format name, in the paper's order.
+ENCODINGS = {
+    cls.format_name: cls
+    for cls in (CSCEncoding, DeltaEncoding, MixedEncoding, BlockEncoding)
+}
 
 
 def ternary_matrices(max_in=80, max_out=12):
@@ -23,8 +34,8 @@ def ternary_matrices(max_in=80, max_out=12):
 @settings(max_examples=40, deadline=None)
 @given(matrix=ternary_matrices())
 def test_all_formats_roundtrip_losslessly(matrix):
-    for name in encoding_names():
-        encoding = get_encoding(name).from_matrix(matrix)
+    for name in ENCODINGS:
+        encoding = ENCODINGS[name].from_matrix(matrix)
         assert np.array_equal(encoding.to_matrix(), matrix), name
 
 
@@ -32,8 +43,8 @@ def test_all_formats_roundtrip_losslessly(matrix):
 @given(matrix=ternary_matrices())
 def test_nnz_invariant_across_formats(matrix):
     expected = int(np.count_nonzero(matrix))
-    for name in encoding_names():
-        assert get_encoding(name).from_matrix(matrix).nnz == expected
+    for name in ENCODINGS:
+        assert ENCODINGS[name].from_matrix(matrix).nnz == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -41,14 +52,14 @@ def test_nnz_invariant_across_formats(matrix):
 def test_storage_at_least_one_byte_per_connection(matrix):
     # No format can store a connection in less than one index byte.
     nnz = int(np.count_nonzero(matrix))
-    for name in encoding_names():
-        assert get_encoding(name).from_matrix(matrix).size_bytes() >= nnz
+    for name in ENCODINGS:
+        assert ENCODINGS[name].from_matrix(matrix).size_bytes() >= nnz
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrix=ternary_matrices(), stride=st.sampled_from([1, 2]))
 def test_delta_roundtrips_for_both_strides(matrix, stride):
-    encoding = get_encoding("delta").from_matrix(matrix, stride=stride)
+    encoding = ENCODINGS["delta"].from_matrix(matrix, stride=stride)
     assert np.array_equal(encoding.to_matrix(), matrix)
 
 
@@ -113,9 +124,9 @@ def test_every_array_takes_the_width_rule_of_its_polarity(
     matrix, stride, block_size
 ):
     n_in = matrix.shape[0]
-    csc = get_encoding("csc").from_matrix(matrix)
-    mixed = get_encoding("mixed").from_matrix(matrix)
-    delta = get_encoding("delta").from_matrix(matrix, stride=stride)
+    csc = ENCODINGS["csc"].from_matrix(matrix)
+    mixed = ENCODINGS["mixed"].from_matrix(matrix)
+    delta = ENCODINGS["delta"].from_matrix(matrix, stride=stride)
     for sign, name in ((1, "pos"), (-1, "neg")):
         mask = matrix == sign
         counts = mask.sum(axis=0)
@@ -138,7 +149,7 @@ def test_every_array_takes_the_width_rule_of_its_polarity(
         for label, (array, fits_a_byte) in arrays.items():
             assert array.dtype == unsigned(fits_a_byte), (name, label)
 
-    block = get_encoding("block").from_matrix(matrix, block_size=block_size)
+    block = ENCODINGS["block"].from_matrix(matrix, block_size=block_size)
     largest_block_count = max(
         int(np.count_nonzero(matrix[lo:lo + block_size] == sign, axis=0).max())
         for lo in range(0, n_in, block_size)
@@ -155,7 +166,7 @@ def test_every_array_takes_the_width_rule_of_its_polarity(
     block_size=st.integers(1, 256),
 )
 def test_block_indices_always_fit_a_byte(matrix, block_size):
-    encoding = get_encoding("block").from_matrix(
+    encoding = ENCODINGS["block"].from_matrix(
         matrix, block_size=block_size
     )
     for block in encoding.pos_blocks + encoding.neg_blocks:

@@ -15,6 +15,120 @@ def model_file(trained_neuroc, tmp_path_factory):
     return str(save_quantized_model(trained_neuroc.quantized, path))
 
 
+@pytest.fixture(scope="module")
+def oversized_model_file(tmp_path_factory):
+    """A dense 784x400 model: too big for the default board's flash."""
+    from repro.kernels.spec import make_dense_spec
+    from repro.quantize.ptq import QuantizedModel
+
+    rng = np.random.default_rng(0)
+    spec = make_dense_spec(
+        rng.integers(-50, 50, (784, 400)).astype(np.int8),
+        rng.integers(-5, 5, 400).astype(np.int32),
+        mult=None, act_out_width=4, relu=False,
+    )
+    path = tmp_path_factory.mktemp("cli-big") / "big.npz"
+    return str(save_quantized_model(
+        QuantizedModel(specs=[spec], input_scale=1 / 127, act_width=1),
+        path,
+    ))
+
+
+SMALL_SEARCH = ["--count", "4", "--n-train", "200", "--n-test", "60",
+                "--stage2-epochs", "1", "--epochs", "1"]
+
+#: One row per (subcommand, exit class) an input can reach: 0 success,
+#: 1 a typed error, 2 a failed verdict, a model that does not fit, an
+#: empty search frontier or an argparse usage error.  ``{model}`` is a
+#: trained model, ``{big}`` one over the flash budget, ``{missing}`` no
+#: file at all and ``{tmp}`` a fresh directory.
+EXIT_TABLE = {
+    "datasets-ok": (["datasets"], 0),
+    "datasets-usage": (["datasets", "--bogus"], 2),
+    "zoo-ok": (["zoo"], 0),
+    "zoo-usage": (["zoo", "--bogus"], 2),
+    "boards-ok": (["boards"], 0),
+    "boards-usage": (["boards", "--bogus"], 2),
+    "train-ok": (["train", "--hidden", "8", "--epochs", "1",
+                  "--out", "{tmp}/m.npz"], 0),
+    "train-error": (["train", "--epochs", "0", "--out", "{tmp}/m.npz"], 1),
+    "train-usage": (["train", "--epochs", "one"], 2),
+    "evaluate-ok": (["evaluate", "--model", "{model}"], 0),
+    "evaluate-error": (["evaluate", "--model", "{missing}"], 1),
+    "evaluate-usage": (["evaluate"], 2),
+    "deploy-ok": (["deploy", "--model", "{model}"], 0),
+    "deploy-error": (["deploy", "--model", "{missing}"], 1),
+    "deploy-no-fit": (["deploy", "--model", "{big}"], 2),
+    "deploy-usage": (["deploy", "--model", "{model}", "--format", "x"], 2),
+    "encodings-ok": (["encodings", "--model", "{model}"], 0),
+    "encodings-error": (["encodings", "--model", "{missing}"], 1),
+    "encodings-usage": (["encodings"], 2),
+    "report-ok": (["report", "--figures", "table1"], 0),
+    "report-error": (["report", "--figures", "fig99"], 1),
+    "report-usage": (["report", "--jobs", "many"], 2),
+    "verify-ok": (["verify", "--model", "{model}"], 0),
+    "verify-error": (["verify", "--model", "{missing}"], 1),
+    "verify-no-fit": (["verify", "--model", "{big}"], 2),
+    "verify-usage": (["verify", "--model", "{model}", "--board", "x"], 2),
+    "search-ok": (["search", *SMALL_SEARCH], 0),
+    "search-error": (["search", *SMALL_SEARCH, "--seed", "-1"], 1),
+    "search-empty-frontier": (
+        ["search", *SMALL_SEARCH, "--slo-flash-kb", "1"], 2
+    ),
+    "search-usage": (["search", "--count", "few"], 2),
+    "cache-prune-ok": (["cache-prune", "--dry-run"], 0),
+    "cache-prune-usage": (["cache-prune", "--bogus"], 2),
+    "serve-bench-ok": (
+        ["serve-bench", "--model", "{model}", "--requests", "40"], 0
+    ),
+    "serve-bench-error": (
+        ["serve-bench", "--model", "{model}", "--charge-cycles", "0"], 1
+    ),
+    "serve-bench-usage": (
+        ["serve-bench", "--model", "{model}", "--engine", "x"], 2
+    ),
+    "cluster-bench-ok": (
+        ["cluster-bench", "--model", "{model}", "--requests", "40",
+         "--fleets", "1", "--policies", "hash"], 0
+    ),
+    "cluster-bench-error": (
+        ["cluster-bench", "--model", "{model}", "--devices", "0"], 1
+    ),
+    "cluster-bench-usage": (
+        ["cluster-bench", "--model", "{model}", "--policies", "x"], 2
+    ),
+}
+
+
+def test_exit_table_covers_every_subcommand():
+    from repro.cli import _HANDLERS
+
+    assert {args[0] for args, _ in EXIT_TABLE.values()} == set(_HANDLERS)
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_TABLE))
+def test_exit_status(case, model_file, oversized_model_file, tmp_path,
+                     monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    template, expected = EXIT_TABLE[case]
+    args = [
+        arg.format(model=model_file, big=oversized_model_file,
+                   missing=tmp_path / "missing.npz", tmp=tmp_path)
+        for arg in template
+    ]
+    try:
+        status = main(args)
+    except SystemExit as exc:       # argparse refuses before any handler
+        status = exc.code
+    assert status == expected
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error")]
+    if expected == 1:
+        assert len(errors) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
 class TestInformational:
     def test_datasets_lists_all_four(self, capsys):
         assert main(["datasets"]) == 0
@@ -58,7 +172,8 @@ class TestModelCommands:
         assert "fits 128 KB flash: True" in out
         assert "neuroc_infer" in c_out.read_text()
         from repro.deploy.firmware import verify_firmware_image
-        assert verify_firmware_image(fw_out.read_bytes()).crc_ok
+        info = verify_firmware_image(fw_out.read_bytes())
+        assert info.image_size == fw_out.stat().st_size
 
     @pytest.mark.parametrize("existing", [True, False])
     def test_refused_c_out_leaves_the_target_alone(

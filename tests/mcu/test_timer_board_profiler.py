@@ -1,4 +1,4 @@
-"""TIM2 timer, board profiles (Table 1), and the measurement harness."""
+"""Board profiles (Table 1) and the measurement harness."""
 
 import pytest
 
@@ -13,44 +13,6 @@ from repro.mcu.board import (
 from repro.mcu.isa import Assembler, Reg
 from repro.mcu.memory import MemoryMap
 from repro.mcu.profiler import Profiler
-from repro.mcu.timer import Tim2
-
-
-class TestTim2:
-    def test_elapsed_ms_at_8mhz(self):
-        timer = Tim2(8_000_000)
-        timer.start()
-        timer.advance(8_000)  # 1 ms of cycles
-        assert timer.elapsed_ms() == pytest.approx(1.0)
-
-    def test_wraparound_measurement(self):
-        timer = Tim2(1_000_000)
-        timer.advance(2**32 - 100)
-        timer.start()
-        timer.advance(200)  # crosses the 32-bit boundary
-        assert timer.elapsed_ticks() == 200
-
-    def test_prescaler_divides_ticks(self):
-        timer = Tim2(8_000_000, prescaler=7)  # tick every 8 cycles
-        timer.start()
-        timer.advance(80)
-        assert timer.elapsed_ticks() == 10
-
-    def test_prescaler_residual_accumulates(self):
-        timer = Tim2(1000, prescaler=1)  # tick every 2 cycles
-        timer.start()
-        timer.advance(3)
-        timer.advance(1)
-        assert timer.elapsed_ticks() == 2
-
-    def test_errors(self):
-        with pytest.raises(ExecutionError):
-            Tim2(0)
-        timer = Tim2(1000)
-        with pytest.raises(ExecutionError):
-            timer.elapsed_ticks()
-        with pytest.raises(ExecutionError):
-            timer.advance(-1)
 
 
 class TestBoardProfiles:

@@ -11,16 +11,17 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.layers import (
-    ActivationLayer,
     BatchNormLayer,
     DenseLayer,
     DropoutLayer,
     NeuroCLayer,
-    TernaryLayer,
+    ReLULayer,
 )
-from repro.nn.losses import MeanSquaredError
 from repro.nn.model import Sequential
 from repro.nn.quantizers import TernaryQuantizer
+
+#: The STE quantizer of the learned-adjacency layers under test.
+QUANTIZER = TernaryQuantizer(0.5)
 
 
 def numerical_grad(f, value, epsilon=1e-4):
@@ -38,8 +39,19 @@ def numerical_grad(f, value, epsilon=1e-4):
     return grad
 
 
+class SquaredError:
+    """Mean squared error: a smooth loss for the gradient checks."""
+
+    def forward(self, predictions, targets):
+        self._diff = predictions - np.asarray(targets, dtype=np.float64)
+        return float(np.mean(self._diff**2))
+
+    def backward(self):
+        return (2.0 * self._diff / self._diff.size).astype(np.float32)
+
+
 def loss_through(layer, x, target):
-    loss = MeanSquaredError()
+    loss = SquaredError()
 
     def f():
         return loss.forward(layer.forward(x, training=True), target)
@@ -87,7 +99,7 @@ class TestDenseLayer:
 
 class TestNeuroCLayer:
     def test_forward_matches_equation_one(self, rng):
-        layer = NeuroCLayer(6, 4, rng)
+        layer = NeuroCLayer(6, 4, rng, quantizer=QUANTIZER)
         x = rng.standard_normal((3, 6)).astype(np.float32)
         out = layer.forward(x, training=False)
         adjacency = layer.ternary_adjacency().astype(np.float32)
@@ -95,7 +107,7 @@ class TestNeuroCLayer:
         assert np.allclose(out, expected, atol=1e-6)
 
     def test_scale_and_bias_gradients(self, rng):
-        layer = NeuroCLayer(6, 4, rng)
+        layer = NeuroCLayer(6, 4, rng, quantizer=QUANTIZER)
         x = rng.standard_normal((5, 6)).astype(np.float32)
         target = rng.standard_normal((5, 4)).astype(np.float32)
         f, loss = loss_through(layer, x, target)
@@ -109,7 +121,7 @@ class TestNeuroCLayer:
         assert np.allclose(layer.bias.grad, num_bias, atol=1e-3)
 
     def test_adjacency_is_ternary(self, rng):
-        layer = NeuroCLayer(10, 5, rng)
+        layer = NeuroCLayer(10, 5, rng, quantizer=QUANTIZER)
         assert set(np.unique(layer.ternary_adjacency())) <= {-1, 0, 1}
 
     def test_fixed_adjacency_has_no_latent(self, rng):
@@ -130,6 +142,10 @@ class TestNeuroCLayer:
         assert np.array_equal(adjacency2 != 0, support)
         assert (adjacency2[support] == -1).all()
 
+    def test_learned_adjacency_needs_a_quantizer(self, rng):
+        with pytest.raises(ConfigurationError, match="quantizer"):
+            NeuroCLayer(4, 2, rng)
+
     def test_fixed_support_and_adjacency_exclusive(self, rng):
         with pytest.raises(ConfigurationError):
             NeuroCLayer(
@@ -139,18 +155,18 @@ class TestNeuroCLayer:
             )
 
     def test_post_update_clips_latent(self, rng):
-        layer = NeuroCLayer(6, 4, rng)
+        layer = NeuroCLayer(6, 4, rng, quantizer=QUANTIZER)
         layer.latent.value += 100.0
         layer.post_update()
         assert float(layer.latent.value.max()) <= 1.0
 
     def test_parameter_count_uses_paper_definition(self, rng):
-        layer = NeuroCLayer(10, 5, rng)
+        layer = NeuroCLayer(10, 5, rng, quantizer=QUANTIZER)
         # neurons (scale + bias) + non-zero connections
         assert layer.parameter_count == 5 + 5 + layer.nnz
 
     def test_scale_gradient_flows_through_ste(self, rng):
-        layer = NeuroCLayer(6, 4, rng)
+        layer = NeuroCLayer(6, 4, rng, quantizer=QUANTIZER)
         x = rng.standard_normal((5, 6)).astype(np.float32)
         layer.forward(x, training=True)
         layer.backward(np.ones((5, 4), dtype=np.float32))
@@ -158,13 +174,15 @@ class TestNeuroCLayer:
 
 
 class TestTernaryLayer:
+    """The §5.2 TNN layer: Neuro-C without its per-neuron scale."""
+
     def test_has_no_scale(self, rng):
-        layer = TernaryLayer(6, 4, rng)
+        layer = NeuroCLayer(6, 4, rng, quantizer=QUANTIZER, use_scale=False)
         assert layer.scale is None
         assert not layer.use_scale
 
     def test_forward_is_sum_plus_bias(self, rng):
-        layer = TernaryLayer(6, 4, rng)
+        layer = NeuroCLayer(6, 4, rng, quantizer=QUANTIZER, use_scale=False)
         x = rng.standard_normal((3, 6)).astype(np.float32)
         out = layer.forward(x, training=False)
         expected = (
@@ -174,11 +192,9 @@ class TestTernaryLayer:
         assert np.allclose(out, expected, atol=1e-6)
 
 
-class TestActivationLayer:
-    @pytest.mark.parametrize("name", ["relu", "tanh", "sigmoid",
-                                      "leaky_relu", "identity"])
-    def test_gradient_matches_numeric(self, name, rng):
-        layer = ActivationLayer(name)
+class TestReLULayer:
+    def test_gradient_matches_numeric(self, rng):
+        layer = ReLULayer()
         x = rng.standard_normal((4, 5)).astype(np.float32) + 0.1
         target = rng.standard_normal((4, 5)).astype(np.float32)
         f, loss = loss_through(layer, x, target)
@@ -186,10 +202,6 @@ class TestActivationLayer:
         grad_x = layer.backward(loss.backward())
         num_x = numerical_grad(f, x)
         assert np.allclose(grad_x, num_x, atol=1e-3)
-
-    def test_unknown_activation(self):
-        with pytest.raises(ConfigurationError):
-            ActivationLayer("swish")
 
 
 class TestBatchNormLayer:
@@ -248,30 +260,31 @@ class TestDropoutLayer:
 #: Stacks of every layer kind, first layers included.
 STACKS = {
     "dense": lambda rng: [
-        DenseLayer(12, 8, rng), ActivationLayer("relu"),
+        DenseLayer(12, 8, rng), ReLULayer(),
         DenseLayer(8, 4, rng),
     ],
     "neuroc": lambda rng: [
         NeuroCLayer(12, 8, rng, quantizer=TernaryQuantizer(0.4)),
-        ActivationLayer("relu"),
-        NeuroCLayer(8, 4, rng, quantizer=TernaryQuantizer("twn")),
+        ReLULayer(),
+        NeuroCLayer(8, 4, rng, quantizer=TernaryQuantizer(0.6)),
     ],
     "tnn": lambda rng: [
-        TernaryLayer(12, 8, rng), ActivationLayer("relu"),
-        TernaryLayer(8, 4, rng),
+        NeuroCLayer(12, 8, rng, quantizer=QUANTIZER, use_scale=False),
+        ReLULayer(),
+        NeuroCLayer(8, 4, rng, quantizer=QUANTIZER, use_scale=False),
     ],
     "fixed-support": lambda rng: [
         NeuroCLayer(12, 8, rng, fixed_support=rng.random((12, 8)) < 0.4),
-        ActivationLayer("relu"),
+        ReLULayer(),
         NeuroCLayer(8, 4, rng, fixed_support=rng.random((8, 4)) < 0.5),
     ],
     "batchnorm-dropout": lambda rng: [
-        DenseLayer(12, 8, rng), BatchNormLayer(8), ActivationLayer("relu"),
+        DenseLayer(12, 8, rng), BatchNormLayer(8), ReLULayer(),
         DropoutLayer(0.3, rng), DenseLayer(8, 4, rng),
     ],
     "dropout-first": lambda rng: [
         DropoutLayer(0.2, rng), DenseLayer(12, 8, rng),
-        ActivationLayer("tanh"), DenseLayer(8, 4, rng),
+        ReLULayer(), DenseLayer(8, 4, rng),
     ],
 }
 

@@ -7,10 +7,10 @@ table pins them: per training path, a sha256 over every
 layers, the optimizers or the trainer cannot move a weight unnoticed.
 
 The grid covers the MLP baseline with and without batch norm and
-dropout, Neuro-C over its four adjacency strategies, a fixed and the
-TWN threshold, the TNN, the trainer with Adam under both learning-rate
-schedules and with SGD with and without momentum, and one stage-2 float
-fit and one stage-3 QAT run at perfbench's search settings.  Datasets
+dropout, Neuro-C over its four adjacency strategies and two fixed
+thresholds, the TNN, the trainer with Adam under both learning-rate
+schedules, and one stage-2 float fit and one stage-3 QAT run at
+perfbench's search settings.  Datasets
 are small and epochs few, so the table runs in a few seconds.
 
 ``PYTHONPATH=src python -m tests.nn.test_training_digests`` prints the
@@ -27,9 +27,9 @@ import pytest
 from repro.core.mlp import MLPConfig, fit_mlp, train_mlp
 from repro.core.neuroc import NeuroCConfig, train_neuroc
 from repro.datasets import load
-from repro.nn.layers import ActivationLayer, DenseLayer, NeuroCLayer
+from repro.nn.layers import DenseLayer, NeuroCLayer, ReLULayer
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam
+from repro.nn.optimizers import Adam
 from repro.nn.quantizers import TernaryQuantizer
 from repro.nn.trainer import TrainConfig, Trainer
 from repro.search import SearchSettings
@@ -84,7 +84,7 @@ def trainer(optimizer, schedule="constant"):
             data.num_features, 24, rng,
             quantizer=TernaryQuantizer(threshold=0.7),
         ),
-        ActivationLayer("relu"),
+        ReLULayer(),
         DenseLayer(24, data.num_classes, rng),
     ])
     history = Trainer(model, optimizer, rng=np.random.default_rng(8)).fit(
@@ -138,12 +138,9 @@ CASES = {
     "neuroc-constrained_random": lambda: neuroc("constrained_random"),
     "neuroc-locality": lambda: neuroc("locality"),
     "neuroc-threshold-0.6": lambda: neuroc(threshold=0.6),
-    "neuroc-twn": lambda: neuroc(threshold="twn"),
     "tnn": lambda: neuroc(use_scale=False),
     "trainer-adam-constant": lambda: trainer(Adam(0.01)),
     "trainer-adam-cosine": lambda: trainer(Adam(0.01), "cosine"),
-    "trainer-sgd": lambda: trainer(SGD(0.05)),
-    "trainer-sgd-momentum": lambda: trainer(SGD(0.02, momentum=0.9)),
     "search-stage2-float-fit": stage2_float_fit,
     "search-stage3-qat": stage3_qat,
 }
@@ -181,18 +178,12 @@ DIGESTS: dict[str, str] = {
         "cbb56302e80887321c4e9d0c5b1344c8b51470edf8171983356ea0b86a5185e4",
     "neuroc-threshold-0.6":
         "7934b9d4e0902dfefc8e4ac2bb96d1c08d5e51c76ac903baeb1a81282d526fe8",
-    "neuroc-twn":
-        "8c1b30d9d54244811f3aafa1f4b60f5791c5d769bdeb1a0cb17b75299584601e",
     "tnn":
         "4916e293dfd0e1c0a8a163cf93d47458300421eef932da2ae9113abfce099ef2",
     "trainer-adam-constant":
         "6504e0f40b415309c79541b9a399d0f0b3ad8c802048129eb296dedf609960a1",
     "trainer-adam-cosine":
         "f54e375650bca29563c32f07f2b9c1d659c75b8153ff68fb80a58516c31815e1",
-    "trainer-sgd":
-        "10dc10017a691fc256c64ebd881cc543d0018441dfa8ed8fafea1fe2d669ff66",
-    "trainer-sgd-momentum":
-        "97914e0aac8ccf90c9bfa3f9c21ee9f1f1f825e63a338d799bc882d24c0e81c4",
     "search-stage2-float-fit":
         "58be732e850cb84e6493bb8841ccede4bc7dcad231c03a45e660934c4dc90b9e",
     "search-stage3-qat":

@@ -1,22 +1,15 @@
-"""Quantizers, losses, optimizers, metrics, trainer."""
+"""Quantizer, loss, optimizer, chance accuracy, trainer."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, TrainingError
-from repro.nn.activations import softmax
-from repro.nn.layers import ActivationLayer, DenseLayer, Parameter
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
-from repro.nn.metrics import (
-    accuracy,
-    chance_accuracy,
-    confusion_matrix,
-    per_class_accuracy,
-)
+from repro.nn.layers import DenseLayer, Parameter, ReLULayer
+from repro.nn.losses import SoftmaxCrossEntropy, softmax
 from repro.nn.model import Sequential
-from repro.nn.optimizers import SGD, Adam
+from repro.nn.optimizers import Adam
 from repro.nn.quantizers import LATENT_CLIP, TernaryQuantizer
-from repro.nn.trainer import TrainConfig, Trainer
+from repro.nn.trainer import TrainConfig, Trainer, chance_accuracy
 
 
 class TestTernaryQuantizer:
@@ -24,12 +17,6 @@ class TestTernaryQuantizer:
         quantizer = TernaryQuantizer(threshold=0.5)
         latent = np.array([-0.9, -0.4, 0.0, 0.4, 0.9], dtype=np.float32)
         assert list(quantizer.quantize(latent)) == [-1, 0, 0, 0, 1]
-
-    def test_twn_threshold_adapts_to_magnitude(self):
-        quantizer = TernaryQuantizer(threshold="twn")
-        small = np.full(100, 0.01, dtype=np.float32)
-        large = np.full(100, 0.9, dtype=np.float32)
-        assert quantizer.delta_for(small) < quantizer.delta_for(large)
 
     def test_sparsity_tracks_threshold(self, rng):
         latent = rng.uniform(-1, 1, 1000).astype(np.float32)
@@ -39,12 +26,12 @@ class TestTernaryQuantizer:
         assert high == pytest.approx(0.9, abs=0.05)
 
     def test_grad_mask_kills_out_of_clip(self):
-        quantizer = TernaryQuantizer()
+        quantizer = TernaryQuantizer(threshold=0.5)
         latent = np.array([-2.0, -0.5, 0.5, 2.0], dtype=np.float32)
         assert list(quantizer.grad_mask(latent)) == [0.0, 1.0, 1.0, 0.0]
 
     def test_clip_latent(self):
-        quantizer = TernaryQuantizer()
+        quantizer = TernaryQuantizer(threshold=0.5)
         clipped = quantizer.clip_latent(np.array([-5.0, 0.3, 5.0]))
         assert list(clipped) == [-LATENT_CLIP, 0.3, LATENT_CLIP]
 
@@ -52,7 +39,7 @@ class TestTernaryQuantizer:
         with pytest.raises(ConfigurationError):
             TernaryQuantizer(threshold=1.5)
         with pytest.raises(ConfigurationError):
-            TernaryQuantizer(threshold="magic")
+            TernaryQuantizer(threshold=-0.1)
 
 
 class TestLosses:
@@ -86,20 +73,12 @@ class TestLosses:
     def test_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             SoftmaxCrossEntropy().forward(np.zeros((2, 3)), np.zeros(3, int))
-        with pytest.raises(ConfigurationError):
-            MeanSquaredError().forward(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 class TestOptimizers:
-    def _quadratic_param(self):
-        return Parameter(np.array([5.0, -3.0], dtype=np.float32), "p")
-
-    @pytest.mark.parametrize(
-        "optimizer", [SGD(lr=0.1), SGD(lr=0.05, momentum=0.9),
-                      Adam(lr=0.2)]
-    )
-    def test_minimizes_quadratic(self, optimizer):
-        p = self._quadratic_param()
+    def test_minimizes_quadratic(self):
+        p = Parameter(np.array([5.0, -3.0], dtype=np.float32), "p")
+        optimizer = Adam(lr=0.2)
         for _ in range(200):
             p.grad = 2.0 * p.value  # d/dp of ||p||^2
             optimizer.step([p])
@@ -107,36 +86,12 @@ class TestOptimizers:
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ConfigurationError):
-            SGD(lr=-1)
-        with pytest.raises(ConfigurationError):
-            SGD(momentum=1.0)
+            Adam(lr=-1)
         with pytest.raises(ConfigurationError):
             Adam(lr=0)
 
 
 class TestMetrics:
-    def test_accuracy(self):
-        assert accuracy(np.array([1, 2, 3]), np.array([1, 0, 3])) == (
-            pytest.approx(2 / 3)
-        )
-
-    def test_accuracy_shape_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            accuracy(np.zeros(3), np.zeros(4))
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(
-            np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), 3
-        )
-        assert matrix[1, 1] == 1
-        assert matrix[2, 1] == 1  # true 2 predicted 1
-        assert matrix.sum() == 4
-
-    def test_per_class_accuracy_handles_missing_class(self):
-        per = per_class_accuracy(np.array([0, 0]), np.array([0, 0]), 3)
-        assert per[0] == 1.0
-        assert np.isnan(per[1])
-
     def test_chance_accuracy(self):
         assert chance_accuracy(np.array([0, 0, 0, 1])) == 0.75
 
@@ -151,13 +106,11 @@ class TestTrainer:
     def test_learns_nonlinear_toy_task(self, rng):
         x, y = self._toy_task(rng)
         model = Sequential(
-            [DenseLayer(4, 16, rng), ActivationLayer("relu"),
-             DenseLayer(16, 2, rng)]
+            [DenseLayer(4, 16, rng), ReLULayer(), DenseLayer(16, 2, rng)]
         )
         trainer = Trainer(model, Adam(0.01), rng=np.random.default_rng(0))
         history = trainer.fit(
-            x[:300], y[:300], x[300:], y[300:],
-            TrainConfig(epochs=60, batch_size=32),
+            x[:300], y[:300], x[300:], y[300:], TrainConfig(epochs=60),
         )
         assert history.best_val_accuracy > 0.9
         assert history.converged
@@ -165,7 +118,7 @@ class TestTrainer:
     def test_early_stopping_triggers(self, rng):
         x, y = self._toy_task(rng, n=200)
         model = Sequential([DenseLayer(4, 2, rng)])
-        trainer = Trainer(model, SGD(lr=1e-6),
+        trainer = Trainer(model, Adam(lr=1e-6),
                           rng=np.random.default_rng(0))
         history = trainer.fit(
             x[:150], y[:150], x[150:], y[150:],
@@ -184,22 +137,22 @@ class TestTrainer:
 
     def test_mismatched_lengths_raise(self, rng):
         model = Sequential([DenseLayer(4, 2, rng)])
-        trainer = Trainer(model)
+        trainer = Trainer(model, Adam(0.01), np.random.default_rng(0))
         with pytest.raises(TrainingError):
             trainer.fit(np.zeros((3, 4)), np.zeros(2, int),
-                        np.zeros((1, 4)), np.zeros(1, int))
+                        np.zeros((1, 4)), np.zeros(1, int), TrainConfig())
 
     def test_empty_training_set_raises(self, rng):
         model = Sequential([DenseLayer(4, 2, rng)])
         with pytest.raises(TrainingError):
-            Trainer(model).fit(
+            Trainer(model, Adam(0.01), np.random.default_rng(0)).fit(
                 np.zeros((0, 4)), np.zeros(0, int),
-                np.zeros((1, 4)), np.zeros(1, int),
+                np.zeros((1, 4)), np.zeros(1, int), TrainConfig(),
             )
 
     def test_model_summary_mentions_layers(self, rng):
         model = Sequential(
-            [DenseLayer(4, 2, rng), ActivationLayer("relu")], "toy"
+            [DenseLayer(4, 2, rng), ReLULayer()], "toy"
         )
         text = model.summary()
         assert "DenseLayer" in text

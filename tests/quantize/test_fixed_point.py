@@ -1,4 +1,4 @@
-"""Fixed-point helpers: Q-format, multiplier quantization, requantize."""
+"""Fixed-point helpers: multiplier quantization and requantize."""
 
 import numpy as np
 import pytest
@@ -7,27 +7,10 @@ from hypothesis import strategies as st
 
 from repro.errors import QuantizationError
 from repro.quantize.fixed_point import (
-    float_to_q,
-    q_to_float,
     quantize_multiplier,
     quantize_multipliers_shared_shift,
     requantize,
 )
-
-
-class TestQFormat:
-    def test_roundtrip_within_precision(self):
-        value = 0.3125  # exactly representable in Q?.8
-        fixed = float_to_q(value, frac_bits=8)
-        assert q_to_float(fixed, 8) == value
-
-    def test_overflow_raises(self):
-        with pytest.raises(QuantizationError):
-            float_to_q(200.0, frac_bits=8, width_bits=8)
-
-    def test_invalid_frac_bits(self):
-        with pytest.raises(QuantizationError):
-            float_to_q(0.5, frac_bits=16, width_bits=16)
 
 
 class TestQuantizeMultiplier:

@@ -5,17 +5,28 @@ import pytest
 
 from repro.errors import QuantizationError
 from repro.nn.layers import (
-    ActivationLayer,
     BatchNormLayer,
     DenseLayer,
     DropoutLayer,
+    Layer,
     NeuroCLayer,
-    TernaryLayer,
+    ReLULayer,
 )
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam
+from repro.nn.quantizers import TernaryQuantizer
 from repro.nn.trainer import TrainConfig, Trainer
 from repro.quantize.ptq import quantize_model
+
+#: About a third of a fresh U(-1, 1) latent matrix ternarizes to zero.
+QUANTIZER = TernaryQuantizer(0.35)
+
+
+class Tanh(Layer):
+    """An activation the integer kernels cannot apply."""
+
+    def forward(self, x, training):
+        return np.tanh(x)
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +47,8 @@ class TestAccuracyParity:
     @pytest.mark.parametrize("act_width", [1, 2])
     def test_neuroc_parity(self, digits, act_width, rng):
         model = Sequential(
-            [NeuroCLayer(64, 40, rng), ActivationLayer("relu"),
-             NeuroCLayer(40, 10, rng)]
+            [NeuroCLayer(64, 40, rng, quantizer=QUANTIZER), ReLULayer(),
+             NeuroCLayer(40, 10, rng, quantizer=QUANTIZER)]
         )
         x_tr = _train(model, digits)
         quantized = quantize_model(model, x_tr[:200], act_width=act_width)
@@ -47,8 +58,9 @@ class TestAccuracyParity:
 
     def test_tnn_uses_per_layer_multiplier(self, digits, rng):
         model = Sequential(
-            [TernaryLayer(64, 40, rng), ActivationLayer("relu"),
-             TernaryLayer(40, 10, rng)]
+            [NeuroCLayer(64, 40, rng, quantizer=QUANTIZER, use_scale=False),
+             ReLULayer(),
+             NeuroCLayer(40, 10, rng, quantizer=QUANTIZER, use_scale=False)]
         )
         x_tr = _train(model, digits)
         quantized = quantize_model(model, x_tr[:200])
@@ -61,8 +73,8 @@ class TestAccuracyParity:
 
     def test_neuroc_final_layer_keeps_per_neuron_mult(self, digits, rng):
         model = Sequential(
-            [NeuroCLayer(64, 24, rng), ActivationLayer("relu"),
-             NeuroCLayer(24, 10, rng)]
+            [NeuroCLayer(64, 24, rng, quantizer=QUANTIZER), ReLULayer(),
+             NeuroCLayer(24, 10, rng, quantizer=QUANTIZER)]
         )
         x_tr = _train(model, digits, epochs=10)
         quantized = quantize_model(model, x_tr[:200])
@@ -75,7 +87,7 @@ class TestFoldingRules:
     def test_batchnorm_folds_into_dense(self, digits, rng):
         model = Sequential(
             [DenseLayer(64, 24, rng), BatchNormLayer(24),
-             ActivationLayer("relu"), DenseLayer(24, 10, rng)]
+             ReLULayer(), DenseLayer(24, 10, rng)]
         )
         x_tr = _train(model, digits)
         quantized = quantize_model(model, x_tr[:200])
@@ -88,8 +100,8 @@ class TestFoldingRules:
     def test_batchnorm_on_ternary_refused(self, digits, rng):
         # §3.4: BN cannot fold into ternary weights.
         model = Sequential(
-            [NeuroCLayer(64, 24, rng), BatchNormLayer(24),
-             ActivationLayer("relu"), NeuroCLayer(24, 10, rng)]
+            [NeuroCLayer(64, 24, rng, quantizer=QUANTIZER), BatchNormLayer(24),
+             ReLULayer(), NeuroCLayer(24, 10, rng, quantizer=QUANTIZER)]
         )
         with pytest.raises(QuantizationError, match="batch normalization"):
             quantize_model(model, digits.x_train[:64])
@@ -97,7 +109,7 @@ class TestFoldingRules:
     def test_dropout_is_skipped(self, digits, rng):
         model = Sequential(
             [DropoutLayer(0.2, rng), DenseLayer(64, 16, rng),
-             ActivationLayer("relu"), DropoutLayer(0.2, rng),
+             ReLULayer(), DropoutLayer(0.2, rng),
              DenseLayer(16, 10, rng)]
         )
         x_tr = _train(model, digits, epochs=8)
@@ -106,10 +118,9 @@ class TestFoldingRules:
 
     def test_unsupported_activation_refused(self, digits, rng):
         model = Sequential(
-            [DenseLayer(64, 8, rng), ActivationLayer("tanh"),
-             DenseLayer(8, 10, rng)]
+            [DenseLayer(64, 8, rng), Tanh(), DenseLayer(8, 10, rng)]
         )
-        with pytest.raises(QuantizationError, match="tanh"):
+        with pytest.raises(QuantizationError, match="Tanh"):
             quantize_model(model, digits.x_train[:64])
 
 
@@ -142,8 +153,8 @@ class TestValidation:
                                                           rng):
         # Inputs beyond the calibration range must saturate (not crash).
         model = Sequential(
-            [NeuroCLayer(64, 16, rng), ActivationLayer("relu"),
-             NeuroCLayer(16, 10, rng)]
+            [NeuroCLayer(64, 16, rng, quantizer=QUANTIZER), ReLULayer(),
+             NeuroCLayer(16, 10, rng, quantizer=QUANTIZER)]
         )
         x_tr = _train(model, digits, epochs=5)
         quantized = quantize_model(model, x_tr[:64] * 0.3)

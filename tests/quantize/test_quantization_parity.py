@@ -11,9 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.layers import ActivationLayer, NeuroCLayer
+from repro.nn.layers import NeuroCLayer, ReLULayer
 from repro.nn.model import Sequential
+from repro.nn.quantizers import TernaryQuantizer
 from repro.quantize.ptq import quantize_model
+
+
+#: About a third of a fresh U(-1, 1) latent matrix ternarizes to zero.
+QUANTIZER = TernaryQuantizer(0.35)
 
 
 @st.composite
@@ -25,9 +30,9 @@ def small_models(draw):
     rng = np.random.default_rng(seed)
     model = Sequential(
         [
-            NeuroCLayer(n_in, hidden, rng),
-            ActivationLayer("relu"),
-            NeuroCLayer(hidden, n_out, rng),
+            NeuroCLayer(n_in, hidden, rng, quantizer=QUANTIZER),
+            ReLULayer(),
+            NeuroCLayer(hidden, n_out, rng, quantizer=QUANTIZER),
         ]
     )
     calibration = rng.uniform(0.0, 1.0, (64, n_in)).astype(np.float32)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import QuantizationError
-from repro.nn.layers import ActivationLayer, DenseLayer, NeuroCLayer
+from repro.nn.layers import DenseLayer, NeuroCLayer, ReLULayer
+from repro.nn.quantizers import TernaryQuantizer
 from repro.nn.model import Sequential
 from repro.quantize.ptq import quantize_model, ternarize_float_model
 
@@ -17,7 +18,7 @@ def digits():
 
 def _dense_model(rng):
     return Sequential(
-        [DenseLayer(64, 32, rng), ActivationLayer("relu"),
+        [DenseLayer(64, 32, rng), ReLULayer(),
          DenseLayer(32, 10, rng)],
         name="float",
     )
@@ -90,8 +91,9 @@ class TestValidation:
 
     def test_already_ternary_model_rejected(self, rng):
         model = Sequential(
-            [NeuroCLayer(64, 24, rng), ActivationLayer("relu"),
-             NeuroCLayer(24, 10, rng)]
+            [NeuroCLayer(64, 24, rng, quantizer=TernaryQuantizer(0.35)),
+             ReLULayer(),
+             NeuroCLayer(24, 10, rng, quantizer=TernaryQuantizer(0.35))]
         )
         with pytest.raises(QuantizationError, match="already"):
             ternarize_float_model(model)

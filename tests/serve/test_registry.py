@@ -116,7 +116,6 @@ class TestReplicas:
             assert mine.program is theirs.program
             assert mine.memory is replica.memory
         assert replica.memory is not deployed.memory
-        assert replica.timer is not deployed.timer
 
     def test_running_a_replica_leaves_the_artifact_ram_alone(
         self, small_artifact, digits_small
